@@ -17,7 +17,9 @@ use ida_flash::timing::{FlashTiming, SimTime};
 use ida_obs::gauge::GaugeSet;
 use ida_obs::trace::{FilterSink, JsonlSink, SinkHandle, TraceEvent};
 use ida_ssd::retry::RetryConfig;
-use ida_ssd::{HostOp, HostOpKind, Report, SimError, Simulator, SsdConfig};
+use ida_ssd::{
+    ClosedLoopSource, HostOp, HostOpKind, ListSource, Report, SimError, Simulator, SsdConfig,
+};
 use ida_sweep::WarmCache;
 use ida_workloads::suite::WorkloadPreset;
 use ida_workloads::trace::{OpKind, Trace};
@@ -350,12 +352,14 @@ pub fn run_config_faulted_cached(
         sim.arm_faults(faults);
     }
     // Experiment runs always carry attribution spans, so every sweep cell
-    // exports its waterfall (the bench suite drives `Simulator::run`
-    // directly and so measures the spans-off hot path).
+    // exports its waterfall.
     sim.set_spans(true);
+    let ops = to_host_ops(&trace);
     match mode {
-        ReplayMode::OpenLoop => sim.run(to_host_ops(&trace)),
-        ReplayMode::ClosedLoop(depth) => sim.run_closed_loop(to_host_ops(&trace), depth),
+        ReplayMode::OpenLoop => sim.run(ops),
+        ReplayMode::ClosedLoop(depth) => ClosedLoopSource::new(ops, depth)
+            .and_then(|mut source| sim.run_source(&mut source))
+            .unwrap_or_else(|e| panic!("closed-loop replay failed: {e}")),
     }
 }
 
@@ -399,9 +403,9 @@ impl From<SimError> for ReplayError {
 /// version: fold the trace onto a footprint-sized slice of the device,
 /// prefill that footprint, put refresh on the trace's own span, run one
 /// staggered refresh cycle, then measure. Open loop replays the trace's
-/// own arrival times through the typed [`Simulator::try_run`] path (a
-/// malformed trace is an error, not a panic); closed loop ignores them
-/// and keeps `depth` requests in flight.
+/// own arrival times through a [`ListSource`] (an unsorted trace is an
+/// error, not a panic); closed loop ignores them and keeps `depth`
+/// requests in flight.
 ///
 /// # Errors
 ///
@@ -435,8 +439,8 @@ pub fn replay_trace(
     sim.set_spans(true);
     let ops = to_host_ops(&folded);
     let report = match mode {
-        ReplayMode::OpenLoop => sim.try_run(ops)?,
-        ReplayMode::ClosedLoop(depth) => sim.run_closed_loop(ops, depth),
+        ReplayMode::OpenLoop => sim.run_source(&mut ListSource::new(ops)?)?,
+        ReplayMode::ClosedLoop(depth) => sim.run_source(&mut ClosedLoopSource::new(ops, depth)?)?,
     };
     obs.finish(&sim, &report)?;
     Ok(report)

@@ -15,7 +15,6 @@ use ida_bench::runner::{
     WARM_SEED_BASE,
 };
 use ida_bench::soak::{run_soak, soak_metrics_json, soak_run_from_json};
-use ida_bench::suite::{compare_json, run_suite};
 use ida_bench::sweep::{
     builtin_grid, parse_system, render, run_grid, run_grid_on, run_grid_worker, Backend,
     BUILTIN_GRIDS,
@@ -152,18 +151,6 @@ pub enum Command {
         requests: Option<usize>,
         /// Report per-cell progress on stderr.
         progress: bool,
-    },
-    /// Run the fixed-seed benchmark suite.
-    Bench {
-        /// Use the reduced CI scale.
-        smoke: bool,
-        /// Write the JSON document here (stdout gets the summary table);
-        /// without it the JSON itself goes to stdout.
-        out: Option<PathBuf>,
-        /// Previously captured suite (or comparison) JSON to embed as the
-        /// baseline; the output becomes a comparison document with
-        /// per-bench speedups.
-        baseline: Option<PathBuf>,
     },
     /// Drive one workload through the host frontend at a target offered
     /// rate (or bisect for the max sustainable rate at the SLO).
@@ -684,32 +671,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 progress: c.progress,
             })
         }
-        Some("bench") => {
-            let mut c = CommonArgs::accepting(&[args::SMOKE, args::OUT]);
-            let mut baseline = None;
-            let mut i = 1;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--baseline" => {
-                        baseline = Some(PathBuf::from(args::value(
-                            args,
-                            &mut i,
-                            "--baseline",
-                            "a path",
-                        )?));
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            Ok(Command::Bench {
-                smoke: c.smoke,
-                out: c.out,
-                baseline,
-            })
-        }
         Some("trace") => {
             let mut file = None;
             let mut validate = false;
@@ -1227,38 +1188,6 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 let _ = writeln!(out, "wrote aggregate to {}", path.display());
             }
         }
-        Command::Bench {
-            smoke,
-            out: out_path,
-            baseline,
-        } => {
-            // Read the baseline up front so a bad path fails before the
-            // (expensive) suite run.
-            let base = baseline
-                .map(|path| {
-                    std::fs::read_to_string(&path)
-                        .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))
-                })
-                .transpose()?;
-            let result = run_suite(smoke);
-            let json = match base {
-                Some(base) => compare_json(&result, &base)?,
-                None => result.to_json(),
-            };
-            match out_path {
-                Some(path) => {
-                    std::fs::write(&path, json + "\n")
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                    out.push_str(&result.render_table());
-                    let _ = writeln!(out, "wrote benchmark JSON to {}", path.display());
-                }
-                // No --out: machine-readable document on stdout.
-                None => {
-                    out.push_str(&json);
-                    out.push('\n');
-                }
-            }
-        }
         Command::Load {
             workload,
             error_rate,
@@ -1509,7 +1438,6 @@ USAGE:
   idasim soak <workload> [--level off|low|mid|high] [--epochs N]
               [--error-rate 0.2] [--jobs N] [--journal <path.jsonl>]
               [--out <path.json>] [--smoke] [--requests N] [--progress]
-  idasim bench [--smoke] [--out <path.json>] [--baseline <path.json>]
   idasim load <workload> [--iops N] [--arrival poisson|constant|onoff]
               [--tenants N] [--admission shed|delay] [--slo-us 2000]
               [--capacity] [--lo N] [--hi N] [--error-rate 0.2]
@@ -1610,18 +1538,11 @@ open loop with the trace's own arrival times, or closed loop at
 --closed queue depth. A malformed or unsorted trace is reported as an
 error, never a panic.
 
-Bench: runs the fixed-seed hot-path benchmark suite (event-queue
-push/pop, FTL write/GC/refresh loop, one fig8 cell end-to-end) and
-emits a JSON document whose per-bench operation counts are
-byte-identical across runs (wall-clock and derived rates vary).
---smoke shrinks every bench for CI. --baseline embeds a previously
-captured suite (or comparison) JSON and adds per-bench speedups; the
-committed BENCH_*.json trajectory files are such comparisons.
-
-Experiment binaries reproducing each paper table/figure live in the
+Figures 8-11 are the fig8..fig11 sweep grids above, e.g.:
+  idasim sweep fig11 --smoke --out fig11.json
+The single-config paper tables and figures are binaries in the
 ida-bench crate, e.g.:
-  cargo run --release -p ida-bench --bin fig8_response_time
-(fig8/fig9/fig10 binaries honor IDA_JOBS and IDA_JOURNAL too.)
+  cargo run --release -p ida-bench --bin table4_refresh_overhead
 ";
 
 #[cfg(test)]
@@ -1739,7 +1660,10 @@ mod tests {
     #[test]
     fn rejects_bad_input() {
         assert!(parse_args(&s(&["describe"])).is_err());
-        assert!(parse_args(&s(&["frobnicate"])).is_err());
+        for unknown in ["frobnicate", "bench"] {
+            let err = parse_args(&s(&[unknown])).unwrap_err();
+            assert!(err.contains("unknown command"), "unhelpful error: {err}");
+        }
         assert!(parse_args(&s(&["compare", "proj_1", "--error-rate", "2.0"])).is_err());
         assert!(parse_args(&s(&["compare", "proj_1", "--bogus"])).is_err());
     }
@@ -1939,48 +1863,6 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("unknown sweep grid"), "unhelpful error: {err}");
-    }
-
-    #[test]
-    fn parses_bench_options() {
-        let cmd = parse_args(&s(&[
-            "bench",
-            "--smoke",
-            "--out",
-            "BENCH_PR4.json",
-            "--baseline",
-            "old.json",
-        ]))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Bench {
-                smoke: true,
-                out: Some(PathBuf::from("BENCH_PR4.json")),
-                baseline: Some(PathBuf::from("old.json")),
-            }
-        );
-        assert_eq!(
-            parse_args(&s(&["bench"])).unwrap(),
-            Command::Bench {
-                smoke: false,
-                out: None,
-                baseline: None,
-            }
-        );
-        assert!(parse_args(&s(&["bench", "--out"])).is_err());
-        assert!(parse_args(&s(&["bench", "--bogus"])).is_err());
-    }
-
-    #[test]
-    fn bench_rejects_missing_baseline_file() {
-        let err = run(Command::Bench {
-            smoke: true,
-            out: None,
-            baseline: Some(PathBuf::from("/nonexistent/baseline.json")),
-        })
-        .unwrap_err();
-        assert!(err.contains("cannot read baseline"), "unhelpful: {err}");
     }
 
     #[test]

@@ -40,8 +40,8 @@ fn queue_class(origin: OpOrigin) -> u8 {
 const RECOVERY_CLASS: u8 = 3;
 
 /// A run rejected before (or while) simulating — the typed alternative to
-/// the panics in [`Simulator::run`] / [`Simulator::run_closed_loop`], for
-/// user-supplied traces reaching the simulator through the CLI.
+/// the panic in [`Simulator::run`], for user-supplied traces reaching the
+/// simulator through the CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimError {
     /// The trace is not sorted by arrival time: entry `index` arrives at
@@ -608,75 +608,17 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if the trace is not sorted by arrival time (the documented
-    /// precondition; [`Self::try_run`] is the non-panicking form).
+    /// precondition; [`ListSource::new`](crate::ListSource::new) reports it
+    /// as a typed error instead).
     pub fn run(&mut self, trace: Vec<HostOp>) -> Report {
-        assert!(
-            trace.windows(2).all(|w| w[0].at <= w[1].at),
-            "trace must be sorted by arrival time"
-        );
-        match self.run_source(&mut crate::source::ListSource::new(trace)) {
+        let mut source = crate::source::ListSource::new(trace).unwrap_or_else(|e| panic!("{e}"));
+        match self.run_source(&mut source) {
             Ok(report) => report,
             // A ListSource never reports Blocked, so the driver cannot
             // fail on it; keep the impossible branch loud rather than
             // silently fabricating a Report.
             Err(e) => unreachable!("list source cannot stall: {e}"),
         }
-    }
-
-    /// Like [`Self::run`], but returns a typed error instead of panicking
-    /// on an unsorted trace — the entry point for user-supplied traces
-    /// (e.g. `idasim replay`).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnsortedTrace`] when an entry arrives earlier than its
-    /// predecessor.
-    pub fn try_run(&mut self, trace: Vec<HostOp>) -> Result<Report, SimError> {
-        if let Some(i) = trace.windows(2).position(|w| w[0].at > w[1].at) {
-            return Err(SimError::UnsortedTrace {
-                index: i + 1,
-                at: trace[i + 1].at,
-                prev: trace[i].at,
-            });
-        }
-        self.run_source(&mut crate::source::ListSource::new(trace))
-    }
-
-    /// Run `trace` in closed-loop mode: arrival timestamps are ignored and
-    /// the host keeps exactly `queue_depth` requests outstanding — the
-    /// saturation replay used for device-throughput comparisons (Figure
-    /// 10). Returns the run's metrics.
-    ///
-    /// A thin wrapper over [`Self::run_source`] with a
-    /// [`ClosedLoopSource`](crate::source::ClosedLoopSource).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue_depth == 0` (the documented precondition;
-    /// [`Self::try_run_closed_loop`] is the non-panicking form).
-    pub fn run_closed_loop(&mut self, trace: Vec<HostOp>, queue_depth: usize) -> Report {
-        assert!(queue_depth > 0, "queue depth must be positive");
-        match self.try_run_closed_loop(trace, queue_depth) {
-            Ok(report) => report,
-            // Depth was just checked and a ClosedLoopSource only blocks
-            // with requests in flight, so the driver cannot fail.
-            Err(e) => unreachable!("closed-loop source cannot stall: {e}"),
-        }
-    }
-
-    /// Like [`Self::run_closed_loop`], but returns a typed error instead
-    /// of panicking on a zero queue depth.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ZeroQueueDepth`] when `queue_depth == 0`.
-    pub fn try_run_closed_loop(
-        &mut self,
-        trace: Vec<HostOp>,
-        queue_depth: usize,
-    ) -> Result<Report, SimError> {
-        let mut source = crate::source::ClosedLoopSource::new(trace, queue_depth)?;
-        self.run_source(&mut source)
     }
 
     /// Run a timed simulation pulling arrivals from `source` until it
@@ -687,10 +629,9 @@ impl Simulator {
     /// [`Pull::Blocked`], so window-limited and rate-limited sources
     /// compose.
     ///
-    /// This is the **single event-loop driver**: [`Self::run`],
-    /// [`Self::try_run`], [`Self::run_closed_loop`], and
-    /// [`Self::try_run_closed_loop`] are thin wrappers handing it a
-    /// [`ListSource`](crate::ListSource) or a
+    /// This is the **single event-loop driver**: [`Self::run`] is a thin
+    /// wrapper handing it a [`ListSource`](crate::ListSource); closed-loop
+    /// replays hand it a
     /// [`ClosedLoopSource`](crate::source::ClosedLoopSource).
     ///
     /// # Errors
@@ -1466,6 +1407,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::config::SsdConfig;
+    use crate::source::{ClosedLoopSource, ListSource};
     use ida_flash::timing::NS_PER_US;
 
     fn write_then_read_trace(n: u64, gap: SimTime) -> Vec<HostOp> {
@@ -1603,19 +1545,26 @@ mod tests {
 
     #[test]
     fn closed_loop_completes_all_requests() {
-        let mut sim = Simulator::new(SsdConfig::tiny_test());
-        sim.prefill(0..256);
+        // Timestamps are ignored in closed loop. The unmapped tail reads
+        // complete instantly, exercising the instant-completion slot-free
+        // path, at depths from fully serialized to beyond the trace.
         let trace: Vec<HostOp> = (0..256)
+            .chain(1_000..1_008)
             .map(|i| HostOp {
-                at: 0, // timestamps ignored in closed loop
+                at: 0,
                 kind: HostOpKind::Read,
                 lpn: i,
                 pages: 1,
             })
             .collect();
-        let report = sim.run_closed_loop(trace, 8);
-        assert_eq!(report.reads.count, 256);
-        assert!(report.throughput_mbps() > 0.0);
+        for depth in [1usize, 8, 300] {
+            let mut sim = Simulator::new(SsdConfig::tiny_test());
+            sim.prefill(0..256);
+            let mut src = ClosedLoopSource::new(trace.clone(), depth).expect("positive depth");
+            let report = sim.run_source(&mut src).expect("closed loop never stalls");
+            assert_eq!(report.reads.count, 264, "depth {depth}");
+            assert!(report.throughput_mbps() > 0.0);
+        }
     }
 
     #[test]
@@ -1632,7 +1581,8 @@ mod tests {
         for depth in [1usize, 16] {
             let mut sim = Simulator::new(SsdConfig::tiny_test());
             sim.prefill(0..256);
-            let report = sim.run_closed_loop(trace.clone(), depth);
+            let mut src = ClosedLoopSource::new(trace.clone(), depth).expect("positive depth");
+            let report = sim.run_source(&mut src).expect("closed loop never stalls");
             tp.push(report.throughput_mbps());
         }
         assert!(
@@ -1641,13 +1591,6 @@ mod tests {
             tp[0],
             tp[1]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "queue depth")]
-    fn closed_loop_rejects_zero_depth() {
-        let mut sim = Simulator::new(SsdConfig::tiny_test());
-        let _ = sim.run_closed_loop(vec![], 0);
     }
 
     #[test]
@@ -1745,24 +1688,22 @@ mod tests {
     }
 
     #[test]
-    fn try_run_reports_the_offending_entry() {
-        let mut sim = Simulator::new(SsdConfig::tiny_test());
-        let err = sim
-            .try_run(vec![
-                HostOp {
-                    at: 10,
-                    kind: HostOpKind::Read,
-                    lpn: 0,
-                    pages: 1,
-                },
-                HostOp {
-                    at: 5,
-                    kind: HostOpKind::Read,
-                    lpn: 1,
-                    pages: 1,
-                },
-            ])
-            .unwrap_err();
+    fn list_source_reports_the_offending_entry() {
+        let err = ListSource::new(vec![
+            HostOp {
+                at: 10,
+                kind: HostOpKind::Read,
+                lpn: 0,
+                pages: 1,
+            },
+            HostOp {
+                at: 5,
+                kind: HostOpKind::Read,
+                lpn: 1,
+                pages: 1,
+            },
+        ])
+        .unwrap_err();
         assert_eq!(
             err,
             crate::sim::SimError::UnsortedTrace {
@@ -1772,16 +1713,17 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("not sorted"));
-        // A sorted trace runs normally through the same entry point.
+        // A sorted trace runs normally through the same constructor.
+        let mut sim = Simulator::new(SsdConfig::tiny_test());
         sim.prefill(0..1);
-        let report = sim
-            .try_run(vec![HostOp {
-                at: 0,
-                kind: HostOpKind::Read,
-                lpn: 0,
-                pages: 1,
-            }])
-            .unwrap();
+        let mut src = ListSource::new(vec![HostOp {
+            at: 0,
+            kind: HostOpKind::Read,
+            lpn: 0,
+            pages: 1,
+        }])
+        .expect("sorted");
+        let report = sim.run_source(&mut src).unwrap();
         assert_eq!(report.reads.count, 1);
     }
 
@@ -1795,7 +1737,7 @@ mod tests {
         let ra = a.run(trace.clone());
         let mut b = Simulator::new(SsdConfig::tiny_test());
         b.prefill(0..48);
-        let mut src = crate::source::ListSource::new(trace);
+        let mut src = ListSource::new(trace).expect("sorted");
         let rb = b.run_source(&mut src).expect("list source never stalls");
         assert_eq!(ra, rb);
         assert_eq!(a.now(), b.now());
@@ -1804,7 +1746,7 @@ mod tests {
     #[test]
     fn sourced_run_with_empty_source_is_empty() {
         let mut sim = Simulator::new(SsdConfig::tiny_test());
-        let mut src = crate::source::ListSource::new(Vec::new());
+        let mut src = ListSource::new(Vec::new()).expect("sorted");
         let report = sim.run_source(&mut src).expect("empty source");
         assert_eq!(report.reads.count + report.writes.count, 0);
         assert_eq!(report.events_processed, 0);
@@ -1881,44 +1823,13 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_source_matches_the_closed_loop_path() {
-        // The driver contract behind run_closed_loop: a manually built
-        // ClosedLoopSource driven through run_source must reproduce the
-        // wrapper's Report byte-for-byte at every depth, including
-        // depth 1 (fully serialized) and depths larger than the trace.
-        // (This test was written against the pre-unification run_inner
-        // body and proved byte-identity before that body was deleted.)
-        let mut trace = write_then_read_trace(48, 0);
-        // Unmapped reads complete instantly, exercising the
-        // instant-completion slot-free path.
-        for i in 0..8u64 {
-            trace.push(HostOp {
-                at: 0,
-                kind: HostOpKind::Read,
-                lpn: 1_000 + i,
-                pages: 1,
-            });
-        }
-        for depth in [1usize, 4, 32, 100] {
-            let mut a = Simulator::new(SsdConfig::tiny_test());
-            a.prefill(0..48);
-            let ra = a.run_closed_loop(trace.clone(), depth);
-            let mut b = Simulator::new(SsdConfig::tiny_test());
-            b.prefill(0..48);
-            let mut src =
-                crate::source::ClosedLoopSource::new(trace.clone(), depth).expect("positive depth");
-            let rb = b.run_source(&mut src).expect("closed loop never stalls");
-            assert_eq!(ra, rb, "reports diverge at depth {depth}");
-            assert_eq!(a.now(), b.now(), "clocks diverge at depth {depth}");
-        }
-    }
-
-    #[test]
     fn closed_loop_source_matches_on_empty_trace() {
+        // An empty closed-loop replay is the empty open-loop one.
         let mut a = Simulator::new(SsdConfig::tiny_test());
-        let ra = a.run_closed_loop(Vec::new(), 8);
+        let mut list = ListSource::new(Vec::new()).expect("sorted");
+        let ra = a.run_source(&mut list).expect("empty source");
         let mut b = Simulator::new(SsdConfig::tiny_test());
-        let mut src = crate::source::ClosedLoopSource::new(Vec::new(), 8).expect("positive depth");
+        let mut src = ClosedLoopSource::new(Vec::new(), 8).expect("positive depth");
         let rb = b.run_source(&mut src).expect("empty source");
         assert_eq!(ra, rb);
         assert_eq!(ra.events_processed, 0);
@@ -1926,28 +1837,14 @@ mod tests {
 
     #[test]
     fn zero_depth_closed_loop_source_is_a_typed_error() {
-        let err = crate::source::ClosedLoopSource::new(Vec::new(), 0).unwrap_err();
+        let err = ClosedLoopSource::new(Vec::new(), 0).unwrap_err();
         assert_eq!(err, SimError::ZeroQueueDepth);
         assert!(err.to_string().contains("queue depth"));
     }
 
     #[test]
-    fn try_run_closed_loop_matches_the_panicking_wrapper() {
-        let trace = write_then_read_trace(16, 0);
-        let mut a = Simulator::new(SsdConfig::tiny_test());
-        a.prefill(0..16);
-        let ra = a.run_closed_loop(trace.clone(), 4);
-        let mut b = Simulator::new(SsdConfig::tiny_test());
-        b.prefill(0..16);
-        let rb = b.try_run_closed_loop(trace, 4).expect("valid depth");
-        assert_eq!(ra, rb);
-        let err = b.try_run_closed_loop(Vec::new(), 0).unwrap_err();
-        assert_eq!(err, SimError::ZeroQueueDepth);
-    }
-
-    #[test]
     fn open_loop_wrapper_matches_a_manual_list_source() {
-        // The driver contract behind run/try_run: identical Reports to a
+        // The driver contract behind run: identical Reports to a
         // manually driven ListSource, including the persistent-clock
         // second run. (Also written against the pre-unification body.)
         let trace = write_then_read_trace(32, 70 * NS_PER_US);
@@ -1958,10 +1855,10 @@ mod tests {
         let mut b = Simulator::new(SsdConfig::tiny_test());
         b.prefill(0..32);
         let rb1 = b
-            .run_source(&mut crate::source::ListSource::new(trace.clone()))
+            .run_source(&mut ListSource::new(trace.clone()).expect("sorted"))
             .expect("list source never stalls");
         let rb2 = b
-            .run_source(&mut crate::source::ListSource::new(trace))
+            .run_source(&mut ListSource::new(trace).expect("sorted"))
             .expect("list source never stalls");
         assert_eq!(ra1, rb1);
         assert_eq!(ra2, rb2);

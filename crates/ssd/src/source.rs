@@ -63,11 +63,9 @@ pub trait ArrivalSource {
     }
 }
 
-/// Replays a pre-listed trace open-loop through the pull interface.
-///
-/// With a sorted trace this reproduces [`Simulator::run`]
-/// (crate::Simulator::run) byte-for-byte — the equivalence is pinned by
-/// `tests/host_load.rs`. Tokens are trace indices.
+/// Replays a pre-listed trace open-loop through the pull interface — the
+/// source behind [`Simulator::run`](crate::Simulator::run). Tokens are
+/// trace indices.
 #[derive(Debug, Clone)]
 pub struct ListSource {
     trace: Vec<HostOp>,
@@ -75,10 +73,21 @@ pub struct ListSource {
 }
 
 impl ListSource {
-    /// Wrap a trace (must be sorted by arrival time for open-loop
-    /// semantics; unsorted entries are clamped forward by the simulator).
-    pub fn new(trace: Vec<HostOp>) -> Self {
-        ListSource { trace, next: 0 }
+    /// Wrap a trace sorted by arrival time.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::UnsortedTrace`](crate::sim::SimError::UnsortedTrace)
+    /// naming the first entry that arrives earlier than its predecessor.
+    pub fn new(trace: Vec<HostOp>) -> Result<Self, crate::sim::SimError> {
+        if let Some(i) = trace.windows(2).position(|w| w[0].at > w[1].at) {
+            return Err(crate::sim::SimError::UnsortedTrace {
+                index: i + 1,
+                at: trace[i + 1].at,
+                prev: trace[i].at,
+            });
+        }
+        Ok(ListSource { trace, next: 0 })
     }
 }
 
@@ -101,9 +110,8 @@ impl ArrivalSource for ListSource {
 
 /// Replays a pre-listed trace closed-loop: arrival timestamps are
 /// ignored and exactly `depth` requests are kept outstanding — the
-/// saturation replay behind
-/// [`Simulator::run_closed_loop`](crate::Simulator::run_closed_loop)
-/// (Figure 10's device-throughput comparison). Tokens are trace indices.
+/// saturation replay behind Figure 10's device-throughput comparison.
+/// Tokens are trace indices.
 #[derive(Debug, Clone)]
 pub struct ClosedLoopSource {
     trace: Vec<HostOp>,
@@ -179,7 +187,7 @@ mod tests {
                 pages: 1,
             },
         ];
-        let mut src = ListSource::new(ops.clone());
+        let mut src = ListSource::new(ops.clone()).expect("sorted");
         match src.next(0) {
             Pull::Op(s) => {
                 assert_eq!(s.op, ops[0]);

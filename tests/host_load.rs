@@ -44,7 +44,7 @@ fn sourced_replay_matches_the_run_path_after_warmup() {
         sim_a.set_spans(true);
         sim_b.set_spans(true);
         let via_run = sim_a.run(to_host_ops(&trace_a));
-        let mut source = ListSource::new(to_host_ops(&trace_b));
+        let mut source = ListSource::new(to_host_ops(&trace_b)).expect("sorted trace");
         let via_source = sim_b
             .run_source(&mut source)
             .expect("listed source cannot stall");
