@@ -14,7 +14,7 @@
 //! scale) pair reproduces its payload byte for byte on any worker.
 
 use crate::runner::{
-    system_config, to_host_ops, warm_up, warmed_simulator_cached, ExperimentScale, ObsOptions,
+    to_host_ops, try_system_config, warm_up, warmed_simulator_cached, ExperimentScale, ObsOptions,
     SystemUnderTest,
 };
 use ida_flash::timing::FlashTiming;
@@ -25,7 +25,7 @@ use ida_host::{
 use ida_obs::json::{array, JsonObj};
 use ida_obs::trace::TraceEvent;
 use ida_ssd::retry::RetryConfig;
-use ida_ssd::{Report, SimError, Simulator};
+use ida_ssd::{Report, SimError, Simulator, SsdConfig};
 use ida_sweep::derive_stream_seed;
 use ida_workloads::suite::WorkloadPreset;
 use ida_workloads::synth::WorkloadSpec;
@@ -229,13 +229,7 @@ pub fn run_load_obs(
     scale: &ExperimentScale,
     obs: &ObsOptions,
 ) -> Result<LoadRun, LoadError> {
-    let mut cfg = system_config(
-        spec.system,
-        scale.geometry,
-        FlashTiming::paper_tlc(),
-        RetryConfig::disabled(),
-    );
-    cfg.ftl.seed = spec.seed;
+    let cfg = load_config(spec.system, scale, spec.seed).unwrap_or_else(|e| panic!("{e}"));
     let mut sim = Simulator::new(cfg);
     obs.attach(
         &mut sim,
@@ -284,6 +278,27 @@ pub fn run_load_obs(
     })
 }
 
+/// The configuration a load run warms up under: `system` at the paper's
+/// TLC timing, its simulator seeded with `seed`.
+///
+/// # Errors
+///
+/// On an invalid system configuration (an out-of-range error rate).
+pub(crate) fn load_config(
+    system: SystemUnderTest,
+    scale: &ExperimentScale,
+    seed: u64,
+) -> Result<SsdConfig, String> {
+    let mut cfg = try_system_config(
+        system,
+        scale.geometry,
+        FlashTiming::paper_tlc(),
+        RetryConfig::disabled(),
+    )?;
+    cfg.ftl.seed = seed;
+    Ok(cfg)
+}
+
 /// [`run_load_obs`] with observability off — the sweep-cell path.
 ///
 /// # Errors
@@ -316,13 +331,7 @@ pub fn run_load_cached(
     warm_seed: u64,
     warm: Option<&ida_sweep::WarmCache>,
 ) -> Result<LoadRun, LoadError> {
-    let mut cfg = system_config(
-        spec.system,
-        scale.geometry,
-        FlashTiming::paper_tlc(),
-        RetryConfig::disabled(),
-    );
-    cfg.ftl.seed = warm_seed;
+    let cfg = load_config(spec.system, scale, warm_seed).unwrap_or_else(|e| panic!("{e}"));
     let (mut sim, trace) = warmed_simulator_cached(preset, cfg, scale, warm);
     let ops = to_host_ops(&trace);
     let frontend_cfg = FrontendConfig {

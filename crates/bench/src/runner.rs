@@ -20,7 +20,7 @@ use ida_ssd::retry::RetryConfig;
 use ida_ssd::{
     ClosedLoopSource, HostOp, HostOpKind, ListSource, Report, SimError, Simulator, SsdConfig,
 };
-use ida_sweep::WarmCache;
+use ida_sweep::{WarmCache, WarmTier};
 use ida_workloads::suite::WorkloadPreset;
 use ida_workloads::trace::{OpKind, Trace};
 use std::path::{Path, PathBuf};
@@ -272,6 +272,21 @@ pub fn system_config(
     timing: FlashTiming,
     retry: RetryConfig,
 ) -> SsdConfig {
+    try_system_config(system, geometry, timing, retry).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`system_config`], returning the invalid-configuration message
+/// instead of panicking with it.
+///
+/// # Errors
+///
+/// On a structurally invalid configuration.
+pub(crate) fn try_system_config(
+    system: SystemUnderTest,
+    geometry: Geometry,
+    timing: FlashTiming,
+    retry: RetryConfig,
+) -> Result<SsdConfig, String> {
     let builder = SsdConfig::builder()
         .geometry(geometry)
         .timing(timing)
@@ -282,10 +297,9 @@ pub fn system_config(
             .refresh_mode(RefreshMode::Ida)
             .adjust_error_rate(error_rate),
     };
-    match builder.build() {
-        Ok(cfg) => cfg,
-        Err(e) => panic!("invalid system config: {e}"),
-    }
+    builder
+        .build()
+        .map_err(|e| format!("invalid system config: {e}"))
 }
 
 /// Convert a workload trace to simulator host ops.
@@ -478,19 +492,47 @@ pub fn warm_cache_key(workload: &str, cfg: &SsdConfig, scale: &ExperimentScale) 
     ida_snap::fnv1a(&w.into_bytes())
 }
 
-/// [`warmed_simulator`] through an optional warm-state cache: the first
-/// caller per [`warm_cache_key`] runs the warm-up live and snapshots the
-/// result; everyone else forks from the captured bytes. The measured
-/// trace is regenerated directly from the preset (a pure function of
-/// workload, footprint and request count), so a hit touches no
-/// simulator at all until the fork.
+/// The configuration a warm-up prefix ([`warm_prefix`]) is built under:
+/// `cfg` with the refresh policy — `refresh_mode`, `adjust_error_rate`
+/// and the interference seed `ftl.seed`, the only fields in which the
+/// paper's system columns differ — set to fixed values. Prefill and age
+/// never read those fields, so every system column of a workload shares
+/// one prefix, and [`Simulator::arm_refresh`] turns it into the prefix
+/// the column would have built itself.
+pub fn prefix_config(cfg: &SsdConfig) -> SsdConfig {
+    let mut prefix = cfg.clone();
+    prefix.ftl.refresh_mode = RefreshMode::Baseline;
+    prefix.ftl.adjust_error_rate = 0.0;
+    prefix.ftl.seed = 0;
+    prefix
+}
+
+/// The key of a warm-up prefix in the cache's prefix tier:
+/// [`warm_cache_key`] over [`prefix_config`].
+pub fn prefix_cache_key(workload: &str, cfg: &SsdConfig, scale: &ExperimentScale) -> u64 {
+    warm_cache_key(workload, &prefix_config(cfg), scale)
+}
+
+/// [`warmed_simulator`] through an optional warm-state cache, built in
+/// two cached stages. The full warm state is looked up under
+/// [`warm_cache_key`]; only its first requester builds it, by taking the
+/// workload's shared prefix from the prefix tier (under
+/// [`prefix_cache_key`], building it on a miss), arming the cell's own
+/// refresh policy with [`Simulator::arm_refresh`], and running
+/// [`warm_tail`]. Every other requester forks the captured bytes. The
+/// measured trace is regenerated directly from the preset (a pure
+/// function of workload, footprint and request count), so a hit touches
+/// no simulator at all until the fork.
 ///
-/// The miss path keeps the simulator it just warmed instead of restoring
-/// from its own snapshot: the snapshot canonical-form invariant (restore
-/// → run is byte-identical to keep running, proven by the differential
-/// tests in `ida-ssd`) makes the live simulator and the fork
-/// interchangeable, and skipping the self-restore avoids a multi-MB
-/// decode per unique warm-up.
+/// Each stage captures an image only when the cache says another
+/// request will fork it (see [`WarmCache::plan`]), and a builder keeps
+/// the simulator it just warmed instead of restoring from its own
+/// snapshot: the snapshot canonical-form invariant (restore → run is
+/// byte-identical to keep running, proven by the differential tests in
+/// `ida-ssd`) makes the live simulator and the fork interchangeable, and
+/// the prefix differential test (`tests/warm_prefix.rs`) proves a forked,
+/// re-armed prefix byte-equal to one built under the cell's own config.
+/// The result is byte-identical to [`warmed_simulator`].
 pub fn warmed_simulator_cached(
     preset: &WorkloadPreset,
     cfg: SsdConfig,
@@ -502,33 +544,80 @@ pub fn warmed_simulator_cached(
     };
     let key = warm_cache_key(&preset.spec.name, &cfg, scale);
     let mut live = None;
-    let snap = cache.get_or_build(key, || {
-        let (sim, _) = warmed_simulator(preset, cfg.clone(), scale);
-        let bytes = sim.snapshot();
+    let image = cache.get_or_build_live(WarmTier::Full, key, |capture| {
+        let mut sim = prefix_simulator(preset, &cfg, scale, cache);
+        let policy = &cfg.ftl;
+        sim.arm_refresh(policy.refresh_mode, policy.adjust_error_rate, policy.seed);
+        let trace = warm_tail(&mut sim, preset, scale);
+        let bytes = capture.then(|| sim.snapshot());
+        live = Some((sim, trace));
+        bytes
+    });
+    if let Some(warmed) = live {
+        return warmed;
+    }
+    let sim = fork(image.as_deref(), key);
+    let footprint = footprint(preset, cfg.ftl.exported_pages());
+    (sim, preset.generate(footprint, scale.requests))
+}
+
+/// The prefix `cfg`'s warm-up starts from, still under
+/// [`prefix_config`]: forked from the cache's prefix tier, or built live
+/// when this caller is the first to need it.
+fn prefix_simulator(
+    preset: &WorkloadPreset,
+    cfg: &SsdConfig,
+    scale: &ExperimentScale,
+    cache: &WarmCache,
+) -> Simulator {
+    let key = prefix_cache_key(&preset.spec.name, cfg, scale);
+    let mut live = None;
+    let image = cache.get_or_build_live(WarmTier::Prefix, key, |capture| {
+        let mut sim = Simulator::new(prefix_config(cfg));
+        warm_prefix(&mut sim, preset);
+        let bytes = capture.then(|| sim.snapshot());
         live = Some(sim);
         bytes
     });
-    let sim = live.unwrap_or_else(|| {
-        Simulator::from_snapshot(&snap)
-            .unwrap_or_else(|e| panic!("warm snapshot for key {key:016x} failed to restore: {e}"))
-    });
-    let footprint = ((cfg.ftl.exported_pages() as f64 * preset.footprint_frac) as u64).max(1_000);
-    let trace = preset.generate(footprint, scale.requests);
-    (sim, trace)
+    live.unwrap_or_else(|| fork(image.as_deref(), key))
+}
+
+/// A simulator restored from the cached image for `key`.
+fn fork(image: Option<&Vec<u8>>, key: u64) -> Simulator {
+    let image = image.unwrap_or_else(|| panic!("no warm image for key {key:016x}"));
+    Simulator::from_snapshot(image)
+        .unwrap_or_else(|e| panic!("warm snapshot for key {key:016x} failed to restore: {e}"))
+}
+
+/// The LPN footprint a workload's warm-up writes on a device exporting
+/// `exported` pages.
+pub(crate) fn footprint(preset: &WorkloadPreset, exported: u64) -> u64 {
+    ((exported as f64 * preset.footprint_frac) as u64).max(1_000)
 }
 
 /// Run the warm-up protocol on an existing simulator (so observability
 /// sinks attached at creation see the warm-up events too) and return the
-/// measured trace.
+/// measured trace: [`warm_prefix`], then [`warm_tail`].
 pub fn warm_up(sim: &mut Simulator, preset: &WorkloadPreset, scale: &ExperimentScale) -> Trace {
-    let exported = sim.ftl().exported_pages();
-    let footprint = ((exported as f64 * preset.footprint_frac) as u64).max(1_000);
+    warm_prefix(sim, preset);
+    warm_tail(sim, preset, scale)
+}
 
-    // 1. Prefill the footprint.
+/// Warm-up stages 1–2, the **prefix**: prefill the footprint, then age
+/// it with the workload's update traffic (layout history + wear). No
+/// block is refreshed yet, so the refresh policy is never read.
+pub fn warm_prefix(sim: &mut Simulator, preset: &WorkloadPreset) {
+    let footprint = footprint(preset, sim.ftl().exported_pages());
     sim.prefill(0..footprint);
-    // 2. Age with update traffic (layout history + wear).
     let aging = to_host_ops(&preset.aging_trace(footprint));
     sim.age(&aging);
+}
+
+/// Warm-up stages 3–4, the **steady tail** after [`warm_prefix`]: put
+/// refresh on the measured trace's span and run the refresh protocol to
+/// its steady state. Returns the measured trace.
+pub fn warm_tail(sim: &mut Simulator, preset: &WorkloadPreset, scale: &ExperimentScale) -> Trace {
+    let footprint = footprint(preset, sim.ftl().exported_pages());
     // 3. Steady-state refresh to the fixed point: two refresh cycles with
     //    update traffic in between, so blocks that absorbed the first
     //    cycle's migrated pages have been through their own refresh too —

@@ -36,7 +36,8 @@
 //! separately from violations.
 
 use crate::runner::{
-    system_config, to_host_ops, warmed_simulator_cached, ExperimentScale, SystemUnderTest,
+    footprint, to_host_ops, try_system_config, warmed_simulator_cached, ExperimentScale,
+    SystemUnderTest,
 };
 use crate::table::{f, TextTable};
 use ida_faults::AgingConfig;
@@ -45,7 +46,7 @@ use ida_flash::timing::FlashTiming;
 use ida_ftl::{gc, FtlStats, Lpn};
 use ida_obs::json::{array, JsonObj};
 use ida_ssd::retry::RetryConfig;
-use ida_ssd::Report;
+use ida_ssd::{Report, SsdConfig};
 use ida_sweep::derive_stream_seed;
 use ida_workloads::suite::WorkloadPreset;
 
@@ -304,6 +305,29 @@ pub fn run_soak(
     run_soak_cached(preset, system, level, epochs, seed, seed, scale, None)
 }
 
+/// The configuration a soak warms up under: `system` at the paper's TLC
+/// timing with [`SOAK_SPARES_PER_PLANE`] spares, its simulator seeded
+/// with `warm_seed`.
+///
+/// # Errors
+///
+/// On an invalid system configuration (an out-of-range error rate).
+pub(crate) fn soak_config(
+    system: SystemUnderTest,
+    scale: &ExperimentScale,
+    warm_seed: u64,
+) -> Result<SsdConfig, String> {
+    let mut cfg = try_system_config(
+        system,
+        scale.geometry,
+        FlashTiming::paper_tlc(),
+        RetryConfig::disabled(),
+    )?;
+    cfg.ftl.seed = warm_seed;
+    cfg.ftl.spare_blocks_per_plane = SOAK_SPARES_PER_PLANE;
+    Ok(cfg)
+}
+
 /// [`run_soak`] with a split warm seed and an optional warm-state cache
 /// — the sweep-cell path. The simulator warms (or forks) under the
 /// shared `warm_seed`; the aging model keeps deriving from the cell's
@@ -326,15 +350,8 @@ pub fn run_soak_cached(
 ) -> SoakRun {
     let aging = AgingConfig::preset(level, derive_stream_seed(seed, "aging"))
         .unwrap_or_else(|| panic!("unknown aging level {level:?}"));
-    let mut cfg = system_config(
-        system,
-        scale.geometry,
-        FlashTiming::paper_tlc(),
-        RetryConfig::disabled(),
-    );
-    cfg.ftl.seed = warm_seed;
-    cfg.ftl.spare_blocks_per_plane = SOAK_SPARES_PER_PLANE;
-    let footprint = ((cfg.ftl.exported_pages() as f64 * preset.footprint_frac) as u64).max(1_000);
+    let cfg = soak_config(system, scale, warm_seed).unwrap_or_else(|e| panic!("{e}"));
+    let footprint = footprint(preset, cfg.ftl.exported_pages());
 
     let (mut sim, trace) = warmed_simulator_cached(preset, cfg, scale, warm);
     // Arm aging only now: warm-up stays byte-identical to every other

@@ -14,21 +14,26 @@
 //! into the engine's per-cell failure records instead of aborting the
 //! whole sweep.
 
-use crate::load::{load_metrics_json, nominal_iops, run_load_cached, LoadSpec, LOAD_PCTS};
-use crate::runner::{
-    run_config_faulted_cached, system_config, ExperimentScale, ReplayMode, SystemUnderTest,
-    WARM_SEED_BASE,
+use crate::load::{
+    load_config, load_metrics_json, nominal_iops, run_load_cached, LoadSpec, LOAD_PCTS,
 };
-use crate::soak::{run_soak_cached, soak_metrics_json, SOAK_EPOCHS};
+use crate::runner::{
+    prefix_cache_key, run_config_faulted_cached, try_system_config, warm_cache_key,
+    ExperimentScale, ReplayMode, SystemUnderTest, WARM_SEED_BASE,
+};
+use crate::soak::{run_soak_cached, soak_config, soak_metrics_json, SOAK_EPOCHS};
 use crate::table::{f, TextTable};
 use ida_faults::FaultConfig;
 use ida_flash::timing::FlashTiming;
 use ida_host::ArrivalSpec;
 use ida_obs::json::JsonObj;
 use ida_ssd::retry::RetryConfig;
-use ida_ssd::Report;
-use ida_sweep::{derive_stream_seed, jsonv, Cell, SweepConfig, SweepOutcome, SweepSpec, WarmCache};
-use ida_workloads::suite::{paper_workload, paper_workloads};
+use ida_ssd::{Report, SsdConfig};
+use ida_sweep::{
+    derive_stream_seed, jsonv, Cell, SweepConfig, SweepOutcome, SweepSpec, WarmCache, WarmTier,
+};
+use ida_workloads::suite::{paper_workload, paper_workloads, WorkloadPreset};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The voltage-adjustment error rates of Figure 8 (E0–E80).
 pub const FIG8_ERROR_RATES: [f64; 9] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
@@ -237,8 +242,7 @@ pub fn run_cell(cell: &Cell, scale: &ExperimentScale) -> String {
 /// warm-phase seed is applied unconditionally (cache on or off), and a
 /// hit restores byte-identical simulator state.
 pub fn run_cell_cached(cell: &Cell, scale: &ExperimentScale, warm: Option<&WarmCache>) -> String {
-    let preset = paper_workload(&cell.workload)
-        .unwrap_or_else(|| panic!("unknown workload {}", cell.workload));
+    let preset = cell_preset(cell).unwrap_or_else(|e| panic!("{e}"));
     let system = parse_system(&cell.system).unwrap_or_else(|e| panic!("{e}"));
     let warm_seed = warm_seed_for(cell);
     if let Some(pct) = cell.param("load") {
@@ -264,13 +268,7 @@ pub fn run_cell_cached(cell: &Cell, scale: &ExperimentScale, warm: Option<&WarmC
         );
         return soak_metrics_json(&run);
     }
-    let mut timing = FlashTiming::paper_tlc();
-    if let Some(d) = cell.param("dtr_us") {
-        let d: u64 = d
-            .parse()
-            .unwrap_or_else(|_| panic!("bad dtr_us parameter {d:?}"));
-        timing = timing.with_delta_tr_us(d);
-    }
+    let cfg = grid_config(cell, system, scale).unwrap_or_else(|e| panic!("{e}"));
     let mode = match cell.param("replay") {
         None | Some("open") => ReplayMode::OpenLoop,
         Some(qd) => match qd.strip_prefix("qd").and_then(|n| n.parse().ok()) {
@@ -278,21 +276,90 @@ pub fn run_cell_cached(cell: &Cell, scale: &ExperimentScale, warm: Option<&WarmC
             None => panic!("bad replay parameter {qd:?} (expected open or qd<depth>)"),
         },
     };
-    let retry = match cell.param("phase") {
-        None => RetryConfig::disabled(),
-        Some(phase) => parse_phase(phase, cell.stream_seed).unwrap_or_else(|e| panic!("{e}")),
-    };
     let faults = cell.param("faults").map(|level| {
         FaultConfig::preset(level, derive_stream_seed(cell.stream_seed, "faults"))
             .unwrap_or_else(|| panic!("unknown fault level {level:?}"))
     });
-    let mut cfg = system_config(system, scale.geometry, timing, retry);
-    cfg.ftl.seed = warm_seed;
-    if faults.is_some() {
-        cfg.ftl.spare_blocks_per_plane = FAULT_SPARES_PER_PLANE;
-    }
     let report = run_config_faulted_cached(&preset, cfg, scale, mode, faults, warm);
     metrics_json(&report)
+}
+
+fn cell_preset(cell: &Cell) -> Result<WorkloadPreset, String> {
+    paper_workload(&cell.workload).ok_or_else(|| format!("unknown workload {}", cell.workload))
+}
+
+/// The warm-up configuration of a cell measured by replaying its trace
+/// (every grid but `load` and `lifetime`): the paper's TLC timing with
+/// the cell's ΔtR, its lifetime phase's retry model, fault spares when a
+/// fault plan will be armed, and the warm-phase seed.
+fn grid_config(
+    cell: &Cell,
+    system: SystemUnderTest,
+    scale: &ExperimentScale,
+) -> Result<SsdConfig, String> {
+    let mut timing = FlashTiming::paper_tlc();
+    if let Some(d) = cell.param("dtr_us") {
+        let d: u64 = d
+            .parse()
+            .map_err(|_| format!("bad dtr_us parameter {d:?}"))?;
+        timing = timing.with_delta_tr_us(d);
+    }
+    let retry = match cell.param("phase") {
+        None => RetryConfig::disabled(),
+        Some(phase) => parse_phase(phase, cell.stream_seed)?,
+    };
+    let mut cfg = try_system_config(system, scale.geometry, timing, retry)?;
+    cfg.ftl.seed = warm_seed_for(cell);
+    if cell.param("faults").is_some() {
+        cfg.ftl.spare_blocks_per_plane = FAULT_SPARES_PER_PLANE;
+    }
+    Ok(cfg)
+}
+
+/// The configuration `cell` warms up under — exactly what
+/// [`run_cell_cached`] hands the warm cache — with its workload, or why
+/// the cell cannot run.
+fn warm_config(
+    cell: &Cell,
+    scale: &ExperimentScale,
+) -> Result<(WorkloadPreset, SsdConfig), String> {
+    let preset = cell_preset(cell)?;
+    let system = parse_system(&cell.system)?;
+    let cfg = if cell.param("load").is_some() {
+        load_config(system, scale, warm_seed_for(cell))?
+    } else if cell.param("aging").is_some() {
+        soak_config(system, scale, warm_seed_for(cell))?
+    } else {
+        grid_config(cell, system, scale)?
+    };
+    Ok((preset, cfg))
+}
+
+/// Tell `cache` how often each warm image will be asked for when `cells`
+/// run: one request per cell for its full warm state, and one prefix
+/// request per distinct full warm state (only the build of a full state
+/// reads its prefix). Cells whose configuration does not parse are
+/// skipped — they fail before reaching the cache.
+fn plan_warm_cache(cache: &WarmCache, cells: &[&Cell], scale: &ExperimentScale) {
+    let mut full: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut prefixes: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+    for cell in cells {
+        let Ok((preset, cfg)) = warm_config(cell, scale) else {
+            continue;
+        };
+        let key = warm_cache_key(&preset.spec.name, &cfg, scale);
+        *full.entry(key).or_default() += 1;
+        prefixes
+            .entry(prefix_cache_key(&preset.spec.name, &cfg, scale))
+            .or_default()
+            .insert(key);
+    }
+    for (key, uses) in full {
+        cache.plan(WarmTier::Full, key, uses);
+    }
+    for (key, forks) in prefixes {
+        cache.plan(WarmTier::Prefix, key, forks.len() as u64);
+    }
 }
 
 /// Run a grid on the engine: expand the spec, execute every cell at
@@ -338,9 +405,15 @@ pub fn run_grid_on(
 ) -> std::io::Result<SweepOutcome> {
     let cells = spec.cells();
     let outcomes = match backend {
-        Backend::Local => ida_sweep::run_cells(&spec.name, &cells, cfg, |cell| {
-            run_cell_cached(cell, scale, cfg.warm_cache())
-        })?,
+        Backend::Local => {
+            if let Some(cache) = cfg.warm_cache() {
+                let pending = ida_sweep::pending_cells(&spec.name, &cells, cfg)?;
+                plan_warm_cache(cache, &pending, scale);
+            }
+            ida_sweep::run_cells(&spec.name, &cells, cfg, |cell| {
+                run_cell_cached(cell, scale, cfg.warm_cache())
+            })?
+        }
         Backend::Distributed { listener } => ida_sweep::net::serve(
             &spec.name,
             &cells,

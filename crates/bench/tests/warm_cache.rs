@@ -1,11 +1,11 @@
-//! The warm-cache sweep invariant (ISSUE 9): running a grid with the
-//! warm-state cache on must produce byte-identical aggregated output to
-//! running it cache-off — at any worker count — while executing strictly
-//! fewer warm-ups than cells.
+//! The warm-cache sweep invariant: running a grid with the warm-state
+//! cache on must produce byte-identical aggregated output to running it
+//! cache-off — at any worker count — while executing strictly fewer
+//! warm-ups than cells, and fewer prefixes than warm-ups.
 
 use ida_bench::runner::ExperimentScale;
 use ida_bench::sweep::{run_grid, warm_id, warm_seed_for};
-use ida_sweep::{SweepConfig, SweepSpec};
+use ida_sweep::{SweepConfig, SweepSpec, WarmCache};
 use std::collections::HashSet;
 
 /// A faults grid small enough for a test: one workload, both systems,
@@ -20,6 +20,21 @@ fn mini_faults_grid() -> SweepSpec {
     .with_axis(
         "faults",
         vec!["off".into(), "low".into(), "mid".into(), "high".into()],
+    )
+}
+
+/// A fig8 grid small enough for a test: one workload, four system
+/// columns that share nothing but their warm-up prefix.
+fn mini_fig8_grid() -> SweepSpec {
+    SweepSpec::new(
+        "fig8",
+        vec!["proj_3".into()],
+        vec![
+            "Baseline".into(),
+            "IDA-E0".into(),
+            "IDA-E20".into(),
+            "IDA-E80".into(),
+        ],
     )
 }
 
@@ -47,23 +62,70 @@ fn warm_cache_is_invisible_in_the_aggregate_and_skips_warmups() {
 
     // 8 cells, but only 2 warm identities (workload × system): the fault
     // axis is armed after warm-up and shares the snapshot.
-    let stats = on_cfg.warm_cache().unwrap().stats();
+    let cache = on_cfg.warm_cache().unwrap();
+    let stats = cache.stats();
     assert_eq!(
         stats.misses, 2,
         "expected one warm-up per (workload, system)"
     );
     assert_eq!(stats.total_hits(), 6, "siblings must fork, not re-warm");
+    // Both systems build on one prefix: built once, forked once.
+    assert_eq!(cache.prefix_stats().misses, 1);
+    assert_eq!(cache.prefix_stats().total_hits(), 1);
+    assert_eq!(
+        cache.memory().held_bytes,
+        0,
+        "every image had its last fork"
+    );
 
     // Parallel cache-on agrees too: single-flight keeps concurrent
     // builders from racing, and forked state is scheduling-independent.
     let par_cfg = SweepConfig::serial().with_jobs(4).with_warm_cache();
     let par = run_grid(&spec, &scale, &par_cfg).expect("parallel cache-on run");
     assert_eq!(off.aggregate_json(), par.aggregate_json());
-    let par_stats = par_cfg.warm_cache().unwrap().stats();
+    let par_cache = par_cfg.warm_cache().unwrap();
     assert_eq!(
-        par_stats.misses, 2,
+        par_cache.stats().misses,
+        2,
         "single-flight must not duplicate warm-ups"
     );
+    assert_eq!(par_cache.prefix_stats().misses, 1);
+}
+
+/// What a fig8-shaped run must leave behind: one prefix build forked by
+/// every other column, one live warm-up per cell, no full image ever
+/// captured, nothing held at the end.
+fn assert_fig8_cache_shape(cache: &WarmCache) {
+    let stats = cache.stats();
+    assert_eq!((stats.misses, stats.total_hits()), (4, 0));
+    let prefix = cache.prefix_stats();
+    assert_eq!((prefix.misses, prefix.total_hits()), (1, 3));
+    let memory = cache.memory();
+    assert_eq!(memory.full_captures, 0, "no column forks another's state");
+    assert_eq!(memory.prefix_captures, 1);
+    assert_eq!(
+        memory.held_bytes, 0,
+        "the prefix leaves after its last fork"
+    );
+    assert!(memory.peak_bytes > 0);
+}
+
+#[test]
+fn fig8_columns_fork_one_prefix_and_capture_no_full_image() {
+    let spec = mini_fig8_grid();
+    let scale = tiny_scale();
+    let off = run_grid(&spec, &scale, &SweepConfig::serial()).expect("cache-off run");
+    assert_eq!(off.failed_count(), 0, "cache-off cells failed");
+    for jobs in [1, 4] {
+        let cfg = SweepConfig::serial().with_jobs(jobs).with_warm_cache();
+        let on = run_grid(&spec, &scale, &cfg).expect("cache-on run");
+        assert_eq!(
+            off.aggregate_json(),
+            on.aggregate_json(),
+            "warm cache changed fig8 output at jobs={jobs}"
+        );
+        assert_fig8_cache_shape(cfg.warm_cache().unwrap());
+    }
 }
 
 #[test]
@@ -81,7 +143,10 @@ fn warm_cache_spills_into_the_journal_directory_for_resume() {
     let first = run_grid(&spec, &scale, &cfg).expect("journaled run");
     assert_eq!(cfg.warm_cache().unwrap().stats().misses, 2);
     let spilled = std::fs::read_dir(dir.join("warm")).unwrap().count();
-    assert_eq!(spilled, 2, "each unique warm-up spills one snapshot");
+    assert_eq!(
+        spilled, 3,
+        "each unique warm-up spills one snapshot, plus their shared prefix"
+    );
 
     // A resumed run reloads the journal for cells — and if any cell *did*
     // re-run, it would hit the spilled snapshots instead of re-warming.

@@ -195,6 +195,15 @@ impl ida_snap::Snap for Ftl {
     }
 }
 
+/// The refresh planner `cfg` asks for, its interference RNG freshly seeded.
+fn refresh_planner(cfg: &FtlConfig) -> RefreshPlanner {
+    RefreshPlanner::new(
+        cfg.geometry.bits_per_cell as u8,
+        cfg.refresh_mode,
+        InterferenceModel::with_seed(cfg.adjust_error_rate, cfg.seed),
+    )
+}
+
 impl Ftl {
     /// Build an FTL over an empty (all-erased) flash array.
     pub fn new(cfg: FtlConfig) -> Self {
@@ -214,11 +223,7 @@ impl Ftl {
                     .collect()
             })
             .collect();
-        let planner = RefreshPlanner::new(
-            bits,
-            cfg.refresh_mode,
-            InterferenceModel::with_seed(cfg.adjust_error_rate, cfg.seed),
-        );
+        let planner = refresh_planner(&cfg);
         let mut oob = OobStore::new(cfg.geometry);
         let alloc = if cfg.spare_blocks_per_plane > 0 {
             let (alloc, spares) = Allocator::with_spares(cfg.geometry, cfg.spare_blocks_per_plane);
@@ -280,6 +285,30 @@ impl Ftl {
     pub fn arm_faults(&mut self, faults: FaultConfig) {
         self.injector = FaultInjector::new(faults.clone());
         self.cfg.faults = faults;
+    }
+
+    /// Replace the refresh policy — mode, voltage-adjustment error rate
+    /// and interference seed — with a freshly seeded planner, as if the
+    /// FTL had been built with them. Only refresh reads the planner, so a
+    /// device that has never refreshed is indistinguishable from one
+    /// built under the new policy; the warm cache relies on this to share
+    /// one prefill + age across every system column.
+    ///
+    /// # Panics
+    ///
+    /// Once any block has been refreshed: the old policy already shaped
+    /// the device, and re-arming would silently mix the two.
+    pub fn arm_refresh(&mut self, mode: RefreshMode, adjust_error_rate: f64, seed: u64) {
+        assert!(
+            self.stats.refreshes == 0,
+            "arm_refresh after {} block refreshes: the refresh policy is fixed once a block \
+             has been refreshed",
+            self.stats.refreshes
+        );
+        self.cfg.refresh_mode = mode;
+        self.cfg.adjust_error_rate = adjust_error_rate;
+        self.cfg.seed = seed;
+        self.planner = refresh_planner(&self.cfg);
     }
 
     /// Replace the armed aging model. Like faults, aging is armed *after*

@@ -6,6 +6,7 @@ use crate::metrics::Report;
 use crate::request::{HostOp, HostOpKind, PendingRequest};
 use crate::retry::{ReadLadder, RetryModel};
 use crate::source::{ArrivalSource, Pull};
+use ida_core::refresh::RefreshMode;
 use ida_faults::{AgingConfig, FaultConfig};
 use ida_flash::addr::BlockAddr;
 use ida_flash::timing::SimTime;
@@ -473,6 +474,22 @@ impl Simulator {
     pub fn arm_faults(&mut self, faults: FaultConfig) {
         self.cfg.ftl.faults = faults.clone();
         self.ftl.arm_faults(faults);
+    }
+
+    /// Re-arm the refresh policy (mode, voltage-adjustment error rate,
+    /// interference seed) on a device that has not refreshed yet — see
+    /// [`Ftl::arm_refresh`]. The result is byte-identical to a simulator
+    /// built under the new policy and driven the same way, which lets one
+    /// prefill + age fork into every system column of a sweep.
+    ///
+    /// # Panics
+    ///
+    /// Once any block has been refreshed.
+    pub fn arm_refresh(&mut self, mode: RefreshMode, adjust_error_rate: f64, seed: u64) {
+        self.ftl.arm_refresh(mode, adjust_error_rate, seed);
+        self.cfg.ftl.refresh_mode = mode;
+        self.cfg.ftl.adjust_error_rate = adjust_error_rate;
+        self.cfg.ftl.seed = seed;
     }
 
     /// Arm (or replace) the device-aging model: the FTL starts charging
@@ -1611,6 +1628,17 @@ mod tests {
                 pages: 1,
             },
         ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arm_refresh after")]
+    fn arm_refresh_after_a_refresh_panics() {
+        let mut sim = Simulator::new(SsdConfig::tiny_test());
+        let g = sim.config().ftl.geometry;
+        sim.prefill(0..g.pages_per_block() as u64 * g.total_planes() as u64);
+        sim.force_refresh_all(0);
+        assert!(sim.ftl().stats().refreshes > 0, "no block was refreshed");
+        sim.arm_refresh(RefreshMode::Ida, 0.2, 7);
     }
 
     #[test]

@@ -185,6 +185,48 @@ fn snapshot_mid_crash_schedule_resumes_pending_losses() {
 }
 
 #[test]
+fn rearmed_prefix_continues_like_one_built_under_the_policy() {
+    // The staged warm cache's soundness condition on random configs: a
+    // prefill + age prefix built under one refresh policy, forked and
+    // re-armed with another, equals the prefix built under the second —
+    // and keeps running identically through refresh and a measured run.
+    let mut rng = Rng64::seed_from_u64(0x5AAF_0005);
+    for iter in 0..6 {
+        let cfg = random_cfg(&mut rng);
+        let mut other = cfg.clone();
+        other.ftl.refresh_mode = match cfg.ftl.refresh_mode {
+            ida_core::refresh::RefreshMode::Ida => ida_core::refresh::RefreshMode::Baseline,
+            ida_core::refresh::RefreshMode::Baseline => ida_core::refresh::RefreshMode::Ida,
+        };
+        other.ftl.adjust_error_rate = rng.gen_range_f64(0.0, 0.4);
+        other.ftl.seed = rng.next_u64();
+        let exported = cfg.ftl.exported_pages();
+        let aging = random_trace(&mut rng, &cfg.ftl, 300, 0.8);
+        let prefix = |c: &SsdConfig| {
+            let mut sim = Simulator::new(c.clone());
+            sim.prefill(0..exported / 2);
+            sim.age(&aging);
+            sim
+        };
+        let mut own = prefix(&cfg);
+        let mut fork = Simulator::from_snapshot(&prefix(&other).snapshot()).unwrap();
+        let f = &cfg.ftl;
+        fork.arm_refresh(f.refresh_mode, f.adjust_error_rate, f.seed);
+        assert!(
+            fork.snapshot() == own.snapshot(),
+            "iteration {iter}: re-armed prefix differs"
+        );
+        let span = aging.last().map_or(1, |op| op.at).max(1);
+        for sim in [&mut own, &mut fork] {
+            sim.set_refresh_period(span * 4);
+            sim.force_refresh_all(span / 2);
+        }
+        let measured = random_trace(&mut rng, &cfg.ftl, 400, 0.5);
+        assert_identical_continuation(own, fork, measured, iter % 2 == 0);
+    }
+}
+
+#[test]
 fn corrupt_snapshots_are_rejected() {
     let mut rng = Rng64::seed_from_u64(0x5AAF_0004);
     let cfg = random_cfg(&mut rng);

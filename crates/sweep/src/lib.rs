@@ -30,7 +30,8 @@
 //! - [`jsonv`]: the minimal JSON reader the journal loader uses, kept
 //!   dependency-free like the rest of the workspace.
 //! - [`warm`]: a keyed, single-flight cache of serialized warm simulator
-//!   states, so cells that share a warm-up phase run it once and fork.
+//!   states, so cells that share a warm-up phase (or just its prefix) run
+//!   it once and fork.
 //! - [`net`]: the distributed fabric — a TCP coordinator ([`net::serve`])
 //!   and worker loop ([`net::run_worker`]) speaking frame-sealed
 //!   messages, with lease/requeue fault tolerance. The aggregate stays
@@ -49,6 +50,6 @@ pub use agg::SweepOutcome;
 pub use cell::{derive_stream_seed, Cell};
 pub use journal::{JournalRecord, JournalWriter};
 pub use net::{run_worker, serve, WarmPort, WorkerReport, PROTO_VERSION};
-pub use pool::{run_cells, CellOutcome, CellStatus, SweepConfig};
+pub use pool::{pending_cells, run_cells, CellOutcome, CellStatus, SweepConfig};
 pub use spec::{SpecError, SweepSpec, SweepSpecBuilder};
-pub use warm::{WarmCache, WarmRemote, WarmStats};
+pub use warm::{WarmCache, WarmMemory, WarmRemote, WarmStats, WarmTier};

@@ -195,26 +195,7 @@ pub fn run_cells<F>(
 where
     F: Fn(&Cell) -> String + Sync,
 {
-    // Restore finished cells from the journal; failures are retried.
-    let cached = match &cfg.journal {
-        Some(path) => journal::load(path, sweep)?,
-        None => Default::default(),
-    };
-    let mut outcomes: Vec<Option<CellOutcome>> = cells
-        .iter()
-        .map(|cell| {
-            let rec = cached.get(&cell.id())?;
-            let payload = rec.result.as_ref().ok()?;
-            Some(CellOutcome {
-                cell: cell.clone(),
-                status: CellStatus::Done {
-                    payload: payload.clone(),
-                },
-                attempts: rec.attempts,
-                cached: true,
-            })
-        })
-        .collect();
+    let mut outcomes = restore(sweep, cells, cfg)?;
     let pending: Vec<usize> = outcomes
         .iter()
         .enumerate()
@@ -278,6 +259,55 @@ where
     Ok(outcomes
         .into_iter()
         .map(|o| o.expect("every cell reported"))
+        .collect())
+}
+
+/// The outcomes `cfg`'s journal already holds, per cell: finished cells
+/// are restored, failed and missing ones (to be run) are `None`.
+fn restore(
+    sweep: &str,
+    cells: &[Cell],
+    cfg: &SweepConfig,
+) -> std::io::Result<Vec<Option<CellOutcome>>> {
+    let cached = match &cfg.journal {
+        Some(path) => journal::load(path, sweep)?,
+        None => Default::default(),
+    };
+    Ok(cells
+        .iter()
+        .map(|cell| {
+            let rec = cached.get(&cell.id())?;
+            let payload = rec.result.as_ref().ok()?;
+            Some(CellOutcome {
+                cell: cell.clone(),
+                status: CellStatus::Done {
+                    payload: payload.clone(),
+                },
+                attempts: rec.attempts,
+                cached: true,
+            })
+        })
+        .collect())
+}
+
+/// The cells [`run_cells`] would execute under `cfg`: every cell the
+/// journal does not already hold a result for. Lets a caller plan work
+/// (e.g. [`WarmCache::plan`]) before the run starts.
+///
+/// # Errors
+///
+/// Fails on journal I/O errors.
+pub fn pending_cells<'a>(
+    sweep: &str,
+    cells: &'a [Cell],
+    cfg: &SweepConfig,
+) -> std::io::Result<Vec<&'a Cell>> {
+    let restored = restore(sweep, cells, cfg)?;
+    Ok(cells
+        .iter()
+        .zip(restored)
+        .filter(|(_, o)| o.is_none())
+        .map(|(cell, _)| cell)
         .collect())
 }
 
@@ -426,8 +456,10 @@ mod tests {
             ran.fetch_add(1, Ordering::SeqCst);
             payload_of(cell)
         };
+        assert_eq!(pending_cells("t", &cells, &cfg).unwrap().len(), cells.len());
         let first = run_cells("t", &cells, &cfg, count_and_run).unwrap();
         assert_eq!(ran.load(Ordering::SeqCst), cells.len() as u32);
+        assert!(pending_cells("t", &cells, &cfg).unwrap().is_empty());
 
         ran.store(0, Ordering::SeqCst);
         let resumed = run_cells("t", &cells, &cfg, count_and_run).unwrap();

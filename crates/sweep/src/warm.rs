@@ -8,6 +8,11 @@
 //! influence the warm-up and hands back the serialized simulator bytes,
 //! so N sibling cells cost one warm-up instead of N.
 //!
+//! Images live in two [`WarmTier`]s: complete warm states
+//! ([`WarmTier::Full`]) and the shared prefixes they are built from
+//! ([`WarmTier::Prefix`]) — the part of a warm-up that cells differing
+//! only in their system column have in common.
+//!
 //! Guarantees:
 //!
 //! - **Single-flight**: when two workers need the same key concurrently,
@@ -19,28 +24,57 @@
 //!   (restore → run ≡ keep running) means a cache hit is byte-for-byte
 //!   indistinguishable from re-running the warm-up. The sweep's
 //!   any-worker-count byte-identical aggregate guarantee is preserved.
+//! - **Capture on demand**: a caller that knows its grid can
+//!   [`WarmCache::plan`] how often each key will be asked for. The build
+//!   of a key nobody else will fork is told not to capture an image, and
+//!   a planned image leaves memory after its last planned fork. Unplanned
+//!   keys are always captured and never evicted.
 //! - **Spill/resume**: with a spill directory (the journal directory, in
-//!   practice), snapshots are persisted as `{key:016x}.snap` and
-//!   revalidated by their [`ida_snap::frame`] header on reload, so a
-//!   killed-and-resumed sweep skips even the first warm-up per key.
-//!   Corrupt or truncated spill files are ignored and rebuilt.
+//!   practice), snapshots are persisted as `{key:016x}.snap` (prefixes as
+//!   `{key:016x}.prefix.snap`) and revalidated by their
+//!   [`ida_snap::frame`] header on reload, so a killed-and-resumed sweep
+//!   skips even the first warm-up per key. Corrupt or truncated spill
+//!   files are ignored and rebuilt; eviction never deletes a spill file.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// A remote peer that can serve and accept warm snapshots — in
 /// practice the distributed-sweep coordinator, reached over a dedicated
 /// fabric connection (see `ida_sweep::net::WarmPort`). Both calls are
 /// best-effort: a lost or empty peer degrades to building locally,
 /// never to an error, and fetched images are revalidated by their
-/// [`ida_snap::frame`] header exactly like spill files.
+/// [`ida_snap::frame`] header exactly like spill files. Only
+/// [`WarmTier::Full`] images travel.
 pub trait WarmRemote: Send {
     /// The snapshot bytes for `key`, if the peer holds them.
     fn fetch(&mut self, key: u64) -> Option<Vec<u8>>;
     /// Offer a freshly built snapshot for `key` to the peer.
     fn publish(&mut self, key: u64, bytes: &[u8]);
+}
+
+/// Which stage of a staged warm-up an image holds. The tiers have
+/// separate key spaces, counters and spill file names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum WarmTier {
+    /// A complete warm state, ready to measure.
+    Full,
+    /// The system-independent prefix several full warm states fork from.
+    Prefix,
+}
+
+impl WarmTier {
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    fn spill_name(self, key: u64) -> String {
+        match self {
+            WarmTier::Full => format!("{key:016x}.snap"),
+            WarmTier::Prefix => format!("{key:016x}.prefix.snap"),
+        }
+    }
 }
 
 /// One key's state in the in-memory table.
@@ -52,8 +86,9 @@ enum Slot {
     Ready(Arc<Vec<u8>>),
 }
 
-/// Hit/miss counters, snapshotted by [`WarmCache::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Hit/miss counters of one tier, snapshotted by [`WarmCache::stats`]
+/// and [`WarmCache::prefix_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WarmStats {
     /// Served from memory (includes waits on an in-flight build).
     pub hits: u64,
@@ -72,16 +107,69 @@ impl WarmStats {
     }
 }
 
+/// Image memory accounting, snapshotted by [`WarmCache::memory`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WarmMemory {
+    /// Full warm-state images built and captured.
+    pub full_captures: u64,
+    /// Prefix images built and captured.
+    pub prefix_captures: u64,
+    /// Image bytes held in memory now.
+    pub held_bytes: u64,
+    /// The most image bytes held at once.
+    pub peak_bytes: u64,
+}
+
+/// Everything behind the cache's one mutex.
+#[derive(Debug, Default)]
+struct Table {
+    slots: HashMap<(WarmTier, u64), Slot>,
+    /// Planned requests not yet served per key; absent means unplanned.
+    /// Counted down when a request is served, not when it arrives, so a
+    /// request still waiting on a build keeps the image alive.
+    plan: HashMap<(WarmTier, u64), u64>,
+    stats: [WarmStats; 2],
+    memory: WarmMemory,
+}
+
+impl Table {
+    fn stats(&mut self, tier: WarmTier) -> &mut WarmStats {
+        &mut self.stats[tier.index()]
+    }
+
+    /// Count one request for `id` as served. Returns whether it used up
+    /// a planned request, and whether it was the last one — no planned
+    /// request is left to fork the image (always false when unplanned).
+    fn spend(&mut self, id: (WarmTier, u64)) -> (bool, bool) {
+        match self.plan.get_mut(&id) {
+            Some(left) => {
+                let spent = *left > 0;
+                *left = left.saturating_sub(1);
+                (spent, *left == 0)
+            }
+            None => (false, false),
+        }
+    }
+
+    fn hold(&mut self, id: (WarmTier, u64), bytes: Arc<Vec<u8>>) {
+        self.memory.held_bytes += bytes.len() as u64;
+        self.memory.peak_bytes = self.memory.peak_bytes.max(self.memory.held_bytes);
+        self.slots.insert(id, Slot::Ready(bytes));
+    }
+
+    fn evict(&mut self, id: (WarmTier, u64)) {
+        if let Some(Slot::Ready(bytes)) = self.slots.remove(&id) {
+            self.memory.held_bytes -= bytes.len() as u64;
+        }
+    }
+}
+
 /// A keyed, single-flight cache of serialized warm simulator states.
 pub struct WarmCache {
-    slots: Mutex<HashMap<u64, Slot>>,
+    table: Mutex<Table>,
     ready: Condvar,
     spill: Option<PathBuf>,
     remote: Mutex<Option<Box<dyn WarmRemote>>>,
-    hits: AtomicU64,
-    disk_hits: AtomicU64,
-    remote_hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl std::fmt::Debug for WarmCache {
@@ -90,23 +178,36 @@ impl std::fmt::Debug for WarmCache {
             .field("spill", &self.spill)
             .field("remote", &self.remote.lock().unwrap().is_some())
             .field("stats", &self.stats())
+            .field("prefix_stats", &self.prefix_stats())
+            .field("memory", &self.memory())
             .finish_non_exhaustive()
     }
 }
 
 /// Clears a `Building` claim if the build closure unwinds, waking every
-/// waiter so one of them can re-claim the key. Disarmed on success.
+/// waiter so one of them can re-claim the key, and gives the claimant's
+/// planned request back so the retry is counted once. Disarmed on
+/// success.
 struct BuildGuard<'a> {
     cache: &'a WarmCache,
-    key: u64,
+    id: (WarmTier, u64),
+    refund: bool,
     armed: bool,
 }
 
 impl Drop for BuildGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let mut slots = self.cache.slots.lock().unwrap();
-            slots.remove(&self.key);
+            // Runs while unwinding: never panic on a poisoned lock here.
+            let mut table = self
+                .cache
+                .table
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            table.slots.remove(&self.id);
+            if self.refund {
+                *table.plan.entry(self.id).or_default() += 1;
+            }
             self.cache.ready.notify_all();
         }
     }
@@ -154,14 +255,10 @@ impl WarmCache {
         retain_freed_memory();
         let spill = spill.filter(|dir| std::fs::create_dir_all(dir).is_ok());
         WarmCache {
-            slots: Mutex::new(HashMap::new()),
+            table: Mutex::new(Table::default()),
             ready: Condvar::new(),
             spill,
             remote: Mutex::new(None),
-            hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            remote_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -174,94 +271,160 @@ impl WarmCache {
         self
     }
 
-    /// The snapshot for `key`, building it with `build` exactly once per
-    /// key no matter how many workers ask concurrently.
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table
+            .lock()
+            .expect("no thread panics while holding the warm-cache table")
+    }
+
+    /// Announce `uses` more requests for `key` in `tier`. A planned key's
+    /// build is told to capture only while planned requests remain after
+    /// it, and its image is dropped from memory when the last planned
+    /// request has been served. Requests beyond the plan are served
+    /// without capture, like a last one.
+    pub fn plan(&self, tier: WarmTier, key: u64, uses: u64) {
+        *self.lock().plan.entry((tier, key)).or_default() += uses;
+    }
+
+    /// The full warm-state snapshot for `key`, building it with `build`
+    /// exactly once per key no matter how many workers ask concurrently.
+    /// `build` always captures, so this always yields the image.
     pub fn get_or_build(&self, key: u64, build: impl FnOnce() -> Vec<u8>) -> Arc<Vec<u8>> {
-        {
-            let mut slots = self.slots.lock().unwrap();
-            loop {
-                match slots.get(&key) {
-                    Some(Slot::Ready(bytes)) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return bytes.clone();
+        self.get_or_build_live(WarmTier::Full, key, |_| Some(build()))
+            .expect("a build that returns an image yields one")
+    }
+
+    /// The snapshot for `key` in `tier`, or `None` when this caller ran
+    /// the build and it captured nothing — the caller's live state is
+    /// then the only copy. `build` receives whether a capture is wanted:
+    /// `false` when the key is planned and no planned request follows
+    /// this one. Single-flight like [`WarmCache::get_or_build`].
+    pub fn get_or_build_live(
+        &self,
+        tier: WarmTier,
+        key: u64,
+        build: impl FnOnce(bool) -> Option<Vec<u8>>,
+    ) -> Option<Arc<Vec<u8>>> {
+        let id = (tier, key);
+        let mut table = self.lock();
+        loop {
+            match table.slots.get(&id) {
+                Some(Slot::Ready(bytes)) => {
+                    let bytes = bytes.clone();
+                    table.stats(tier).hits += 1;
+                    if table.spend(id).1 {
+                        table.evict(id);
                     }
-                    Some(Slot::Building) => {
-                        slots = self.ready.wait(slots).unwrap();
-                    }
-                    None => {
-                        if let Some(bytes) = self.load_spill(key) {
-                            let bytes = Arc::new(bytes);
-                            slots.insert(key, Slot::Ready(bytes.clone()));
-                            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                            self.ready.notify_all();
-                            return bytes;
-                        }
-                        slots.insert(key, Slot::Building);
-                        break;
-                    }
+                    return Some(bytes);
                 }
+                Some(Slot::Building) => {
+                    table = self
+                        .ready
+                        .wait(table)
+                        .expect("no thread panics while holding the warm-cache table");
+                }
+                None => break,
             }
         }
+        let (spent, last) = table.spend(id);
+        if let Some(bytes) = self.load_spill(tier, key) {
+            let bytes = Arc::new(bytes);
+            table.stats(tier).disk_hits += 1;
+            if !last {
+                table.hold(id, bytes.clone());
+                self.ready.notify_all();
+            }
+            return Some(bytes);
+        }
+        table.slots.insert(id, Slot::Building);
+        drop(table);
         // We hold the (lock-free) build claim; the guard releases it if
         // `build` panics so waiters do not deadlock on a dead builder.
         let mut guard = BuildGuard {
             cache: self,
-            key,
+            id,
+            refund: spent,
             armed: true,
         };
         // Peer consult: dearer than disk, far cheaper than a warm-up.
         // Only a locally built snapshot is offered back — a fetched one
         // is already on the peer by definition.
-        let bytes = match self.fetch_remote(key) {
-            Some(bytes) => {
-                self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                Arc::new(bytes)
+        let fetched = self.fetch_remote(tier, key);
+        let from_peer = fetched.is_some();
+        let bytes = fetched.or_else(|| build(!last)).map(Arc::new);
+        if let Some(bytes) = &bytes {
+            if !from_peer {
+                self.publish_remote(tier, key, bytes);
             }
-            None => {
-                let bytes = Arc::new(build());
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.publish_remote(key, &bytes);
-                bytes
+            self.store_spill(tier, key, bytes);
+        }
+        let mut table = self.lock();
+        let stats = table.stats(tier);
+        if from_peer {
+            stats.remote_hits += 1;
+        } else {
+            stats.misses += 1;
+        }
+        if bytes.is_some() && !from_peer {
+            match tier {
+                WarmTier::Full => table.memory.full_captures += 1,
+                WarmTier::Prefix => table.memory.prefix_captures += 1,
             }
-        };
-        self.store_spill(key, &bytes);
-        let mut slots = self.slots.lock().unwrap();
-        slots.insert(key, Slot::Ready(bytes.clone()));
+        }
+        match &bytes {
+            Some(bytes) if !last => table.hold(id, bytes.clone()),
+            _ => {
+                table.slots.remove(&id);
+            }
+        }
         guard.armed = false;
         self.ready.notify_all();
-        drop(slots);
         bytes
     }
 
-    /// Counter snapshot.
+    /// Counters of the full warm-state tier.
     pub fn stats(&self) -> WarmStats {
-        WarmStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            remote_hits: self.remote_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
+        self.lock().stats[WarmTier::Full.index()]
+    }
+
+    /// Counters of the prefix tier: misses are prefix builds, hits are
+    /// forks of a captured prefix.
+    pub fn prefix_stats(&self) -> WarmStats {
+        self.lock().stats[WarmTier::Prefix.index()]
+    }
+
+    /// Captures and image bytes held, across both tiers.
+    pub fn memory(&self) -> WarmMemory {
+        self.lock().memory
     }
 
     /// A one-line human/CI-greppable summary, e.g.
-    /// `warm-cache: 66 hits (0 from disk, 0 from peers), 22 misses (22 warm-ups for 88 cells)`.
+    /// `warm-cache: 66 hits (0 from disk, 0 from peers), 22 misses (22 warm-ups for 88 cells); prefixes: 11 built, 11 forked; peak 46.2 MiB held`.
     pub fn stats_line(&self, cells: usize) -> String {
         let s = self.stats();
+        let p = self.prefix_stats();
         format!(
-            "warm-cache: {} hits ({} from disk, {} from peers), {} misses ({} warm-ups for {} cells)",
+            "warm-cache: {} hits ({} from disk, {} from peers), {} misses ({} warm-ups for {} cells); \
+             prefixes: {} built, {} forked; peak {:.1} MiB held",
             s.total_hits(),
             s.disk_hits,
             s.remote_hits,
             s.misses,
             s.misses,
-            cells
+            cells,
+            p.misses,
+            p.total_hits(),
+            self.memory().peak_bytes as f64 / f64::from(1 << 20)
         )
     }
 
     /// A frame-valid snapshot from the remote peer, if one is attached
     /// and holds the key. Invalid bytes are dropped, same as corrupt
     /// spill files.
-    fn fetch_remote(&self, key: u64) -> Option<Vec<u8>> {
+    fn fetch_remote(&self, tier: WarmTier, key: u64) -> Option<Vec<u8>> {
+        if tier != WarmTier::Full {
+            return None;
+        }
         let mut remote = self.remote.lock().unwrap();
         let bytes = remote.as_mut()?.fetch(key)?;
         ida_snap::frame::open(&bytes).ok()?;
@@ -269,23 +432,24 @@ impl WarmCache {
     }
 
     /// Best-effort offer of a locally built snapshot to the peer.
-    fn publish_remote(&self, key: u64, bytes: &[u8]) {
+    fn publish_remote(&self, tier: WarmTier, key: u64, bytes: &[u8]) {
+        if tier != WarmTier::Full {
+            return;
+        }
         if let Some(remote) = self.remote.lock().unwrap().as_mut() {
             remote.publish(key, bytes);
         }
     }
 
-    fn spill_path(&self, key: u64) -> Option<PathBuf> {
-        self.spill
-            .as_ref()
-            .map(|d| d.join(format!("{key:016x}.snap")))
+    fn spill_path(&self, tier: WarmTier, key: u64) -> Option<PathBuf> {
+        self.spill.as_ref().map(|d| d.join(tier.spill_name(key)))
     }
 
     /// A spilled snapshot, if present and frame-valid (magic, version,
     /// length and content hash all check out). Anything else — missing,
     /// torn write, corruption — means "rebuild".
-    fn load_spill(&self, key: u64) -> Option<Vec<u8>> {
-        let path = self.spill_path(key)?;
+    fn load_spill(&self, tier: WarmTier, key: u64) -> Option<Vec<u8>> {
+        let path = self.spill_path(tier, key)?;
         let bytes = std::fs::read(&path).ok()?;
         ida_snap::frame::open(&bytes).ok()?;
         Some(bytes)
@@ -293,8 +457,8 @@ impl WarmCache {
 
     /// Persist via temp-file + rename so resumed runs never see a torn
     /// spill file. Failures are silently tolerated (memory still works).
-    fn store_spill(&self, key: u64, bytes: &[u8]) {
-        let Some(path) = self.spill_path(key) else {
+    fn store_spill(&self, tier: WarmTier, key: u64, bytes: &[u8]) {
+        let Some(path) = self.spill_path(tier, key) else {
             return;
         };
         let tmp = path.with_extension("snap.tmp");
@@ -316,10 +480,16 @@ pub fn spill_dir_for_journal(journal: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn payload(tag: u8) -> Vec<u8> {
         ida_snap::frame::seal(&[tag; 64])
+    }
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ida-warm-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
@@ -390,8 +560,7 @@ mod tests {
 
     #[test]
     fn spill_survives_a_new_cache_and_rejects_corruption() {
-        let dir = std::env::temp_dir().join(format!("ida-warm-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("spill");
 
         let first = WarmCache::new(Some(dir.clone()));
         let bytes = first.get_or_build(0xAB, || payload(1));
@@ -430,10 +599,125 @@ mod tests {
         cache.get_or_build(1, || payload(1));
         cache.get_or_build(1, || unreachable!());
         cache.get_or_build(2, || payload(2));
+        cache.get_or_build_live(WarmTier::Prefix, 1, |_| Some(payload(3)));
+        cache.get_or_build_live(WarmTier::Prefix, 1, |_| unreachable!());
+        let held = 3 * payload(0).len();
         assert_eq!(
             cache.stats_line(3),
-            "warm-cache: 1 hits (0 from disk, 0 from peers), 2 misses (2 warm-ups for 3 cells)"
+            format!(
+                "warm-cache: 1 hits (0 from disk, 0 from peers), 2 misses (2 warm-ups for 3 cells); \
+                 prefixes: 1 built, 1 forked; peak {:.1} MiB held",
+                held as f64 / f64::from(1 << 20)
+            )
         );
+    }
+
+    #[test]
+    fn an_unplanned_key_is_captured_and_kept() {
+        let cache = WarmCache::new(None);
+        let first = cache.get_or_build_live(WarmTier::Full, 3, |capture| {
+            assert!(capture, "an unplanned build always captures");
+            Some(payload(3))
+        });
+        assert_eq!(first.as_deref(), Some(&payload(3)));
+        for _ in 0..5 {
+            let hit = cache.get_or_build_live(WarmTier::Full, 3, |_| unreachable!("must hit"));
+            assert_eq!(hit, first);
+        }
+        let memory = cache.memory();
+        assert_eq!(memory.full_captures, 1);
+        assert_eq!(memory.held_bytes, payload(3).len() as u64);
+    }
+
+    #[test]
+    fn a_key_planned_once_is_never_captured() {
+        let cache = WarmCache::new(None);
+        cache.plan(WarmTier::Full, 4, 1);
+        let image = cache.get_or_build_live(WarmTier::Full, 4, |capture| {
+            assert!(!capture, "nobody else will fork this key");
+            None
+        });
+        assert!(image.is_none());
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.memory(), WarmMemory::default());
+    }
+
+    #[test]
+    fn a_planned_image_is_evicted_after_its_last_fork_and_its_spill_survives() {
+        let dir = scratch_dir("evict");
+        let cache = WarmCache::new(Some(dir.clone()));
+        cache.plan(WarmTier::Prefix, 7, 3);
+        let built = cache.get_or_build_live(WarmTier::Prefix, 7, |capture| {
+            assert!(capture, "two planned forks follow");
+            Some(payload(7))
+        });
+        let size = payload(7).len() as u64;
+        assert_eq!(cache.memory().held_bytes, size);
+        for _ in 0..2 {
+            let fork = cache.get_or_build_live(WarmTier::Prefix, 7, |_| unreachable!("must fork"));
+            assert_eq!(fork, built);
+        }
+        let memory = cache.memory();
+        assert_eq!((memory.held_bytes, memory.peak_bytes), (0, size));
+        assert_eq!(memory.prefix_captures, 1);
+        assert!(dir.join(format!("{:016x}.prefix.snap", 7)).exists());
+        // A request beyond the plan reloads the spill file, holding nothing.
+        let again = cache.get_or_build_live(WarmTier::Prefix, 7, |_| unreachable!("spill hit"));
+        assert_eq!(again, built);
+        assert_eq!(cache.prefix_stats().disk_hits, 1);
+        assert_eq!(cache.memory().held_bytes, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_planned_build_keeps_claim_and_count_consistent() {
+        let cache = Arc::new(WarmCache::new(None));
+        cache.plan(WarmTier::Full, 5, 2);
+        let crash = {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.get_or_build_live(WarmTier::Full, 5, |_| panic!("builder died"));
+                }));
+            })
+        };
+        crash.join().unwrap();
+        // The claim is free and the failed request was refunded: the
+        // retry still captures for the one fork that follows it.
+        let built = cache.get_or_build_live(WarmTier::Full, 5, |capture| {
+            assert!(capture, "the failed request must not count as served");
+            Some(payload(5))
+        });
+        let fork = cache.get_or_build_live(WarmTier::Full, 5, |_| unreachable!("must fork"));
+        assert_eq!(built, fork);
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.memory().held_bytes, 0);
+    }
+
+    #[test]
+    fn a_planned_key_still_builds_once_across_threads() {
+        let cache = Arc::new(WarmCache::new(None));
+        cache.plan(WarmTier::Full, 9, 8);
+        let built = Arc::new(AtomicU32::new(0));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let cache = cache.clone();
+                let built = built.clone();
+                std::thread::spawn(move || {
+                    cache.get_or_build_live(WarmTier::Full, 9, |capture| {
+                        built.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        capture.then(|| payload(9))
+                    })
+                })
+            })
+            .collect();
+        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(built.load(Ordering::SeqCst), 1, "single-flight violated");
+        assert!(results.iter().all(|r| r.as_deref() == Some(&payload(9))));
+        assert_eq!(cache.stats().hits, 7);
+        assert_eq!(cache.memory().held_bytes, 0, "the last fork evicts");
     }
 
     /// An in-memory [`WarmRemote`] stand-in recording the traffic.
@@ -473,6 +757,10 @@ mod tests {
         let rebuilt = cache.get_or_build(3, || payload(33));
         assert_eq!(*rebuilt, payload(33));
 
+        // Prefix images never travel: key 1 is built locally here.
+        let prefix = cache.get_or_build_live(WarmTier::Prefix, 1, |_| Some(payload(44)));
+        assert_eq!(prefix.as_deref(), Some(&payload(44)));
+
         assert_eq!(
             cache.stats(),
             WarmStats {
@@ -482,6 +770,7 @@ mod tests {
                 misses: 2
             }
         );
+        assert_eq!(cache.prefix_stats().misses, 1);
     }
 
     #[test]
