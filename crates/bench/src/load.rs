@@ -29,6 +29,7 @@ use ida_ssd::{Report, SimError, Simulator, SsdConfig};
 use ida_sweep::derive_stream_seed;
 use ida_workloads::suite::WorkloadPreset;
 use ida_workloads::synth::WorkloadSpec;
+use ida_workloads::trace::Trace;
 
 /// The offered-rate axis of the `load` grid, as a percentage of the
 /// workload's nominal rate — the hockey-stick x axis.
@@ -212,10 +213,9 @@ fn tenant_configs(
 }
 
 /// Run one load point: warm up a fresh simulator for (preset, system,
-/// scale), then drive the measured ops through the host frontend at the
-/// offered rate. Spans stay on so the attribution-conservation invariant
-/// is checkable on every load trace; `SloStatus` verdicts are emitted at
-/// end of run when a trace sink is attached.
+/// scale) with `obs` attached, so the trace sees the warm-up too, then
+/// drive the measured ops through the host frontend at the offered rate
+/// (see [`drive_load`]).
 ///
 /// # Errors
 ///
@@ -241,41 +241,9 @@ pub fn run_load_obs(
         ),
     )?;
     let trace = warm_up(&mut sim, preset, scale);
-    let ops = to_host_ops(&trace);
-    let frontend_cfg = FrontendConfig {
-        window: LOAD_WINDOW,
-        admission: spec.admission,
-        ..FrontendConfig::default()
-    };
-    let mut src = MultiTenantSource::new(tenant_configs(preset, ops, spec), frontend_cfg);
-    src.bind_trace(sim.trace_handle(), sim.now());
-    sim.set_spans(true);
-    let report = sim.run_source(&mut src)?;
-    let tenants = src.tenant_reports();
-    let handle = sim.trace_handle();
-    let end = sim.now();
-    for (i, t) in tenants.iter().enumerate() {
-        let (p99, target, met) = (t.read_p99_ns, t.slo_p99_ns, t.slo_met);
-        handle.emit_with(|| TraceEvent::SloStatus {
-            t: end,
-            tenant: i as u64,
-            p99_ns: p99,
-            target_ns: target,
-            met,
-        });
-    }
-    obs.finish(&sim, &report)?;
-    let completed: u64 = tenants.iter().map(|t| t.counters.completed).sum();
-    let span = report
-        .last_completion
-        .saturating_sub(report.first_arrival)
-        .max(1);
-    Ok(LoadRun {
-        offered_iops: spec.offered_iops,
-        achieved_iops: completed as f64 * 1e9 / span as f64,
-        report,
-        tenants,
-    })
+    let run = drive_load(&mut sim, preset, spec, &trace)?;
+    obs.finish(&sim, &run.report)?;
+    Ok(run)
 }
 
 /// The configuration a load run warms up under: `system` at the paper's
@@ -299,7 +267,8 @@ pub(crate) fn load_config(
     Ok(cfg)
 }
 
-/// [`run_load_obs`] with observability off — the sweep-cell path.
+/// [`run_load_obs`] with observability off: a fresh warm-up seeded with
+/// `spec.seed`, no cache.
 ///
 /// # Errors
 ///
@@ -310,7 +279,7 @@ pub fn run_load(
     spec: &LoadSpec,
     scale: &ExperimentScale,
 ) -> Result<LoadRun, LoadError> {
-    run_load_obs(preset, spec, scale, &ObsOptions::default())
+    run_load_cached(preset, spec, scale, spec.seed, None)
 }
 
 /// The warm-cache-aware sweep-cell load path: the simulator warms (or
@@ -333,17 +302,44 @@ pub fn run_load_cached(
 ) -> Result<LoadRun, LoadError> {
     let cfg = load_config(spec.system, scale, warm_seed).unwrap_or_else(|e| panic!("{e}"));
     let (mut sim, trace) = warmed_simulator_cached(preset, cfg, scale, warm);
-    let ops = to_host_ops(&trace);
+    drive_load(&mut sim, preset, spec, &trace)
+}
+
+/// The measured half of every load run, on a warmed simulator: deal the
+/// measured trace across the tenants, drive it through the host
+/// frontend at the offered rate, and reduce the tenants' reports. Spans
+/// stay on so the attribution-conservation invariant is checkable on
+/// every load trace; `SloStatus` verdicts are emitted at end of run when
+/// a trace sink is attached.
+fn drive_load(
+    sim: &mut Simulator,
+    preset: &WorkloadPreset,
+    spec: &LoadSpec,
+    trace: &Trace,
+) -> Result<LoadRun, LoadError> {
     let frontend_cfg = FrontendConfig {
         window: LOAD_WINDOW,
         admission: spec.admission,
         ..FrontendConfig::default()
     };
-    let mut src = MultiTenantSource::new(tenant_configs(preset, ops, spec), frontend_cfg);
+    let tenant_cfgs = tenant_configs(preset, to_host_ops(trace), spec);
+    let mut src = MultiTenantSource::new(tenant_cfgs, frontend_cfg);
     src.bind_trace(sim.trace_handle(), sim.now());
     sim.set_spans(true);
     let report = sim.run_source(&mut src)?;
     let tenants = src.tenant_reports();
+    let handle = sim.trace_handle();
+    let end = sim.now();
+    for (i, t) in tenants.iter().enumerate() {
+        let (p99, target, met) = (t.read_p99_ns, t.slo_p99_ns, t.slo_met);
+        handle.emit_with(|| TraceEvent::SloStatus {
+            t: end,
+            tenant: i as u64,
+            p99_ns: p99,
+            target_ns: target,
+            met,
+        });
+    }
     let completed: u64 = tenants.iter().map(|t| t.counters.completed).sum();
     let span = report
         .last_completion

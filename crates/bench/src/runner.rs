@@ -591,7 +591,7 @@ fn fork(image: Option<&Vec<u8>>, key: u64) -> Simulator {
 
 /// The LPN footprint a workload's warm-up writes on a device exporting
 /// `exported` pages.
-pub(crate) fn footprint(preset: &WorkloadPreset, exported: u64) -> u64 {
+pub fn footprint(preset: &WorkloadPreset, exported: u64) -> u64 {
     ((exported as f64 * preset.footprint_frac) as u64).max(1_000)
 }
 

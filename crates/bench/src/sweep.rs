@@ -319,7 +319,11 @@ fn grid_config(
 /// The configuration `cell` warms up under — exactly what
 /// [`run_cell_cached`] hands the warm cache — with its workload, or why
 /// the cell cannot run.
-fn warm_config(
+///
+/// # Errors
+///
+/// An unknown workload or system label, or a malformed parameter.
+pub fn warm_config(
     cell: &Cell,
     scale: &ExperimentScale,
 ) -> Result<(WorkloadPreset, SsdConfig), String> {

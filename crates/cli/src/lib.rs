@@ -5,31 +5,26 @@
 
 pub mod args;
 
-use crate::args::CommonArgs;
+use crate::args::Opts;
 use ida_bench::load::{
     load_metrics_json, nominal_iops, run_capacity, run_load_obs, LoadSpec, CAPACITY_MAX_ITERS,
 };
 use ida_bench::runner::{
-    normalized_read_response, replay_trace, run_system_obs, system_config, to_host_ops,
-    warm_cache_key, warmed_simulator, ExperimentScale, ObsOptions, ReplayMode, SystemUnderTest,
-    WARM_SEED_BASE,
+    footprint, normalized_read_response, replay_trace, run_system_obs, to_host_ops, warm_cache_key,
+    warmed_simulator, ExperimentScale, ObsOptions, ReplayMode, SystemUnderTest,
 };
 use ida_bench::soak::{run_soak, soak_metrics_json, soak_run_from_json};
 use ida_bench::sweep::{
-    builtin_grid, parse_system, render, run_grid, run_grid_on, run_grid_worker, Backend,
-    BUILTIN_GRIDS,
+    builtin_grid, parse_system, render, run_grid, run_grid_on, run_grid_worker, warm_config,
+    Backend, BUILTIN_GRIDS,
 };
-use ida_flash::timing::FlashTiming;
-use ida_host::{AdmissionPolicy, ArrivalSpec};
 use ida_obs::json::JsonObj;
-use ida_ssd::retry::RetryConfig;
 use ida_ssd::Simulator;
-use ida_sweep::{derive_stream_seed, SweepConfig};
-use ida_sweep::{SweepOutcome, SweepSpec};
+use ida_sweep::{SweepConfig, SweepOutcome, SweepSpec};
 use ida_workloads::stats::characterize;
-use ida_workloads::suite::{paper_workload, paper_workloads};
+use ida_workloads::suite::{paper_workload, paper_workloads, WorkloadPreset};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Default coordinator address for `serve`/`worker` when neither
 /// `--listen` nor `--connect` is given: loopback, fixed port.
@@ -39,684 +34,132 @@ pub const DEFAULT_FABRIC_ADDR: &str = "127.0.0.1:7141";
 /// launched moments before the coordinator binds its listener.
 const FABRIC_CONNECT_WAIT: std::time::Duration = std::time::Duration::from_secs(10);
 
-/// A parsed command.
+/// A parsed command: its positional arguments, and every flag in
+/// [`Opts`] (flags the subcommand does not accept keep their defaults).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// List the available workloads.
     List,
     /// Print the characteristics of one workload.
-    Describe {
-        /// Workload name.
-        workload: String,
-    },
+    Describe { workload: String },
     /// Compare baseline vs IDA on one workload.
-    Compare {
-        /// Workload name.
-        workload: String,
-        /// Voltage-adjustment error rate (0.0–1.0).
-        error_rate: f64,
-        /// Host requests in the measured trace.
-        requests: usize,
-        /// Write each run's event trace as JSONL (per-system suffix added).
-        trace_out: Option<PathBuf>,
-        /// Write each run's metrics report as JSON (per-system suffix added).
-        metrics_json: Option<PathBuf>,
-        /// Comma-separated event classes to keep in the trace.
-        trace_filter: Option<String>,
-        /// Report run progress on stderr.
-        progress: bool,
-    },
+    Compare { workload: String, opts: Opts },
     /// Run an experiment grid on the parallel sweep engine.
-    Sweep {
-        /// Grid name (`fig8`, `fig9`, `fig10`, `fig11`, `faults`,
-        /// `load`, `lifetime`).
-        grid: String,
-        /// Worker threads (`None` = `IDA_JOBS` or all cores).
-        jobs: Option<usize>,
-        /// Checkpoint journal path (resume skips journaled cells).
-        journal: Option<PathBuf>,
-        /// Write the aggregated JSON here (stdout gets the rendered
-        /// table); without it the JSON itself goes to stdout.
-        out: Option<PathBuf>,
-        /// Use the smoke-test scale.
-        smoke: bool,
-        /// Override the measured request count.
-        requests: Option<usize>,
-        /// Report per-cell progress (with ETA) on stderr.
-        progress: bool,
-        /// Share warm-up state across cells: run each unique warm-up
-        /// once, fork the rest from its snapshot (output is unchanged).
-        warm_cache: bool,
-    },
+    Sweep { grid: String, opts: Opts },
     /// Coordinate a distributed sweep: serve cells to `idasim worker`
     /// processes and aggregate their results.
-    Serve {
-        /// Grid name (same set as `sweep`).
-        grid: String,
-        /// Listen address, e.g. `127.0.0.1:7141`.
-        listen: String,
-        /// Checkpoint journal path (resume skips journaled cells).
-        journal: Option<PathBuf>,
-        /// Write the aggregated JSON here (stdout gets the rendered
-        /// table); without it the JSON itself goes to stdout.
-        out: Option<PathBuf>,
-        /// Use the smoke-test scale.
-        smoke: bool,
-        /// Override the measured request count.
-        requests: Option<usize>,
-    },
+    Serve { grid: String, opts: Opts },
     /// Join a distributed sweep as a worker: claim and execute cells
     /// from an `idasim serve` coordinator.
-    Worker {
-        /// Coordinator address to connect to.
-        connect: String,
-        /// Worker connections/threads (`None` = `IDA_JOBS` or all cores).
-        jobs: Option<usize>,
-    },
-    /// Capture, replay, or describe a framed warm-state snapshot.
+    Worker { opts: Opts },
+    /// Capture (`save`), replay (`restore`), or describe (`inspect`) a
+    /// framed warm-state snapshot file.
     Snapshot {
-        /// `save`, `restore`, or `inspect`.
         action: String,
-        /// Snapshot file path.
         path: PathBuf,
-        /// Workload name (required by `save`).
-        workload: Option<String>,
-        /// System under test (`Baseline` or an IDA variant).
-        system: String,
-        /// Use the smoke-test scale.
-        smoke: bool,
-        /// Override the measured request count.
-        requests: Option<usize>,
+        opts: Opts,
     },
     /// Soak one workload through a whole accelerated device lifetime
     /// (Baseline and IDA side by side) with per-epoch invariant checks.
-    Soak {
-        /// Workload name.
-        workload: String,
-        /// Aging level (`off`, `low`, `mid`, `high`).
-        level: String,
-        /// Voltage-adjustment error rate for the IDA system (0.0–1.0).
-        error_rate: f64,
-        /// Accelerated-lifetime epochs (epoch 0 is fresh).
-        epochs: usize,
-        /// Worker threads (`None` = `IDA_JOBS` or all cores).
-        jobs: Option<usize>,
-        /// Checkpoint journal path (resume skips journaled cells).
-        journal: Option<PathBuf>,
-        /// Write the aggregated JSON here (stdout keeps the tables).
-        out: Option<PathBuf>,
-        /// Use the smoke-test scale.
-        smoke: bool,
-        /// Override the measured request count per epoch.
-        requests: Option<usize>,
-        /// Report per-cell progress on stderr.
-        progress: bool,
-    },
+    Soak { workload: String, opts: Opts },
     /// Drive one workload through the host frontend at a target offered
     /// rate (or bisect for the max sustainable rate at the SLO).
-    Load {
-        /// Workload name.
-        workload: String,
-        /// Voltage-adjustment error rate for the IDA system (0.0–1.0).
-        error_rate: f64,
-        /// Offered rate in IOPS (`None` = the workload's nominal rate).
-        iops: Option<u64>,
-        /// Arrival shape (`constant`, `poisson`, `onoff`).
-        arrival: String,
-        /// Tenant streams the trace is dealt across.
-        tenants: u32,
-        /// Full-queue admission policy (`shed`, `delay`).
-        admission: String,
-        /// Read p99 SLO target, µs.
-        slo_us: u64,
-        /// Override the measured request count.
-        requests: Option<usize>,
-        /// Use the smoke-test scale.
-        smoke: bool,
-        /// Bisect for max sustainable IOPS instead of one load point.
-        capacity: bool,
-        /// Capacity-search bracket floor, IOPS (`None` = nominal / 4).
-        lo: Option<u64>,
-        /// Capacity-search bracket ceiling, IOPS (`None` = nominal × 4).
-        hi: Option<u64>,
-        /// Write the JSON document here (stdout gets the summary).
-        out: Option<PathBuf>,
-        /// Write each run's event trace as JSONL (per-system suffix).
-        trace_out: Option<PathBuf>,
-        /// Comma-separated event classes to keep in the trace.
-        trace_filter: Option<String>,
-        /// Stream seed.
-        seed: u64,
-    },
+    Load { workload: String, opts: Opts },
     /// Replay an imported MSR Cambridge trace on both systems.
-    Replay {
-        /// MSR CSV path.
-        msr: PathBuf,
-        /// Voltage-adjustment error rate for the IDA system (0.0–1.0).
-        error_rate: f64,
-        /// Closed-loop queue depth (`None` = open loop, the trace's own
-        /// arrival times).
-        closed: Option<usize>,
-        /// Use the smoke-test scale geometry.
-        smoke: bool,
-        /// Write each run's event trace as JSONL (per-system suffix).
-        trace_out: Option<PathBuf>,
-        /// Write each run's metrics report as JSON (per-system suffix).
-        metrics_json: Option<PathBuf>,
-        /// Report run progress on stderr.
-        progress: bool,
-    },
-    /// Analyze a JSONL event trace (validate, attribute, diff).
-    Trace {
-        /// Trace file to analyze (absent in `--diff` mode).
-        file: Option<PathBuf>,
-        /// Only validate (schema, monotonicity, span conservation).
-        validate: bool,
-        /// How many slowest reads to show with waterfalls.
-        top: usize,
-        /// Compare two traces phase-by-phase instead.
-        diff: Option<(PathBuf, PathBuf)>,
-    },
+    Replay { msr: PathBuf, opts: Opts },
+    /// Analyze a JSONL event trace (validate, attribute), or diff the
+    /// `--diff` pair when `file` is absent.
+    Trace { file: Option<PathBuf>, opts: Opts },
     /// Print usage.
     Help,
 }
 
-/// Parse command-line arguments (without the program name).
+/// Parse command-line arguments (without the program name): one scan of
+/// the subcommand's [`args::Row`], then the checks that tie its
+/// positionals and flags together.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message for unknown commands or malformed
 /// values.
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    match args.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
-        Some("list") => Ok(Command::List),
-        Some("describe") => {
-            let workload = args
-                .get(1)
-                .ok_or("describe needs a workload name (try `idasim list`)")?;
-            Ok(Command::Describe {
-                workload: workload.clone(),
-            })
-        }
-        Some("compare") => {
-            let workload = args
-                .get(1)
-                .ok_or("compare needs a workload name (try `idasim list`)")?
-                .clone();
-            let mut c = CommonArgs::accepting(&[args::REQUESTS, args::PROGRESS]);
-            let mut error_rate = 0.2;
-            let mut trace_out = None;
-            let mut metrics_json = None;
-            let mut trace_filter = None;
-            let mut i = 2;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--error-rate" => {
-                        error_rate =
-                            args::parsed(args, &mut i, "--error-rate", "a value", "error rate")?;
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(PathBuf::from(args::value(
-                            args,
-                            &mut i,
-                            "--trace-out",
-                            "a path",
-                        )?));
-                    }
-                    "--metrics-json" => {
-                        metrics_json = Some(PathBuf::from(args::value(
-                            args,
-                            &mut i,
-                            "--metrics-json",
-                            "a path",
-                        )?));
-                    }
-                    "--trace-filter" => {
-                        let spec = args::value(args, &mut i, "--trace-filter", "a class list")?
-                            .to_string();
-                        // Validate eagerly so a typo fails before any run.
-                        ida_obs::trace::parse_trace_filter(&spec)?;
-                        trace_filter = Some(spec);
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            if !(0.0..=1.0).contains(&error_rate) {
-                return Err(format!("error rate {error_rate} outside [0, 1]"));
-            }
-            Ok(Command::Compare {
-                workload,
-                error_rate,
-                requests: c.requests.unwrap_or(6_000),
-                trace_out,
-                metrics_json,
-                trace_filter,
-                progress: c.progress,
-            })
-        }
-        Some("sweep") => {
-            let grid = args
-                .get(1)
-                .filter(|g| !g.starts_with("--"))
-                .ok_or_else(|| {
-                    format!(
-                        "sweep needs a grid name (one of: {})",
-                        BUILTIN_GRIDS.join(", ")
-                    )
-                })?
-                .clone();
-            let mut c = CommonArgs::accepting(&[
-                args::JOBS,
-                args::JOURNAL,
-                args::OUT,
-                args::SMOKE,
-                args::REQUESTS,
-                args::PROGRESS,
-            ]);
-            let mut warm_cache = false;
-            let mut i = 2;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--warm-cache" => {
-                        warm_cache = true;
-                        i += 1;
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            Ok(Command::Sweep {
-                grid,
-                jobs: c.jobs,
-                journal: c.journal,
-                out: c.out,
-                smoke: c.smoke,
-                requests: c.requests,
-                progress: c.progress,
-                warm_cache,
-            })
-        }
-        Some("serve") => {
-            let grid = args
-                .get(1)
-                .filter(|g| !g.starts_with("--"))
-                .ok_or_else(|| {
-                    format!(
-                        "serve needs a grid name (one of: {})",
-                        BUILTIN_GRIDS.join(", ")
-                    )
-                })?
-                .clone();
-            let mut c =
-                CommonArgs::accepting(&[args::JOURNAL, args::OUT, args::SMOKE, args::REQUESTS]);
-            let mut listen = DEFAULT_FABRIC_ADDR.to_string();
-            let mut i = 2;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--listen" => {
-                        listen = args::value(args, &mut i, "--listen", "an address")?.to_string();
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            Ok(Command::Serve {
-                grid,
-                listen,
-                journal: c.journal,
-                out: c.out,
-                smoke: c.smoke,
-                requests: c.requests,
-            })
-        }
-        Some("worker") => {
-            let mut c = CommonArgs::accepting(&[args::JOBS]);
-            let mut connect = DEFAULT_FABRIC_ADDR.to_string();
-            let mut i = 1;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--connect" => {
-                        connect = args::value(args, &mut i, "--connect", "an address")?.to_string();
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            Ok(Command::Worker {
-                connect,
-                jobs: c.jobs,
-            })
-        }
-        Some("snapshot") => {
-            let action = args
-                .get(1)
+    let name = match args.first().map(String::as_str) {
+        None | Some("help" | "--help" | "-h") => return Ok(Command::Help),
+        Some(name) => name,
+    };
+    let row =
+        args::row(name).ok_or_else(|| format!("unknown command: {name} (try `idasim help`)"))?;
+    let (positionals, mut opts) = args::scan(row, &args[1..])?;
+    let positional = |k: usize, what: &str| {
+        positionals
+            .get(k)
+            .cloned()
+            .ok_or_else(|| format!("{name} needs {what}"))
+    };
+    let a_workload = "a workload name (try `idasim list`)";
+    let a_grid = format!("a grid name (one of: {})", BUILTIN_GRIDS.join(", "));
+    Ok(match name {
+        "list" => Command::List,
+        "describe" => Command::Describe {
+            workload: positional(0, a_workload)?,
+        },
+        "compare" => Command::Compare {
+            workload: positional(0, a_workload)?,
+            opts,
+        },
+        "sweep" => Command::Sweep {
+            grid: positional(0, &a_grid)?,
+            opts,
+        },
+        "serve" => Command::Serve {
+            grid: positional(0, &a_grid)?,
+            opts,
+        },
+        "worker" => Command::Worker { opts },
+        "snapshot" => {
+            let action = positionals
+                .first()
                 .filter(|a| matches!(a.as_str(), "save" | "restore" | "inspect"))
-                .ok_or("snapshot needs an action: save, restore, or inspect")?
-                .clone();
-            let path = PathBuf::from(
-                args.get(2)
-                    .filter(|p| !p.starts_with("--"))
-                    .ok_or("snapshot needs a file path after the action")?,
-            );
-            let mut c = CommonArgs::accepting(&[args::SMOKE, args::REQUESTS]);
-            let mut workload = None;
-            let mut system = "Baseline".to_string();
-            let mut i = 3;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--workload" => {
-                        workload =
-                            Some(args::value(args, &mut i, "--workload", "a name")?.to_string());
-                    }
-                    "--system" => {
-                        system = args::value(args, &mut i, "--system", "a name")?.to_string();
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            if action == "save" && workload.is_none() {
+                .cloned()
+                .ok_or("snapshot needs an action: save, restore, or inspect")?;
+            let path = positional(1, "a file path after the action")?.into();
+            if action == "save" && opts.workload.is_none() {
                 return Err("snapshot save needs --workload (try `idasim list`)".into());
             }
-            Ok(Command::Snapshot {
-                action,
-                path,
-                workload,
-                system,
-                smoke: c.smoke,
-                requests: c.requests,
-            })
+            Command::Snapshot { action, path, opts }
         }
-        Some("soak") => {
-            let workload = args
-                .get(1)
-                .filter(|g| !g.starts_with("--"))
-                .ok_or("soak needs a workload name (try `idasim list`)")?
-                .clone();
-            let mut c = CommonArgs::accepting(&[
-                args::JOBS,
-                args::JOURNAL,
-                args::OUT,
-                args::SMOKE,
-                args::REQUESTS,
-                args::PROGRESS,
-            ]);
-            let mut level = "mid".to_string();
-            let mut error_rate = 0.2;
-            let mut epochs = ida_bench::soak::SOAK_EPOCHS;
-            let mut i = 2;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--level" => {
-                        level = args::value(args, &mut i, "--level", "a value")?.to_string();
-                    }
-                    "--error-rate" => {
-                        error_rate =
-                            args::parsed(args, &mut i, "--error-rate", "a value", "error rate")?;
-                    }
-                    "--epochs" => {
-                        epochs = args::parsed(args, &mut i, "--epochs", "a value", "epoch count")?;
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            // Validate eagerly so a typo fails before hours of soaking.
-            if ida_faults::AgingConfig::preset(&level, 0).is_none() {
-                return Err(format!(
-                    "unknown aging level {level:?} (one of: {})",
-                    ida_faults::AgingConfig::LEVELS.join(", ")
-                ));
-            }
-            if !(0.0..=1.0).contains(&error_rate) {
-                return Err(format!("error rate {error_rate} outside [0, 1]"));
-            }
-            if epochs == 0 {
-                return Err("--epochs must be at least 1".into());
-            }
-            Ok(Command::Soak {
-                workload,
-                level,
-                error_rate,
-                epochs,
-                jobs: c.jobs,
-                journal: c.journal,
-                out: c.out,
-                smoke: c.smoke,
-                requests: c.requests,
-                progress: c.progress,
-            })
-        }
-        Some("load") => {
-            let workload = args
-                .get(1)
-                .filter(|g| !g.starts_with("--"))
-                .ok_or("load needs a workload name (try `idasim list`)")?
-                .clone();
-            let mut c =
-                CommonArgs::accepting(&[args::OUT, args::SMOKE, args::REQUESTS, args::SEED]);
-            let mut error_rate = 0.2;
-            let mut iops = None;
-            let mut arrival = "poisson".to_string();
-            let mut tenants = 1;
-            let mut admission = "shed".to_string();
-            let mut slo_us = 2_000;
-            let mut capacity = false;
-            let mut lo = None;
-            let mut hi = None;
-            let mut trace_out = None;
-            let mut trace_filter = None;
-            let mut i = 2;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--error-rate" => {
-                        error_rate =
-                            args::parsed(args, &mut i, "--error-rate", "a value", "error rate")?;
-                    }
-                    "--iops" => {
-                        iops = Some(args::parsed(args, &mut i, "--iops", "a value", "IOPS")?);
-                    }
-                    "--arrival" => {
-                        arrival = args::value(args, &mut i, "--arrival", "a shape")?.to_string();
-                    }
-                    "--tenants" => {
-                        tenants =
-                            args::parsed(args, &mut i, "--tenants", "a count", "tenant count")?;
-                    }
-                    "--admission" => {
-                        admission =
-                            args::value(args, &mut i, "--admission", "a policy")?.to_string();
-                    }
-                    "--slo-us" => {
-                        slo_us = args::parsed(args, &mut i, "--slo-us", "a value", "SLO")?;
-                    }
-                    "--capacity" => {
-                        capacity = true;
-                        i += 1;
-                    }
-                    "--lo" => {
-                        lo = Some(args::parsed(args, &mut i, "--lo", "a value", "--lo IOPS")?);
-                    }
-                    "--hi" => {
-                        hi = Some(args::parsed(args, &mut i, "--hi", "a value", "--hi IOPS")?);
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(PathBuf::from(args::value(
-                            args,
-                            &mut i,
-                            "--trace-out",
-                            "a path",
-                        )?));
-                    }
-                    "--trace-filter" => {
-                        let spec = args::value(args, &mut i, "--trace-filter", "a class list")?
-                            .to_string();
-                        ida_obs::trace::parse_trace_filter(&spec)?;
-                        trace_filter = Some(spec);
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            if !(0.0..=1.0).contains(&error_rate) {
-                return Err(format!("error rate {error_rate} outside [0, 1]"));
-            }
-            // Validate the label spellings eagerly so typos fail fast.
-            ida_host::ArrivalSpec::parse(&arrival)?;
-            ida_host::AdmissionPolicy::parse(&admission)?;
-            if tenants == 0 {
-                return Err("--tenants must be at least 1".to_string());
-            }
-            if slo_us == 0 {
-                return Err("--slo-us must be positive".to_string());
-            }
-            if let (Some(lo), Some(hi)) = (lo, hi) {
-                if lo == 0 || lo > hi {
+        "soak" => Command::Soak {
+            workload: positional(0, a_workload)?,
+            opts,
+        },
+        "load" => {
+            let workload = positional(0, a_workload)?;
+            // The bisection needs a positive floor at or below the
+            // ceiling, so `--lo 0` fails without `--hi` too.
+            if let Some(lo) = opts.lo {
+                if lo == 0 || opts.hi.is_some_and(|hi| lo > hi) {
+                    let hi = opts.hi.map_or("nominal x 4".into(), |hi| hi.to_string());
                     return Err(format!("bad capacity bracket [{lo}, {hi}]"));
                 }
             }
-            Ok(Command::Load {
-                workload,
-                error_rate,
-                iops,
-                arrival,
-                tenants,
-                admission,
-                slo_us,
-                requests: c.requests,
-                smoke: c.smoke,
-                capacity,
-                lo,
-                hi,
-                out: c.out,
-                trace_out,
-                trace_filter,
-                seed: c.seed,
-            })
+            Command::Load { workload, opts }
         }
-        Some("replay") => {
-            let mut c = CommonArgs::accepting(&[args::SMOKE, args::PROGRESS]);
-            let mut msr = None;
-            let mut error_rate = 0.2;
-            let mut closed = None;
-            let mut trace_out = None;
-            let mut metrics_json = None;
-            let mut i = 1;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--msr" => {
-                        msr = Some(PathBuf::from(args::value(args, &mut i, "--msr", "a path")?));
-                    }
-                    "--error-rate" => {
-                        error_rate =
-                            args::parsed(args, &mut i, "--error-rate", "a value", "error rate")?;
-                    }
-                    "--closed" => {
-                        let depth: usize =
-                            args::parsed(args, &mut i, "--closed", "a queue depth", "queue depth")?;
-                        if depth == 0 {
-                            return Err("--closed queue depth must be positive".to_string());
-                        }
-                        closed = Some(depth);
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(PathBuf::from(args::value(
-                            args,
-                            &mut i,
-                            "--trace-out",
-                            "a path",
-                        )?));
-                    }
-                    "--metrics-json" => {
-                        metrics_json = Some(PathBuf::from(args::value(
-                            args,
-                            &mut i,
-                            "--metrics-json",
-                            "a path",
-                        )?));
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            let msr = msr.ok_or("replay needs --msr <trace.csv>")?;
-            if !(0.0..=1.0).contains(&error_rate) {
-                return Err(format!("error rate {error_rate} outside [0, 1]"));
-            }
-            Ok(Command::Replay {
-                msr,
-                error_rate,
-                closed,
-                smoke: c.smoke,
-                trace_out,
-                metrics_json,
-                progress: c.progress,
-            })
-        }
-        Some("trace") => {
-            let mut file = None;
-            let mut validate = false;
-            let mut top = 5;
-            let mut diff = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--validate" => {
-                        validate = true;
-                        i += 1;
-                    }
-                    "--top" => {
-                        top = args::parsed(args, &mut i, "--top", "a count", "--top count")?;
-                    }
-                    "--diff" => {
-                        let a = args.get(i + 1).ok_or("--diff needs two trace paths")?;
-                        let b = args.get(i + 2).ok_or("--diff needs two trace paths")?;
-                        diff = Some((PathBuf::from(a), PathBuf::from(b)));
-                        i += 3;
-                    }
-                    other if !other.starts_with("--") && file.is_none() => {
-                        file = Some(PathBuf::from(other));
-                        i += 1;
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            match (&file, &diff) {
-                (None, None) => {
-                    return Err("trace needs a trace file or --diff <a> <b>".to_string())
-                }
+        "replay" => Command::Replay {
+            msr: opts.msr.take().ok_or("replay needs --msr <trace.csv>")?,
+            opts,
+        },
+        "trace" => {
+            let file = positionals.first().map(PathBuf::from);
+            match (&file, &opts.diff) {
+                (None, None) => return Err("trace needs a trace file or --diff <a> <b>".into()),
                 (Some(_), Some(_)) => {
-                    return Err("trace takes either a trace file or --diff, not both".to_string())
+                    return Err("trace takes either a trace file or --diff, not both".into())
                 }
-                _ => {}
+                _ => Command::Trace { file, opts },
             }
-            Ok(Command::Trace {
-                file,
-                validate,
-                top,
-                diff,
-            })
         }
-        Some(other) => Err(format!("unknown command: {other} (try `idasim help`)")),
-    }
+        other => unreachable!("subcommand {other} has a row but no command"),
+    })
 }
 
 /// Execute a command, returning the text to print.
@@ -741,7 +184,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             }
         }
         Command::Describe { workload } => {
-            let p = paper_workload(&workload).ok_or_else(|| unknown(&workload))?;
+            let p = lookup(&workload)?;
             let trace = p.generate(40_000, 10_000);
             let s = characterize(&trace);
             let _ = writeln!(out, "workload {workload}:");
@@ -769,31 +212,13 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 (p.footprint_frac * 100.0) as u32
             );
         }
-        Command::Compare {
-            workload,
-            error_rate,
-            requests,
-            trace_out,
-            metrics_json,
-            trace_filter,
-            progress,
-        } => {
-            let p = paper_workload(&workload).ok_or_else(|| unknown(&workload))?;
+        Command::Compare { workload, opts } => {
+            let p = lookup(&workload)?;
+            let requests = opts.requests.unwrap_or(6_000);
             let scale = ExperimentScale::default_scale().with_requests(requests);
-            let obs = ObsOptions {
-                trace_out,
-                metrics_json,
-                progress,
-                gauge_interval_ns: None,
-                // The explicit flag wins; IDA_TRACE_FILTER fills in when
-                // absent (validated again when the sink is attached).
-                trace_filter: trace_filter.or_else(|| std::env::var("IDA_TRACE_FILTER").ok()),
-            };
+            let obs = obs_options(&opts);
             let mut runs = Vec::new();
-            for system in [
-                SystemUnderTest::Baseline,
-                SystemUnderTest::Ida { error_rate },
-            ] {
+            for system in systems(opts.error_rate) {
                 let run_obs = obs.suffixed(&system.label());
                 runs.push(
                     run_system_obs(&p, system, &scale, &run_obs)
@@ -822,7 +247,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             let _ = writeln!(
                 out,
                 "  IDA-E{:<3.0} mean read response {:9.1} us  (p99 {:9.1} us)",
-                error_rate * 100.0,
+                opts.error_rate * 100.0,
                 ida.report.reads.mean_us(),
                 ida.report.reads.percentile(99.0) as f64 / 1e3
             );
@@ -832,132 +257,39 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 (1.0 - norm) * 100.0
             );
         }
-        Command::Sweep {
-            grid,
-            jobs,
-            journal,
-            out: out_path,
-            smoke,
-            requests,
-            progress,
-            warm_cache,
-        } => {
-            let spec = builtin_grid(&grid).ok_or_else(|| {
-                format!(
-                    "unknown sweep grid {grid} (one of: {})",
-                    BUILTIN_GRIDS.join(", ")
-                )
-            })?;
-            let mut scale = if smoke {
-                ExperimentScale::smoke()
-            } else {
-                ExperimentScale::from_env()
-            };
-            if let Some(r) = requests {
-                scale.requests = r;
-            }
-            // Environment supplies defaults (IDA_JOBS, IDA_JOURNAL);
-            // explicit flags win.
-            let mut cfg = SweepConfig::from_env()?;
-            if let Some(j) = jobs {
-                cfg.jobs = j;
-            }
-            if journal.is_some() {
-                cfg.journal = journal;
-            }
-            cfg.progress = progress;
-            if warm_cache {
-                cfg = cfg.with_warm_cache();
-            }
+        Command::Sweep { grid, opts } => {
+            let spec = grid_spec(&grid)?;
+            let cfg = sweep_config(&opts)?;
             let outcome =
-                run_grid(&spec, &scale, &cfg).map_err(|e| format!("sweep failed: {e}"))?;
+                run_grid(&spec, &scale(&opts), &cfg).map_err(|e| format!("sweep failed: {e}"))?;
             if let Some(cache) = cfg.warm_cache() {
                 // stderr, like --progress: diagnostics never pollute the
                 // machine-readable aggregate on stdout.
                 eprintln!("{}", cache.stats_line(outcome.outcomes.len()));
             }
-            let json = outcome.aggregate_json();
-            match out_path {
-                Some(path) => {
-                    std::fs::write(&path, json + "\n")
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                    out.push_str(&render(&outcome)?);
-                    let _ = writeln!(
-                        out,
-                        "\nsweep {grid} on {} worker(s): {}\nwrote aggregate to {}",
-                        cfg.jobs,
-                        outcome.summary(),
-                        path.display()
-                    );
-                }
-                // No --out: machine-readable aggregate on stdout.
-                None => {
-                    out.push_str(&json);
-                    out.push('\n');
-                }
-            }
+            let head = format!("sweep {grid} on {} worker(s)", cfg.jobs);
+            write_aggregate(&mut out, &outcome, opts.out.as_deref(), &head)?;
         }
-        Command::Serve {
-            grid,
-            listen,
-            journal,
-            out: out_path,
-            smoke,
-            requests,
-        } => {
-            let spec = builtin_grid(&grid).ok_or_else(|| {
-                format!(
-                    "unknown sweep grid {grid} (one of: {})",
-                    BUILTIN_GRIDS.join(", ")
-                )
-            })?;
-            let mut scale = if smoke {
-                ExperimentScale::smoke()
-            } else {
-                ExperimentScale::from_env()
-            };
-            if let Some(r) = requests {
-                scale.requests = r;
-            }
-            let mut cfg = SweepConfig::from_env()?;
-            if journal.is_some() {
-                cfg.journal = journal;
-            }
-            let listener = std::net::TcpListener::bind(&listen)
+        Command::Serve { grid, opts } => {
+            let spec = grid_spec(&grid)?;
+            let cfg = sweep_config(&opts)?;
+            let listen = &opts.listen;
+            let listener = std::net::TcpListener::bind(listen)
                 .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
             // stderr, like fabric events: the aggregate owns stdout.
             eprintln!(
                 "serving sweep {grid} on {listen}; join with: idasim worker --connect {listen}"
             );
-            let outcome = run_grid_on(&spec, &scale, &cfg, Backend::Distributed { listener })
+            let backend = Backend::Distributed { listener };
+            let outcome = run_grid_on(&spec, &scale(&opts), &cfg, backend)
                 .map_err(|e| format!("serve failed: {e}"))?;
-            let json = outcome.aggregate_json();
-            match out_path {
-                Some(path) => {
-                    std::fs::write(&path, json + "\n")
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                    out.push_str(&render(&outcome)?);
-                    let _ = writeln!(
-                        out,
-                        "\nsweep {grid} served on {listen}: {}\nwrote aggregate to {}",
-                        outcome.summary(),
-                        path.display()
-                    );
-                }
-                None => {
-                    out.push_str(&json);
-                    out.push('\n');
-                }
-            }
+            let head = format!("sweep {grid} served on {listen}");
+            write_aggregate(&mut out, &outcome, opts.out.as_deref(), &head)?;
         }
-        Command::Worker { connect, jobs } => {
-            let jobs = match jobs {
-                Some(j) => j,
-                // Same default ladder as local sweeps: IDA_JOBS, else
-                // all cores.
-                None => SweepConfig::from_env()?.jobs,
-            };
-            let report = run_grid_worker(&connect, jobs, FABRIC_CONNECT_WAIT)
+        Command::Worker { opts } => {
+            // Same default ladder as local sweeps: IDA_JOBS, else all cores.
+            let jobs = sweep_config(&opts)?.jobs;
+            let report = run_grid_worker(&opts.connect, jobs, FABRIC_CONNECT_WAIT)
                 .map_err(|e| format!("worker failed: {e}"))?;
             let _ = writeln!(
                 out,
@@ -965,179 +297,125 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 report.sweep, report.ran, report.ok, report.failed
             );
         }
-        Command::Snapshot {
-            action,
-            path,
-            workload,
-            system,
-            smoke,
-            requests,
-        } => {
-            let mut scale = if smoke {
-                ExperimentScale::smoke()
-            } else {
-                ExperimentScale::from_env()
-            };
-            if let Some(r) = requests {
-                scale.requests = r;
+        Command::Snapshot { action, path, opts } => match action.as_str() {
+            "save" => {
+                let workload = opts
+                    .workload
+                    .clone()
+                    .expect("parse_args requires --workload for save");
+                lookup(&workload)?;
+                let system = parse_system(&opts.system)?.label();
+                // Warm exactly as this pair's fig8 cell does (the sweep's
+                // own config, seed and cache key), so a saved snapshot is
+                // byte-interchangeable with the sweep cache's image.
+                let spec = SweepSpec::new("fig8", vec![workload.clone()], vec![system.clone()]);
+                let scale = scale(&opts);
+                let (preset, cfg) = warm_config(&spec.cells()[0], &scale)?;
+                let key = warm_cache_key(&workload, &cfg, &scale);
+                let (sim, _) = warmed_simulator(&preset, cfg, &scale);
+                let mut w = ida_snap::Writer::new();
+                ida_snap::Snap::encode(&workload, &mut w);
+                ida_snap::Snap::encode(&system, &mut w);
+                ida_snap::Snap::encode(&(scale.requests as u64), &mut w);
+                ida_snap::Snap::encode(&sim.snapshot(), &mut w);
+                let framed = ida_snap::frame::seal(&w.into_bytes());
+                let bytes = framed.len();
+                write_file(&path, framed)?;
+                let _ = writeln!(
+                    out,
+                    "saved warm state for {workload}/{system} (cache key {key:016x}, \
+                     {bytes} bytes) to {}",
+                    path.display()
+                );
             }
-            let system_spec = parse_system(&system)?;
-            match action.as_str() {
-                "save" => {
-                    let workload = workload.expect("parse_args requires --workload for save");
-                    let preset = paper_workload(&workload).ok_or_else(|| unknown(&workload))?;
-                    let mut cfg = system_config(
-                        system_spec,
-                        scale.geometry,
-                        FlashTiming::paper_tlc(),
-                        RetryConfig::disabled(),
-                    );
-                    // The same seed the sweep engine would warm this
-                    // (workload, system) pair under, so a saved snapshot
-                    // is byte-interchangeable with the sweep cache's.
-                    cfg.ftl.seed =
-                        derive_stream_seed(WARM_SEED_BASE, &format!("{workload}/{system}/r0"));
-                    let key = warm_cache_key(&workload, &cfg, &scale);
-                    let (sim, _) = warmed_simulator(&preset, cfg, &scale);
-                    let mut w = ida_snap::Writer::new();
-                    ida_snap::Snap::encode(&workload, &mut w);
-                    ida_snap::Snap::encode(&system, &mut w);
-                    ida_snap::Snap::encode(&(scale.requests as u64), &mut w);
-                    ida_snap::Snap::encode(&sim.snapshot(), &mut w);
-                    let framed = ida_snap::frame::seal(&w.into_bytes());
-                    let bytes = framed.len();
-                    std::fs::write(&path, framed)
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            "restore" | "inspect" => {
+                let buf = std::fs::read(&path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+                let (meta, payload) = ida_snap::frame::open(&buf)
+                    .map_err(|e| format!("{} is not a valid snapshot: {e}", path.display()))?;
+                let mut r = ida_snap::Reader::new(payload);
+                let saved_workload: String = ida_snap::Snap::decode(&mut r)
+                    .map_err(|e| format!("corrupt snapshot header: {e}"))?;
+                let saved_system: String = ida_snap::Snap::decode(&mut r)
+                    .map_err(|e| format!("corrupt snapshot header: {e}"))?;
+                let saved_requests: u64 = ida_snap::Snap::decode(&mut r)
+                    .map_err(|e| format!("corrupt snapshot header: {e}"))?;
+                let inner: Vec<u8> = ida_snap::Snap::decode(&mut r)
+                    .map_err(|e| format!("corrupt snapshot body: {e}"))?;
+                r.finish()
+                    .map_err(|e| format!("trailing snapshot bytes: {e}"))?;
+                let mut sim = Simulator::from_snapshot(&inner)
+                    .map_err(|e| format!("snapshot failed to restore: {e}"))?;
+                if action == "inspect" {
+                    let g = sim.config().ftl.geometry;
                     let _ = writeln!(
                         out,
-                        "saved warm state for {workload}/{system} (cache key {key:016x}, \
-                         {bytes} bytes) to {}",
-                        path.display()
+                        "snapshot {} (format v{}, payload {} bytes, hash {:016x})",
+                        path.display(),
+                        meta.version,
+                        meta.payload_len,
+                        meta.hash
+                    );
+                    let _ = writeln!(
+                        out,
+                        "  warm state: {saved_workload}/{saved_system}, \
+                         {saved_requests} measured requests"
+                    );
+                    let _ = writeln!(
+                        out,
+                        "  geometry: {}ch x {}chip x {}die x {}pl x {}blk, {} bits/cell",
+                        g.channels,
+                        g.chips_per_channel,
+                        g.dies_per_chip,
+                        g.planes_per_die,
+                        g.blocks_per_plane,
+                        g.bits_per_cell
+                    );
+                    let _ = writeln!(
+                        out,
+                        "  clock: {} ns; exported pages: {}",
+                        sim.now(),
+                        sim.config().ftl.exported_pages()
+                    );
+                } else {
+                    let preset = lookup(&saved_workload)?;
+                    let requests = opts
+                        .requests
+                        .unwrap_or(usize::try_from(saved_requests).unwrap_or(0));
+                    let footprint = footprint(&preset, sim.config().ftl.exported_pages());
+                    let trace = preset.generate(footprint, requests);
+                    sim.set_spans(true);
+                    let report = sim.run(to_host_ops(&trace));
+                    let _ = writeln!(
+                        out,
+                        "restored {saved_workload}/{saved_system}, replayed {requests} \
+                         requests:"
+                    );
+                    let _ = writeln!(
+                        out,
+                        "  mean read response {:9.1} us  (p99 {:9.1} us)",
+                        report.reads.mean_us(),
+                        report.reads.percentile(99.0) as f64 / 1e3
+                    );
+                    let _ = writeln!(
+                        out,
+                        "  events processed {}, flash ops {}",
+                        report.events_processed, report.flash_ops
                     );
                 }
-                "restore" | "inspect" => {
-                    let buf = std::fs::read(&path)
-                        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                    let (meta, payload) = ida_snap::frame::open(&buf)
-                        .map_err(|e| format!("{} is not a valid snapshot: {e}", path.display()))?;
-                    let mut r = ida_snap::Reader::new(payload);
-                    let saved_workload: String = ida_snap::Snap::decode(&mut r)
-                        .map_err(|e| format!("corrupt snapshot header: {e}"))?;
-                    let saved_system: String = ida_snap::Snap::decode(&mut r)
-                        .map_err(|e| format!("corrupt snapshot header: {e}"))?;
-                    let saved_requests: u64 = ida_snap::Snap::decode(&mut r)
-                        .map_err(|e| format!("corrupt snapshot header: {e}"))?;
-                    let inner: Vec<u8> = ida_snap::Snap::decode(&mut r)
-                        .map_err(|e| format!("corrupt snapshot body: {e}"))?;
-                    r.finish()
-                        .map_err(|e| format!("trailing snapshot bytes: {e}"))?;
-                    let mut sim = Simulator::from_snapshot(&inner)
-                        .map_err(|e| format!("snapshot failed to restore: {e}"))?;
-                    if action == "inspect" {
-                        let g = sim.config().ftl.geometry;
-                        let _ = writeln!(
-                            out,
-                            "snapshot {} (format v{}, payload {} bytes, hash {:016x})",
-                            path.display(),
-                            meta.version,
-                            meta.payload_len,
-                            meta.hash
-                        );
-                        let _ = writeln!(
-                            out,
-                            "  warm state: {saved_workload}/{saved_system}, \
-                             {saved_requests} measured requests"
-                        );
-                        let _ = writeln!(
-                            out,
-                            "  geometry: {}ch x {}chip x {}die x {}pl x {}blk, {} bits/cell",
-                            g.channels,
-                            g.chips_per_channel,
-                            g.dies_per_chip,
-                            g.planes_per_die,
-                            g.blocks_per_plane,
-                            g.bits_per_cell
-                        );
-                        let _ = writeln!(
-                            out,
-                            "  clock: {} ns; exported pages: {}",
-                            sim.now(),
-                            sim.config().ftl.exported_pages()
-                        );
-                    } else {
-                        let preset = paper_workload(&saved_workload)
-                            .ok_or_else(|| unknown(&saved_workload))?;
-                        let requests =
-                            requests.unwrap_or(usize::try_from(saved_requests).unwrap_or(0));
-                        let footprint = ((sim.config().ftl.exported_pages() as f64
-                            * preset.footprint_frac)
-                            as u64)
-                            .max(1_000);
-                        let trace = preset.generate(footprint, requests);
-                        sim.set_spans(true);
-                        let report = sim.run(to_host_ops(&trace));
-                        let _ = writeln!(
-                            out,
-                            "restored {saved_workload}/{saved_system}, replayed {requests} \
-                             requests:"
-                        );
-                        let _ = writeln!(
-                            out,
-                            "  mean read response {:9.1} us  (p99 {:9.1} us)",
-                            report.reads.mean_us(),
-                            report.reads.percentile(99.0) as f64 / 1e3
-                        );
-                        let _ = writeln!(
-                            out,
-                            "  events processed {}, flash ops {}",
-                            report.events_processed, report.flash_ops
-                        );
-                    }
-                }
-                other => return Err(format!("unknown snapshot action: {other}")),
             }
-        }
-        Command::Soak {
-            workload,
-            level,
-            error_rate,
-            epochs,
-            jobs,
-            journal,
-            out: out_path,
-            smoke,
-            requests,
-            progress,
-        } => {
-            paper_workload(&workload).ok_or_else(|| unknown(&workload))?;
-            let mut scale = if smoke {
-                ExperimentScale::smoke()
-            } else {
-                ExperimentScale::from_env()
-            };
-            if let Some(r) = requests {
-                scale.requests = r;
-            }
-            let mut cfg = SweepConfig::from_env()?;
-            if let Some(j) = jobs {
-                cfg.jobs = j;
-            }
-            if journal.is_some() {
-                cfg.journal = journal;
-            }
-            cfg.progress = progress;
+            other => return Err(format!("unknown snapshot action: {other}")),
+        },
+        Command::Soak { workload, opts } => {
+            lookup(&workload)?;
+            let (level, epochs, scale) = (&opts.level, opts.epochs, scale(&opts));
+            let cfg = sweep_config(&opts)?;
             // Two cells — Baseline and the IDA system — run through the
             // sweep engine, so parallelism, journaling, and byte-identical
             // aggregation come from the same machinery as `sweep`.
-            let spec = SweepSpec::new(
-                "soak",
-                vec![workload.clone()],
-                vec![
-                    SystemUnderTest::Baseline.label(),
-                    SystemUnderTest::Ida { error_rate }.label(),
-                ],
-            )
-            .with_axis("aging", vec![level.clone()]);
+            let labels = systems(opts.error_rate).map(|s| s.label()).to_vec();
+            let spec = SweepSpec::new("soak", vec![workload.clone()], labels)
+                .with_axis("aging", vec![level.clone()]);
             let cells = spec.cells();
             let outcomes = ida_sweep::run_cells(&spec.name, &cells, &cfg, |cell| {
                 let preset = paper_workload(&cell.workload)
@@ -1182,55 +460,21 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     "SOAK UNHEALTHY: {violations} invariant violation(s), {failed} failed cell(s)"
                 );
             }
-            if let Some(path) = out_path {
-                std::fs::write(&path, outcome.aggregate_json() + "\n")
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            if let Some(path) = &opts.out {
+                write_file(path, outcome.aggregate_json() + "\n")?;
                 let _ = writeln!(out, "wrote aggregate to {}", path.display());
             }
         }
-        Command::Load {
-            workload,
-            error_rate,
-            iops,
-            arrival,
-            tenants,
-            admission,
-            slo_us,
-            requests,
-            smoke,
-            capacity,
-            lo,
-            hi,
-            out: out_path,
-            trace_out,
-            trace_filter,
-            seed,
-        } => {
-            let p = paper_workload(&workload).ok_or_else(|| unknown(&workload))?;
-            let mut scale = if smoke {
-                ExperimentScale::smoke()
-            } else {
-                ExperimentScale::from_env()
-            };
-            if let Some(r) = requests {
-                scale.requests = r;
-            }
-            let arrival = ArrivalSpec::parse(&arrival)?;
-            let admission = AdmissionPolicy::parse(&admission)?;
+        Command::Load { workload, opts } => {
+            let p = lookup(&workload)?;
+            let scale = scale(&opts);
+            let (arrival, slo_us) = (opts.arrival, opts.slo_us);
             let slo_ns = slo_us * 1_000;
             let nominal = nominal_iops(&p.spec);
-            let systems = [
-                SystemUnderTest::Baseline,
-                SystemUnderTest::Ida { error_rate },
-            ];
-            let obs = ObsOptions {
-                trace_out,
-                trace_filter: trace_filter.or_else(|| std::env::var("IDA_TRACE_FILTER").ok()),
-                ..ObsOptions::default()
-            };
-            let json = if capacity {
-                let lo = lo.unwrap_or((nominal / 4).max(1));
-                let hi = hi.unwrap_or(nominal * 4).max(lo);
+            let obs = obs_options(&opts);
+            let json = if opts.capacity {
+                let lo = opts.lo.unwrap_or((nominal / 4).max(1));
+                let hi = opts.hi.unwrap_or(nominal * 4).max(lo);
                 let _ = writeln!(
                     out,
                     "capacity search on {workload}: bracket [{lo}, {hi}] IOPS, \
@@ -1243,7 +487,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     .u64("slo_p99_ns", slo_ns)
                     .u64("lo", lo)
                     .u64("hi", hi);
-                for system in systems {
+                for system in systems(opts.error_rate) {
                     let r = run_capacity(
                         &p,
                         system,
@@ -1253,7 +497,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                         lo,
                         hi,
                         CAPACITY_MAX_ITERS,
-                        seed,
+                        opts.seed,
                     )
                     .map_err(|e| e.to_string())?;
                     let _ = writeln!(
@@ -1267,27 +511,28 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 }
                 doc.finish()
             } else {
-                let offered = iops.unwrap_or(nominal).max(1);
+                let offered = opts.iops.unwrap_or(nominal).max(1);
                 let _ = writeln!(
                     out,
                     "workload {workload} at {offered} offered IOPS (nominal {nominal}), \
-                     {} arrivals, {tenants} tenant(s), {} admission:",
+                     {} arrivals, {} tenant(s), {} admission:",
                     arrival.label(),
-                    admission.label()
+                    opts.tenants,
+                    opts.admission.label()
                 );
                 let mut doc = JsonObj::new()
                     .str("workload", &workload)
                     .u64("offered_iops", offered)
                     .u64("nominal_iops", nominal);
-                for system in systems {
+                for system in systems(opts.error_rate) {
                     let spec = LoadSpec {
                         system,
                         arrival,
                         offered_iops: offered,
-                        tenants,
-                        admission,
+                        tenants: opts.tenants,
+                        admission: opts.admission,
                         slo_p99_ns: slo_ns,
-                        seed,
+                        seed: opts.seed,
                     };
                     let run_obs = obs.suffixed(&system.label());
                     let run =
@@ -1311,26 +556,13 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 }
                 doc.finish()
             };
-            if let Some(path) = out_path {
-                std::fs::write(&path, json + "\n")
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            if let Some(path) = &opts.out {
+                write_file(path, json + "\n")?;
                 let _ = writeln!(out, "wrote load JSON to {}", path.display());
             }
         }
-        Command::Replay {
-            msr,
-            error_rate,
-            closed,
-            smoke,
-            trace_out,
-            metrics_json,
-            progress,
-        } => {
-            let scale = if smoke {
-                ExperimentScale::smoke()
-            } else {
-                ExperimentScale::from_env()
-            };
+        Command::Replay { msr, opts } => {
+            let scale = scale(&opts);
             let file = std::fs::File::open(&msr)
                 .map_err(|e| format!("cannot read {}: {e}", msr.display()))?;
             let trace = ida_workloads::msr::parse_msr(
@@ -1341,15 +573,15 @@ pub fn run(cmd: Command) -> Result<String, String> {
             if trace.records.is_empty() {
                 return Err(format!("{} holds no records", msr.display()));
             }
-            let mode = match closed {
+            let mode = match opts.closed {
                 None => ReplayMode::OpenLoop,
                 Some(depth) => ReplayMode::ClosedLoop(depth),
             };
+            // Replay keeps every event class: IDA_TRACE_FILTER is compare's
+            // and load's.
             let obs = ObsOptions {
-                trace_out,
-                metrics_json,
-                progress,
-                ..ObsOptions::default()
+                trace_filter: None,
+                ..obs_options(&opts)
             };
             let _ = writeln!(
                 out,
@@ -1362,10 +594,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 }
             );
             let mut reports = Vec::new();
-            for system in [
-                SystemUnderTest::Baseline,
-                SystemUnderTest::Ida { error_rate },
-            ] {
+            for system in systems(opts.error_rate) {
                 let run_obs = obs.suffixed(&system.label());
                 let report = replay_trace(&trace, system, &scale, mode, &run_obs)
                     .map_err(|e| format!("replay failed: {e}"))?;
@@ -1388,20 +617,10 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 (1.0 - norm) * 100.0
             );
         }
-        Command::Trace {
-            file,
-            validate,
-            top,
-            diff,
-        } => {
-            let text = match (file, diff) {
-                (Some(path), None) => {
-                    if validate {
-                        ida_bench::analyze::validate(&path)?
-                    } else {
-                        ida_bench::analyze::report(&path, top)?
-                    }
-                }
+        Command::Trace { file, opts } => {
+            let text = match (file, opts.diff) {
+                (Some(path), None) if opts.validate => ida_bench::analyze::validate(&path)?,
+                (Some(path), None) => ida_bench::analyze::report(&path, opts.top)?,
                 (None, Some((a, b))) => ida_bench::analyze::diff(&a, &b)?,
                 // parse_args guarantees exactly one mode.
                 _ => unreachable!("trace mode validated at parse time"),
@@ -1412,8 +631,107 @@ pub fn run(cmd: Command) -> Result<String, String> {
     Ok(out)
 }
 
-fn unknown(workload: &str) -> String {
-    format!("unknown workload {workload} (try `idasim list`)")
+/// The paper workload called `workload`.
+fn lookup(workload: &str) -> Result<WorkloadPreset, String> {
+    paper_workload(workload)
+        .ok_or_else(|| format!("unknown workload {workload} (try `idasim list`)"))
+}
+
+/// The two systems every comparison runs: Baseline, then IDA at
+/// `error_rate`.
+fn systems(error_rate: f64) -> [SystemUnderTest; 2] {
+    [
+        SystemUnderTest::Baseline,
+        SystemUnderTest::Ida { error_rate },
+    ]
+}
+
+/// The experiment scale: `--smoke`, else `IDA_SCALE`/`IDA_REQUESTS`;
+/// then `--requests` wins.
+fn scale(opts: &Opts) -> ExperimentScale {
+    let scale = if opts.smoke {
+        ExperimentScale::smoke()
+    } else {
+        ExperimentScale::from_env()
+    };
+    match opts.requests {
+        Some(r) => scale.with_requests(r),
+        None => scale,
+    }
+}
+
+/// The sweep engine's configuration: `IDA_JOBS`/`IDA_JOURNAL` supply
+/// defaults, explicit flags win.
+fn sweep_config(opts: &Opts) -> Result<SweepConfig, String> {
+    let mut cfg = SweepConfig::from_env()?;
+    cfg.jobs = opts.jobs.unwrap_or(cfg.jobs);
+    if opts.journal.is_some() {
+        cfg.journal = opts.journal.clone();
+    }
+    cfg.progress = opts.progress;
+    Ok(if opts.warm_cache {
+        cfg.with_warm_cache()
+    } else {
+        cfg
+    })
+}
+
+/// The observability flags; `IDA_TRACE_FILTER` fills in an absent
+/// `--trace-filter` (validated again when the sink is attached).
+fn obs_options(opts: &Opts) -> ObsOptions {
+    ObsOptions {
+        trace_out: opts.trace_out.clone(),
+        metrics_json: opts.metrics_json.clone(),
+        progress: opts.progress,
+        gauge_interval_ns: None,
+        trace_filter: opts
+            .trace_filter
+            .clone()
+            .or_else(|| std::env::var("IDA_TRACE_FILTER").ok()),
+    }
+}
+
+/// The built-in grid called `grid`.
+fn grid_spec(grid: &str) -> Result<SweepSpec, String> {
+    builtin_grid(grid).ok_or_else(|| {
+        format!(
+            "unknown sweep grid {grid} (one of: {})",
+            BUILTIN_GRIDS.join(", ")
+        )
+    })
+}
+
+/// Emit a grid's aggregate. With `--out` the JSON goes to the file and
+/// stdout gets the rendered figure table, a `{head}: {summary}` line and
+/// the path; without it the machine-readable JSON goes to stdout.
+fn write_aggregate(
+    out: &mut String,
+    outcome: &SweepOutcome,
+    path: Option<&Path>,
+    head: &str,
+) -> Result<(), String> {
+    let json = outcome.aggregate_json();
+    match path {
+        Some(path) => {
+            write_file(path, json + "\n")?;
+            out.push_str(&render(outcome)?);
+            let _ = writeln!(
+                out,
+                "\n{head}: {}\nwrote aggregate to {}",
+                outcome.summary(),
+                path.display()
+            );
+        }
+        None => {
+            out.push_str(&json);
+            out.push('\n');
+        }
+    }
+    Ok(())
+}
+
+fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Usage text.
@@ -1548,9 +866,20 @@ ida-bench crate, e.g.:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ida_bench::sweep::builtin_grid;
+    use ida_host::{AdmissionPolicy, ArrivalSpec};
+    use std::collections::BTreeSet;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// A fresh scratch directory for one test.
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ida-cli-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
@@ -1575,12 +904,11 @@ mod tests {
             cmd,
             Command::Compare {
                 workload: "proj_1".into(),
-                error_rate: 0.5,
-                requests: 1000,
-                trace_out: None,
-                metrics_json: None,
-                trace_filter: None,
-                progress: false,
+                opts: Opts {
+                    error_rate: 0.5,
+                    requests: Some(1000),
+                    ..Opts::default()
+                },
             }
         );
     }
@@ -1598,15 +926,10 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Compare {
-                trace_out,
-                metrics_json,
-                progress,
-                ..
-            } => {
-                assert_eq!(trace_out, Some(PathBuf::from("out/trace.jsonl")));
-                assert_eq!(metrics_json, Some(PathBuf::from("out/metrics.json")));
-                assert!(progress);
+            Command::Compare { opts, .. } => {
+                assert_eq!(opts.trace_out, Some(PathBuf::from("out/trace.jsonl")));
+                assert_eq!(opts.metrics_json, Some(PathBuf::from("out/metrics.json")));
+                assert!(opts.progress);
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -1617,8 +940,8 @@ mod tests {
     fn parses_trace_filter_and_rejects_unknown_classes() {
         let cmd = parse_args(&s(&["compare", "hm_1", "--trace-filter", "host,span"])).unwrap();
         match cmd {
-            Command::Compare { trace_filter, .. } => {
-                assert_eq!(trace_filter.as_deref(), Some("host,span"));
+            Command::Compare { opts, .. } => {
+                assert_eq!(opts.trace_filter.as_deref(), Some("host,span"));
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -1636,18 +959,21 @@ mod tests {
             parse_args(&s(&["trace", "t.jsonl", "--validate", "--top", "3"])).unwrap(),
             Command::Trace {
                 file: Some(PathBuf::from("t.jsonl")),
-                validate: true,
-                top: 3,
-                diff: None,
+                opts: Opts {
+                    validate: true,
+                    top: 3,
+                    ..Opts::default()
+                },
             }
         );
         assert_eq!(
             parse_args(&s(&["trace", "--diff", "a.jsonl", "b.jsonl"])).unwrap(),
             Command::Trace {
                 file: None,
-                validate: false,
-                top: 5,
-                diff: Some((PathBuf::from("a.jsonl"), PathBuf::from("b.jsonl"))),
+                opts: Opts {
+                    diff: Some((PathBuf::from("a.jsonl"), PathBuf::from("b.jsonl"))),
+                    ..Opts::default()
+                },
             }
         );
         // Exactly one of <file> / --diff.
@@ -1666,6 +992,22 @@ mod tests {
         }
         assert!(parse_args(&s(&["compare", "proj_1", "--error-rate", "2.0"])).is_err());
         assert!(parse_args(&s(&["compare", "proj_1", "--bogus"])).is_err());
+        // list and describe go through the same scan as every other
+        // subcommand, so they reject stray options too.
+        for args in [
+            &["list", "--bogus"][..],
+            &["describe", "hm_1", "--bogus"],
+            &["list", "hm_1"],
+        ] {
+            let err = parse_args(&s(args)).unwrap_err();
+            assert!(err.starts_with("unknown option: "), "{args:?}: {err}");
+        }
+        assert_eq!(
+            parse_args(&s(&["describe", "hm_1"])).unwrap(),
+            Command::Describe {
+                workload: "hm_1".into()
+            }
+        );
     }
 
     #[test]
@@ -1688,13 +1030,15 @@ mod tests {
             cmd,
             Command::Sweep {
                 grid: "fig8".into(),
-                jobs: Some(4),
-                journal: Some(PathBuf::from("results/fig8.journal.jsonl")),
-                out: Some(PathBuf::from("results/fig8.json")),
-                smoke: true,
-                requests: None,
-                progress: true,
-                warm_cache: true,
+                opts: Opts {
+                    jobs: Some(4),
+                    journal: Some(PathBuf::from("results/fig8.journal.jsonl")),
+                    out: Some(PathBuf::from("results/fig8.json")),
+                    smoke: true,
+                    progress: true,
+                    warm_cache: true,
+                    ..Opts::default()
+                },
             }
         );
         let defaults = parse_args(&s(&["sweep", "fig9"])).unwrap();
@@ -1702,13 +1046,7 @@ mod tests {
             defaults,
             Command::Sweep {
                 grid: "fig9".into(),
-                jobs: None,
-                journal: None,
-                out: None,
-                smoke: false,
-                requests: None,
-                progress: false,
-                warm_cache: false,
+                opts: Opts::default(),
             }
         );
     }
@@ -1733,10 +1071,13 @@ mod tests {
             Command::Snapshot {
                 action: "save".into(),
                 path: PathBuf::from("warm.snap"),
-                workload: Some("proj_3".into()),
-                system: "IDA-E20".into(),
-                smoke: true,
-                requests: Some(500),
+                opts: Opts {
+                    workload: Some("proj_3".into()),
+                    system: "IDA-E20".into(),
+                    smoke: true,
+                    requests: Some(500),
+                    ..Opts::default()
+                },
             }
         );
         let inspect = parse_args(&s(&["snapshot", "inspect", "warm.snap"])).unwrap();
@@ -1745,10 +1086,7 @@ mod tests {
             Command::Snapshot {
                 action: "inspect".into(),
                 path: PathBuf::from("warm.snap"),
-                workload: None,
-                system: "Baseline".into(),
-                smoke: false,
-                requests: None,
+                opts: Opts::default(),
             }
         );
         // save without a workload, a bogus action, and a missing path all
@@ -1759,76 +1097,88 @@ mod tests {
         assert!(parse_args(&s(&["snapshot", "inspect", "--smoke"])).is_err());
     }
 
+    fn snapshot(action: &str, path: &Path, opts: Opts) -> Result<String, String> {
+        run(Command::Snapshot {
+            action: action.into(),
+            path: path.to_path_buf(),
+            opts,
+        })
+    }
+
     #[test]
     fn snapshot_save_restore_inspect_round_trip() {
-        let dir = std::env::temp_dir().join(format!("ida-cli-snap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("snap");
         let path = dir.join("warm.snap");
-
-        let saved = run(Command::Snapshot {
-            action: "save".into(),
-            path: path.clone(),
-            workload: Some("proj_3".into()),
-            system: "Baseline".into(),
+        let smoke = Opts {
             smoke: true,
-            requests: Some(300),
-        })
+            ..Opts::default()
+        };
+
+        let saved = snapshot(
+            "save",
+            &path,
+            Opts {
+                workload: Some("proj_3".into()),
+                requests: Some(300),
+                ..smoke.clone()
+            },
+        )
         .unwrap();
         assert!(saved.contains("cache key"), "no cache key in: {saved}");
         assert!(path.exists());
 
-        let inspected = run(Command::Snapshot {
-            action: "inspect".into(),
-            path: path.clone(),
-            workload: None,
-            system: "Baseline".into(),
-            smoke: true,
-            requests: None,
-        })
-        .unwrap();
+        let inspected = snapshot("inspect", &path, smoke.clone()).unwrap();
         assert!(inspected.contains("proj_3/Baseline"), "{inspected}");
         assert!(inspected.contains("300 measured requests"), "{inspected}");
 
         // Restoring runs the measured trace; twice gives identical output
         // (the file is read-only state, so each restore forks fresh).
-        let r1 = run(Command::Snapshot {
-            action: "restore".into(),
-            path: path.clone(),
-            workload: None,
-            system: "Baseline".into(),
-            smoke: true,
-            requests: None,
-        })
-        .unwrap();
-        let r2 = run(Command::Snapshot {
-            action: "restore".into(),
-            path: path.clone(),
-            workload: None,
-            system: "Baseline".into(),
-            smoke: true,
-            requests: None,
-        })
-        .unwrap();
+        let r1 = snapshot("restore", &path, smoke.clone()).unwrap();
+        let r2 = snapshot("restore", &path, smoke.clone()).unwrap();
         assert_eq!(r1, r2);
         assert!(r1.contains("replayed 300 requests"), "{r1}");
 
         // A truncated file is rejected with a real error, not a panic.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let err = run(Command::Snapshot {
-            action: "inspect".into(),
-            path,
-            workload: None,
-            system: "Baseline".into(),
-            smoke: true,
-            requests: None,
-        })
-        .unwrap_err();
-        assert!(
-            err.contains("not a valid snapshot"),
-            "unhelpful error: {err}"
-        );
+        for action in ["inspect", "restore"] {
+            let err = snapshot(action, &path, smoke.clone()).unwrap_err();
+            assert!(
+                err.contains("not a valid snapshot"),
+                "unhelpful error: {err}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_save_warms_as_the_fig8_cell_for_any_label_spelling() {
+        let dir = scratch("snap-key");
+        let scale = ExperimentScale::smoke().with_requests(200);
+        let cell = builtin_grid("fig8")
+            .unwrap()
+            .cells()
+            .into_iter()
+            .find(|c| c.workload == "proj_3" && c.system == "IDA-E20")
+            .expect("fig8 has a proj_3/IDA-E20 cell");
+        let (_, cfg) = warm_config(&cell, &scale).unwrap();
+        let key = format!("cache key {:016x}", warm_cache_key("proj_3", &cfg, &scale));
+        for system in ["IDA-E20", "IDA-E20.0"] {
+            let saved = snapshot(
+                "save",
+                &dir.join("w.snap"),
+                Opts {
+                    workload: Some("proj_3".into()),
+                    system: system.into(),
+                    smoke: true,
+                    requests: Some(200),
+                    ..Opts::default()
+                },
+            )
+            .unwrap();
+            assert!(saved.contains(&key), "{system}: want {key} in {saved}");
+            assert!(saved.contains("proj_3/IDA-E20 "), "{system}: {saved}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1853,13 +1203,11 @@ mod tests {
         assert!(parse_args(&s(&["sweep", "fig8", "--bogus"])).is_err());
         let err = run(Command::Sweep {
             grid: "fig99".into(),
-            jobs: Some(1),
-            journal: None,
-            out: None,
-            smoke: true,
-            requests: None,
-            progress: false,
-            warm_cache: false,
+            opts: Opts {
+                jobs: Some(1),
+                smoke: true,
+                ..Opts::default()
+            },
         })
         .unwrap_err();
         assert!(err.contains("unknown sweep grid"), "unhelpful error: {err}");
@@ -1895,27 +1243,16 @@ mod tests {
     fn load_parses_with_defaults_and_flags() {
         let cmd = parse_args(&s(&["load", "proj_3"])).unwrap();
         match cmd {
-            Command::Load {
-                workload,
-                error_rate,
-                iops,
-                arrival,
-                tenants,
-                admission,
-                slo_us,
-                capacity,
-                seed,
-                ..
-            } => {
+            Command::Load { workload, opts } => {
                 assert_eq!(workload, "proj_3");
-                assert!((error_rate - 0.2).abs() < 1e-9);
-                assert_eq!(iops, None);
-                assert_eq!(arrival, "poisson");
-                assert_eq!(tenants, 1);
-                assert_eq!(admission, "shed");
-                assert_eq!(slo_us, 2_000);
-                assert!(!capacity);
-                assert_eq!(seed, 0);
+                assert!((opts.error_rate - 0.2).abs() < 1e-9);
+                assert_eq!(opts.iops, None);
+                assert_eq!(opts.arrival, ArrivalSpec::Poisson);
+                assert_eq!(opts.tenants, 1);
+                assert_eq!(opts.admission, AdmissionPolicy::Shed);
+                assert_eq!(opts.slo_us, 2_000);
+                assert!(!opts.capacity);
+                assert_eq!(opts.seed, 0);
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -1945,29 +1282,16 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Load {
-                iops,
-                arrival,
-                tenants,
-                admission,
-                slo_us,
-                capacity,
-                lo,
-                hi,
-                smoke,
-                seed,
-                out,
-                ..
-            } => {
-                assert_eq!(iops, Some(5_000));
-                assert_eq!(arrival, "onoff");
-                assert_eq!(tenants, 3);
-                assert_eq!(admission, "delay");
-                assert_eq!(slo_us, 1_500);
-                assert!(capacity && smoke);
-                assert_eq!((lo, hi), (Some(100), Some(9_000)));
-                assert_eq!(seed, 7);
-                assert_eq!(out, Some(PathBuf::from("load.json")));
+            Command::Load { opts, .. } => {
+                assert_eq!(opts.iops, Some(5_000));
+                assert_eq!(opts.arrival, ArrivalSpec::OnOff);
+                assert_eq!(opts.tenants, 3);
+                assert_eq!(opts.admission, AdmissionPolicy::Delay);
+                assert_eq!(opts.slo_us, 1_500);
+                assert!(opts.capacity && opts.smoke);
+                assert_eq!((opts.lo, opts.hi), (Some(100), Some(9_000)));
+                assert_eq!(opts.seed, 7);
+                assert_eq!(opts.out, Some(PathBuf::from("load.json")));
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -1983,6 +1307,15 @@ mod tests {
         assert!(parse_args(&s(&["load", "proj_3", "--error-rate", "1.5"])).is_err());
         assert!(parse_args(&s(&["load", "proj_3", "--lo", "500", "--hi", "100"])).is_err());
         assert!(parse_args(&s(&["load", "proj_3", "--bogus"])).is_err());
+        // A zero floor fails at parse time with or without --hi, instead of
+        // reaching the capacity search's positive-floor assertion.
+        for args in [
+            &["load", "proj_3", "--capacity", "--lo", "0"][..],
+            &["load", "proj_3", "--capacity", "--lo", "0", "--hi", "900"],
+        ] {
+            let err = parse_args(&s(args)).unwrap_err();
+            assert!(err.starts_with("bad capacity bracket [0, "), "{err}");
+        }
     }
 
     #[test]
@@ -1992,12 +1325,10 @@ mod tests {
             cmd,
             Command::Replay {
                 msr: PathBuf::from("hm_0.csv"),
-                error_rate: 0.2,
-                closed: Some(32),
-                smoke: false,
-                trace_out: None,
-                metrics_json: None,
-                progress: false,
+                opts: Opts {
+                    closed: Some(32),
+                    ..Opts::default()
+                },
             }
         );
         assert!(parse_args(&s(&["replay"])).is_err());
@@ -2010,15 +1341,70 @@ mod tests {
     fn replay_reports_missing_files_as_errors() {
         let err = run(Command::Replay {
             msr: PathBuf::from("/nonexistent/trace.csv"),
-            error_rate: 0.2,
-            closed: None,
-            smoke: true,
-            trace_out: None,
-            metrics_json: None,
-            progress: false,
+            opts: Opts {
+                smoke: true,
+                ..Opts::default()
+            },
         })
         .unwrap_err();
         assert!(err.contains("cannot read"), "unhelpful: {err}");
+    }
+
+    /// A small MSR Cambridge volume: 400 rows of mixed reads and writes,
+    /// every 16th stamped before its predecessor (the raw traces are
+    /// almost, but not exactly, time-ordered).
+    fn msr_csv() -> String {
+        let mut csv = String::new();
+        let mut x: u64 = 0x1DA5;
+        for i in 0..400u64 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let early = if i % 16 == 15 { 3_000 } else { 0 };
+            let ts = 128_166_372_003_061_419 + i * 2_000 - early;
+            let kind = if x >> 62 == 0 { "Write" } else { "Read" };
+            let offset = (x >> 20) % 16_384 * 4_096;
+            let size = 4_096 * (1 + (x >> 8) % 4);
+            let _ = writeln!(csv, "{ts},hm,1,{kind},{offset},{size},{}", 100 + i);
+        }
+        csv
+    }
+
+    #[test]
+    fn replay_of_an_msr_csv_reports_reads_and_is_deterministic() {
+        let dir = scratch("msr");
+        let msr = dir.join("vol.csv");
+        std::fs::write(&msr, msr_csv()).unwrap();
+        for closed in [None, Some(8)] {
+            let replay = || {
+                run(Command::Replay {
+                    msr: msr.clone(),
+                    opts: Opts {
+                        closed,
+                        smoke: true,
+                        ..Opts::default()
+                    },
+                })
+                .unwrap()
+            };
+            let out = replay();
+            assert!(out.contains("(400 records, "), "{out}");
+            for system in ["Baseline", "IDA-E20"] {
+                let line = out
+                    .lines()
+                    .find(|l| l.trim_start().starts_with(system))
+                    .unwrap_or_else(|| panic!("no {system} line in {out}"));
+                let mean: f64 = line
+                    .split("mean read response")
+                    .nth(1)
+                    .and_then(|rest| rest.split_whitespace().next())
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| panic!("no mean in {line}"));
+                assert!(mean > 0.0, "{system} reported no reads: {line}");
+            }
+            assert_eq!(out, replay(), "replay {closed:?} is not deterministic");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2035,18 +1421,48 @@ mod tests {
     }
 
     #[test]
+    fn usage_synopsis_and_flag_table_agree() {
+        let synopsis = USAGE
+            .split("USAGE:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .expect("USAGE has a synopsis block");
+        for row in args::SUBCOMMANDS {
+            // The row's `idasim <name> ...` lines and their continuations.
+            let mut lines = 0;
+            let mut documented = BTreeSet::new();
+            let mut ours = false;
+            for line in synopsis.lines() {
+                if let Some(rest) = line.trim_start().strip_prefix("idasim ") {
+                    ours = rest.split_whitespace().next() == Some(row.name);
+                    lines += usize::from(ours);
+                }
+                if ours {
+                    documented.extend(
+                        line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                            .filter(|word| word.starts_with("--")),
+                    );
+                }
+            }
+            assert!(lines > 0, "{} has no USAGE synopsis", row.name);
+            let accepted: BTreeSet<&str> = row.flags.split_whitespace().collect();
+            assert_eq!(documented, accepted, "{}: USAGE vs flag table", row.name);
+        }
+    }
+
+    #[test]
     fn serve_and_worker_parse_with_defaults_and_flags() {
         assert_eq!(
             parse_args(&s(&["serve", "faults", "--smoke"])).unwrap(),
             Command::Serve {
                 grid: "faults".into(),
-                listen: DEFAULT_FABRIC_ADDR.into(),
-                journal: None,
-                out: None,
-                smoke: true,
-                requests: None,
+                opts: Opts {
+                    smoke: true,
+                    ..Opts::default()
+                },
             }
         );
+        assert_eq!(Opts::default().listen, DEFAULT_FABRIC_ADDR);
         assert_eq!(
             parse_args(&s(&[
                 "serve",
@@ -2063,25 +1479,30 @@ mod tests {
             .unwrap(),
             Command::Serve {
                 grid: "fig10".into(),
-                listen: "0.0.0.0:9000".into(),
-                journal: Some(PathBuf::from("j.jsonl")),
-                out: Some(PathBuf::from("agg.json")),
-                smoke: false,
-                requests: Some(800),
+                opts: Opts {
+                    listen: "0.0.0.0:9000".into(),
+                    journal: Some(PathBuf::from("j.jsonl")),
+                    out: Some(PathBuf::from("agg.json")),
+                    requests: Some(800),
+                    ..Opts::default()
+                },
             }
         );
         assert_eq!(
             parse_args(&s(&["worker"])).unwrap(),
             Command::Worker {
-                connect: DEFAULT_FABRIC_ADDR.into(),
-                jobs: None,
+                opts: Opts::default()
             }
         );
+        assert_eq!(Opts::default().connect, DEFAULT_FABRIC_ADDR);
         assert_eq!(
             parse_args(&s(&["worker", "--connect", "10.0.0.2:7141", "--jobs", "2"])).unwrap(),
             Command::Worker {
-                connect: "10.0.0.2:7141".into(),
-                jobs: Some(2),
+                opts: Opts {
+                    connect: "10.0.0.2:7141".into(),
+                    jobs: Some(2),
+                    ..Opts::default()
+                },
             }
         );
         // serve needs a grid; neither takes the other's flags.
@@ -2103,17 +1524,11 @@ mod tests {
             parse_args(&s(&["soak", "hm_1"])).unwrap(),
             Command::Soak {
                 workload: "hm_1".into(),
-                level: "mid".into(),
-                error_rate: 0.2,
-                epochs: ida_bench::soak::SOAK_EPOCHS,
-                jobs: None,
-                journal: None,
-                out: None,
-                smoke: false,
-                requests: None,
-                progress: false,
+                opts: Opts::default(),
             }
         );
+        assert_eq!(Opts::default().level, "mid");
+        assert_eq!(Opts::default().epochs, ida_bench::soak::SOAK_EPOCHS);
         let cmd = parse_args(&s(&[
             "soak",
             "proj_3",
@@ -2139,15 +1554,18 @@ mod tests {
             cmd,
             Command::Soak {
                 workload: "proj_3".into(),
-                level: "high".into(),
-                error_rate: 0.3,
-                epochs: 4,
-                jobs: Some(2),
-                journal: Some(PathBuf::from("soak.journal.jsonl")),
-                out: Some(PathBuf::from("soak.json")),
-                smoke: true,
-                requests: Some(800),
-                progress: true,
+                opts: Opts {
+                    level: "high".into(),
+                    error_rate: 0.3,
+                    epochs: 4,
+                    jobs: Some(2),
+                    journal: Some(PathBuf::from("soak.journal.jsonl")),
+                    out: Some(PathBuf::from("soak.json")),
+                    smoke: true,
+                    requests: Some(800),
+                    progress: true,
+                    ..Opts::default()
+                },
             }
         );
     }
@@ -2166,19 +1584,20 @@ mod tests {
 
     #[test]
     fn soak_smoke_runs_both_systems_with_clean_invariants() {
-        let out = run(Command::Soak {
-            workload: "hm_1".into(),
-            level: "high".into(),
-            error_rate: 0.2,
-            epochs: 2,
-            jobs: Some(1),
-            journal: None,
-            out: None,
-            smoke: true,
-            requests: Some(600),
-            progress: false,
-        })
-        .unwrap();
+        let soak = |workload: &str, requests| {
+            run(Command::Soak {
+                workload: workload.into(),
+                opts: Opts {
+                    level: "high".into(),
+                    epochs: 2,
+                    jobs: Some(1),
+                    smoke: true,
+                    requests: Some(requests),
+                    ..Opts::default()
+                },
+            })
+        };
+        let out = soak("hm_1", 600).unwrap();
         assert!(out.contains("Baseline"), "missing Baseline table: {out}");
         assert!(out.contains("IDA-E20"), "missing IDA table: {out}");
         assert!(
@@ -2187,18 +1606,6 @@ mod tests {
         );
         assert!(!out.contains("SOAK UNHEALTHY"), "unhealthy soak: {out}");
         // Unknown workloads fail before any soaking.
-        assert!(run(Command::Soak {
-            workload: "nope".into(),
-            level: "mid".into(),
-            error_rate: 0.2,
-            epochs: 2,
-            jobs: Some(1),
-            journal: None,
-            out: None,
-            smoke: true,
-            requests: Some(100),
-            progress: false,
-        })
-        .is_err());
+        assert!(soak("nope", 100).is_err());
     }
 }
