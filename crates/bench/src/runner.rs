@@ -320,39 +320,20 @@ pub fn to_host_ops(trace: &Trace) -> Vec<HostOp> {
 }
 
 /// Run one workload on one pre-built config, following the warm-up →
-/// measure protocol. Returns the measured report.
+/// measure protocol, open loop and fault-free. Returns the measured
+/// report.
 pub fn run_config(preset: &WorkloadPreset, cfg: SsdConfig, scale: &ExperimentScale) -> Report {
-    run_config_mode(preset, cfg, scale, ReplayMode::OpenLoop)
+    run_config_faulted_cached(preset, cfg, scale, ReplayMode::OpenLoop, None, None)
 }
 
-/// [`run_config`] with an explicit replay mode.
-pub fn run_config_mode(
-    preset: &WorkloadPreset,
-    cfg: SsdConfig,
-    scale: &ExperimentScale,
-    mode: ReplayMode,
-) -> Report {
-    run_config_faulted(preset, cfg, scale, mode, None)
-}
-
-/// [`run_config_mode`] with a fault plan armed *after* warm-up, so every
-/// injected fault lands inside the measured window (warm-up stays clean,
-/// like a device that degrades in service).
-pub fn run_config_faulted(
-    preset: &WorkloadPreset,
-    cfg: SsdConfig,
-    scale: &ExperimentScale,
-    mode: ReplayMode,
-    faults: Option<FaultConfig>,
-) -> Report {
-    run_config_faulted_cached(preset, cfg, scale, mode, faults, None)
-}
-
-/// [`run_config_faulted`] with an optional warm-state cache: on a cache
-/// hit the warm-up is skipped entirely and the simulator is restored
-/// from the captured snapshot — byte-identical state, by the snapshot
-/// layer's differential invariant, so results never depend on whether
-/// (or how often) the cache hit.
+/// [`run_config`] with an explicit replay mode, an optional fault plan
+/// and an optional warm-state cache. The fault plan is armed *after*
+/// warm-up, so every injected fault lands inside the measured window
+/// (warm-up stays clean, like a device that degrades in service). On a
+/// cache hit the warm-up is skipped entirely and the simulator is
+/// restored from the captured snapshot — byte-identical state, by the
+/// snapshot layer's differential invariant, so results never depend on
+/// whether (or how often) the cache hit.
 pub fn run_config_faulted_cached(
     preset: &WorkloadPreset,
     cfg: SsdConfig,

@@ -229,18 +229,15 @@ pub fn warm_seed_for(cell: &Cell) -> u64 {
 /// test with the cell's warm-phase seed, run the warm-up → measure
 /// protocol, and render the metrics payload.
 ///
+/// The optional warm-state cache only changes *when* warm-ups execute,
+/// never what any cell computes: the warm-phase seed is applied
+/// unconditionally (cache on or off), and a hit restores byte-identical
+/// simulator state.
+///
 /// # Panics
 ///
 /// Panics on unknown workloads, system labels, or malformed parameters —
 /// the engine catches these as per-cell failures.
-pub fn run_cell(cell: &Cell, scale: &ExperimentScale) -> String {
-    run_cell_cached(cell, scale, None)
-}
-
-/// [`run_cell`] with an optional warm-state cache. The cache only
-/// changes *when* warm-ups execute, never what any cell computes: the
-/// warm-phase seed is applied unconditionally (cache on or off), and a
-/// hit restores byte-identical simulator state.
 pub fn run_cell_cached(cell: &Cell, scale: &ExperimentScale, warm: Option<&WarmCache>) -> String {
     let preset = cell_preset(cell).unwrap_or_else(|e| panic!("{e}"));
     let system = parse_system(&cell.system).unwrap_or_else(|e| panic!("{e}"));
@@ -549,47 +546,79 @@ pub fn render(outcome: &SweepOutcome) -> Result<String, String> {
     }
 }
 
-/// Figure 8 table: normalized read response per workload × error rate.
-pub fn render_fig8(outcome: &SweepOutcome) -> String {
+/// One column of a normalized-ratio table: `system`'s `key` metric over
+/// Baseline's, both read at the cell parameter `param`.
+struct Ratio {
+    /// Column header.
+    label: String,
+    system: String,
+    param: Option<(&'static str, String)>,
+    key: &'static str,
+}
+
+impl Ratio {
+    /// An IDA-E20 column at `axis = value`.
+    fn e20(label: String, axis: &'static str, value: &str, key: &'static str) -> Ratio {
+        Ratio {
+            label,
+            system: ida_label(0.2),
+            param: Some((axis, value.to_string())),
+            key,
+        }
+    }
+}
+
+/// The normalized-ratio table shared by the figure renderers: one row
+/// per workload with each column's ratio (`1.0` where a cell is missing
+/// or Baseline is zero), then an AVERAGE row. Returns the table and the
+/// column means.
+fn ratio_table(outcome: &SweepOutcome, cols: &[Ratio]) -> (TextTable, Vec<f64>) {
     let workloads = workload_names();
     let mut header = vec!["Name".to_string()];
-    header.extend(
-        FIG8_ERROR_RATES
-            .iter()
-            .map(|e| format!("E{:.0}", e * 100.0)),
-    );
+    header.extend(cols.iter().map(|c| c.label.clone()));
     let mut t = TextTable::new(header);
-    let mut sums = vec![0.0; FIG8_ERROR_RATES.len()];
+    let mut sums = vec![0.0; cols.len()];
     for w in &workloads {
-        let base = metric(outcome, w, "Baseline", &[], "mean_read_ns").unwrap_or(0.0);
         let mut row = vec![w.clone()];
-        for (i, &e) in FIG8_ERROR_RATES.iter().enumerate() {
-            let ida = metric(outcome, w, &ida_label(e), &[], "mean_read_ns");
-            let norm = match ida {
+        for (col, sum) in cols.iter().zip(&mut sums) {
+            let params: Vec<(&str, &str)> =
+                col.param.iter().map(|(k, v)| (*k, v.as_str())).collect();
+            let base = metric(outcome, w, "Baseline", &params, col.key).unwrap_or(0.0);
+            let norm = match metric(outcome, w, &col.system, &params, col.key) {
                 Some(ida) if base > 0.0 => ida / base,
                 _ => 1.0,
             };
-            sums[i] += norm;
+            *sum += norm;
             row.push(f(norm, 3));
         }
         t.row(row);
     }
-    let mut avg_row = vec!["AVERAGE".to_string()];
-    for s in &sums {
-        avg_row.push(f(s / workloads.len() as f64, 3));
-    }
-    t.row(avg_row);
+    let means: Vec<f64> = sums.iter().map(|s| s / workloads.len() as f64).collect();
+    let mut avg = vec!["AVERAGE".to_string()];
+    avg.extend(means.iter().map(|&m| f(m, 3)));
+    t.row(avg);
+    (t, means)
+}
 
+/// Figure 8 table: normalized read response per workload × error rate.
+pub fn render_fig8(outcome: &SweepOutcome) -> String {
+    let cols: Vec<Ratio> = FIG8_ERROR_RATES
+        .iter()
+        .map(|&e| Ratio {
+            label: format!("E{:.0}", e * 100.0),
+            system: ida_label(e),
+            param: None,
+            key: "mean_read_ns",
+        })
+        .collect();
+    let (t, means) = ratio_table(outcome, &cols);
     let mut out = String::from("Figure 8 — normalized read response time (lower is better)\n\n");
     out.push_str(&t.render());
     out.push('\n');
     out.push_str("Paper averages: E0 ≈ 0.69, E20 ≈ 0.72, E50 ≈ 0.798, E80 ≈ 0.93\n");
     out.push_str(&format!(
         "Measured averages: E0 = {:.3}, E20 = {:.3}, E50 = {:.3}, E80 = {:.3}\n",
-        sums[0] / workloads.len() as f64,
-        sums[2] / workloads.len() as f64,
-        sums[5] / workloads.len() as f64,
-        sums[8] / workloads.len() as f64,
+        means[0], means[2], means[5], means[8],
     ));
     out.push_str(&failed_note(outcome));
     out
@@ -597,33 +626,18 @@ pub fn render_fig8(outcome: &SweepOutcome) -> String {
 
 /// Figure 9 table: normalized read response of IDA-E20 per ΔtR.
 pub fn render_fig9(outcome: &SweepOutcome) -> String {
-    let workloads = workload_names();
-    let mut header = vec!["Name".to_string()];
-    header.extend(FIG9_DELTA_TR_US.iter().map(|d| format!("dTR={d}us")));
-    let mut t = TextTable::new(header);
-    let mut sums = vec![0.0; FIG9_DELTA_TR_US.len()];
-    for w in &workloads {
-        let mut row = vec![w.clone()];
-        for (i, &d) in FIG9_DELTA_TR_US.iter().enumerate() {
-            let dtr = d.to_string();
-            let params: &[(&str, &str)] = &[("dtr_us", &dtr)];
-            let base = metric(outcome, w, "Baseline", params, "mean_read_ns").unwrap_or(0.0);
-            let ida = metric(outcome, w, &ida_label(0.2), params, "mean_read_ns");
-            let norm = match ida {
-                Some(ida) if base > 0.0 => ida / base,
-                _ => 1.0,
-            };
-            sums[i] += norm;
-            row.push(f(norm, 3));
-        }
-        t.row(row);
-    }
-    let mut avg = vec!["AVERAGE".to_string()];
-    for s in &sums {
-        avg.push(f(s / workloads.len() as f64, 3));
-    }
-    t.row(avg);
-
+    let cols: Vec<Ratio> = FIG9_DELTA_TR_US
+        .iter()
+        .map(|d| {
+            Ratio::e20(
+                format!("dTR={d}us"),
+                "dtr_us",
+                &d.to_string(),
+                "mean_read_ns",
+            )
+        })
+        .collect();
+    let (t, _) = ratio_table(outcome, &cols);
     let mut out =
         String::from("Figure 9 — normalized read response of IDA-E20 vs ΔtR (lower is better)\n\n");
     out.push_str(&t.render());
@@ -677,32 +691,12 @@ pub fn render_fig10(outcome: &SweepOutcome) -> String {
 
 /// Figure 11 table: normalized read response by lifetime phase.
 pub fn render_fig11(outcome: &SweepOutcome) -> String {
-    let workloads = workload_names();
     let late = format!("late{:.0}", FIG11_LATE_FAILURE_PROB * 100.0);
-    let phases = ["early".to_string(), late];
-    let mut t = TextTable::new(vec!["Name", "early", "late"]);
-    let mut sums = [0.0f64; 2];
-    for w in &workloads {
-        let mut row = vec![w.clone()];
-        for (i, phase) in phases.iter().enumerate() {
-            let params: &[(&str, &str)] = &[("phase", phase)];
-            let base = metric(outcome, w, "Baseline", params, "mean_read_ns").unwrap_or(0.0);
-            let ida = metric(outcome, w, &ida_label(0.2), params, "mean_read_ns");
-            let norm = match ida {
-                Some(ida) if base > 0.0 => ida / base,
-                _ => 1.0,
-            };
-            sums[i] += norm;
-            row.push(f(norm, 3));
-        }
-        t.row(row);
-    }
-    let n = workloads.len() as f64;
-    t.row(vec![
-        "AVERAGE".to_string(),
-        f(sums[0] / n, 3),
-        f(sums[1] / n, 3),
-    ]);
+    let cols = [
+        Ratio::e20("early".into(), "phase", "early", "mean_read_ns"),
+        Ratio::e20("late".into(), "phase", &late, "mean_read_ns"),
+    ];
+    let (t, means) = ratio_table(outcome, &cols);
     let mut out = String::from(
         "Figure 11 — normalized read response by lifetime phase (lower is better)\n\n",
     );
@@ -710,8 +704,8 @@ pub fn render_fig11(outcome: &SweepOutcome) -> String {
     out.push('\n');
     out.push_str(&format!(
         "Improvements: early {:.1}% (paper: 28%), late {:.1}% (paper: 42.3%)\n",
-        (1.0 - sums[0] / n) * 100.0,
-        (1.0 - sums[1] / n) * 100.0
+        (1.0 - means[0]) * 100.0,
+        (1.0 - means[1]) * 100.0
     ));
     out.push_str(&failed_note(outcome));
     out
@@ -723,32 +717,11 @@ pub fn render_fig11(outcome: &SweepOutcome) -> String {
 pub fn render_faults(outcome: &SweepOutcome) -> String {
     let workloads = workload_names();
     let levels = FaultConfig::LEVELS;
-    let mut header = vec!["Name".to_string()];
-    header.extend(levels.iter().map(|l| l.to_string()));
-    let mut t = TextTable::new(header);
-    let mut sums = vec![0.0f64; levels.len()];
-    for w in &workloads {
-        let mut row = vec![w.clone()];
-        for (i, level) in levels.iter().enumerate() {
-            let params: &[(&str, &str)] = &[("faults", level)];
-            let base = metric(outcome, w, "Baseline", params, "mean_read_ns").unwrap_or(0.0);
-            let ida = metric(outcome, w, &ida_label(0.2), params, "mean_read_ns");
-            let norm = match ida {
-                Some(ida) if base > 0.0 => ida / base,
-                _ => 1.0,
-            };
-            sums[i] += norm;
-            row.push(f(norm, 3));
-        }
-        t.row(row);
-    }
-    let n = workloads.len() as f64;
-    let mut avg = vec!["AVERAGE".to_string()];
-    for s in &sums {
-        avg.push(f(s / n, 3));
-    }
-    t.row(avg);
-
+    let cols: Vec<Ratio> = levels
+        .iter()
+        .map(|l| Ratio::e20(l.to_string(), "faults", l, "mean_read_ns"))
+        .collect();
+    let (t, _) = ratio_table(outcome, &cols);
     let mut out = String::from(
         "Faults — normalized read response of IDA-E20 under rising fault rates (lower is better)\n\n",
     );
@@ -840,40 +813,17 @@ pub fn render_load(outcome: &SweepOutcome) -> String {
 /// levels on baseline pages, so IDA's shallower ladders save more.
 pub fn render_lifetime(outcome: &SweepOutcome) -> String {
     let workloads = workload_names();
-    let mut header = vec!["Name".to_string()];
-    for level in LIFETIME_LEVELS {
-        header.push(format!("{level} fresh"));
-        header.push(format!("{level} aged"));
-    }
-    let mut t = TextTable::new(header);
-    let mut sums = vec![0.0f64; LIFETIME_LEVELS.len() * 2];
-    for w in &workloads {
-        let mut row = vec![w.clone()];
-        for (i, level) in LIFETIME_LEVELS.iter().enumerate() {
-            let params: &[(&str, &str)] = &[("aging", level)];
-            for (j, key) in ["fresh_mean_read_ns", "aged_mean_read_ns"]
-                .iter()
-                .enumerate()
-            {
-                let base = metric(outcome, w, "Baseline", params, key).unwrap_or(0.0);
-                let ida = metric(outcome, w, &ida_label(0.2), params, key);
-                let norm = match ida {
-                    Some(ida) if base > 0.0 => ida / base,
-                    _ => 1.0,
-                };
-                sums[i * 2 + j] += norm;
-                row.push(f(norm, 3));
-            }
-        }
-        t.row(row);
-    }
-    let n = workloads.len() as f64;
-    let mut avg = vec!["AVERAGE".to_string()];
-    for s in &sums {
-        avg.push(f(s / n, 3));
-    }
-    t.row(avg);
-
+    let cols: Vec<Ratio> = LIFETIME_LEVELS
+        .iter()
+        .flat_map(|level| {
+            [
+                ("fresh", "fresh_mean_read_ns"),
+                ("aged", "aged_mean_read_ns"),
+            ]
+            .map(|(when, key)| Ratio::e20(format!("{level} {when}"), "aging", level, key))
+        })
+        .collect();
+    let (t, _) = ratio_table(outcome, &cols);
     let mut out = String::from(
         "Lifetime — normalized mean read response of IDA-E20, fresh (epoch 0) vs aged (rated P/E)\n",
     );

@@ -5,9 +5,8 @@
 //!
 //! - **structured event tracing** ([`trace`]): typed [`trace::TraceEvent`]s
 //!   carrying the simulated timestamp, flowing through a pluggable
-//!   [`trace::TraceSink`] (a zero-cost null sink, a bounded ring buffer,
-//!   and a JSONL file sink). A fixed-seed run produces a byte-identical
-//!   trace.
+//!   [`trace::TraceSink`] (a zero-cost null sink and a JSONL file sink).
+//!   A fixed-seed run produces a byte-identical trace.
 //! - **streaming metrics** ([`hist`], [`gauge`]): a fixed-memory
 //!   log-bucketed histogram for latency percentiles without keeping every
 //!   sample, and time-series gauges sampled on a sim-time interval.
@@ -36,6 +35,5 @@ pub use progress::Progress;
 pub use rng::Rng64;
 pub use span::{Phase, PhaseNs, PhaseStats, ALL_PHASES, PHASE_COUNT, QUEUE_CLASSES};
 pub use trace::{
-    FilterSink, HostClass, JsonlSink, NullSink, RingSink, SinkHandle, TraceEvent, TraceSink,
-    VecSink,
+    FilterSink, HostClass, JsonlSink, NullSink, SinkHandle, TraceEvent, TraceSink, VecSink,
 };

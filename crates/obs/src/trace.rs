@@ -3,9 +3,8 @@
 //! Every layer of the simulation stack emits typed [`TraceEvent`]s carrying
 //! the simulated timestamp. Events flow through a pluggable [`TraceSink`]:
 //! the zero-cost [`NullSink`] (the default — emission sites skip event
-//! construction entirely when the sink is off), a bounded [`RingSink`]
-//! keeping the last N events in memory, a [`JsonlSink`] appending one JSON
-//! object per line to a file, and a [`VecSink`] for tests.
+//! construction entirely when the sink is off), a [`JsonlSink`] appending
+//! one JSON object per line to a file, and a [`VecSink`] for tests.
 //!
 //! Determinism contract: simulation inputs (config + seeds) fully determine
 //! the event sequence, and [`TraceEvent::to_json_line`] renders fields in a
@@ -15,7 +14,6 @@
 use crate::json::JsonObj;
 use crate::span::PhaseNs;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
 use std::path::Path;
@@ -778,62 +776,6 @@ impl TraceSink for NullSink {
     fn record(&mut self, _ev: &TraceEvent) {}
 }
 
-/// A bounded in-memory sink keeping the most recent `capacity` events —
-/// the "flight recorder" for post-mortem inspection without unbounded
-/// memory.
-#[derive(Debug, Clone, Default)]
-pub struct RingSink {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    /// Events dropped because the ring was full.
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring keeping the last `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            capacity,
-            events: VecDeque::with_capacity(capacity),
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// How many events were evicted to honor the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(ev.clone());
-    }
-}
-
 /// An unbounded in-memory sink retaining every event — for tests.
 #[derive(Debug, Clone, Default)]
 pub struct VecSink {
@@ -1265,18 +1207,6 @@ mod tests {
         assert!(!h.on());
         // The closure must not run on the disabled path.
         h.emit_with(|| unreachable!("disabled sink constructed an event"));
-    }
-
-    #[test]
-    fn ring_sink_keeps_the_tail() {
-        let mut r = RingSink::new(3);
-        for t in 0..10 {
-            r.record(&ev(t));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 7);
-        let ts: Vec<SimNs> = r.events().map(|e| e.timestamp()).collect();
-        assert_eq!(ts, vec![7, 8, 9]);
     }
 
     #[test]

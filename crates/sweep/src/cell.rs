@@ -9,6 +9,7 @@
 //! sixteen.
 
 use ida_obs::rng::Rng64;
+use ida_snap::fnv1a;
 
 /// One experiment point in a sweep grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,16 +67,6 @@ impl Cell {
     pub fn rng(&self) -> Rng64 {
         Rng64::seed_from_u64(self.stream_seed)
     }
-}
-
-/// FNV-1a over a byte string — the ID hash feeding seed derivation.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One SplitMix64 round — decorrelates similar hash/base combinations.

@@ -17,9 +17,11 @@
 //!   *where* it ran.
 //! - [`spec`]: [`spec::SweepSpec`] describes the grid axes and expands
 //!   them into cells in a fixed nesting order.
-//! - [`pool`]: a `std::thread` worker pool over a shared work queue.
-//!   Cells run under `catch_unwind` with bounded retry; a panicking cell
-//!   becomes a per-cell error record instead of taking down the run.
+//! - [`pool`]: the one lease queue every sweep runs on (journal restore,
+//!   claim, bounded front-of-queue retry, settle, the journal writer),
+//!   and [`pool::run_cells`], N `std::thread` workers over it. A
+//!   panicking cell becomes a per-cell error record instead of taking
+//!   down the run.
 //! - [`journal`]: a JSONL checkpoint journal — one appended record per
 //!   completed cell. On restart, completed cells are skipped and their
 //!   cached payloads reused; a torn final line (killed mid-write) is
@@ -34,8 +36,10 @@
 //!   it once and fork.
 //! - [`net`]: the distributed fabric — a TCP coordinator ([`net::serve`])
 //!   and worker loop ([`net::run_worker`]) speaking frame-sealed
-//!   messages, with lease/requeue fault tolerance. The aggregate stays
-//!   byte-identical to a local serial run for any worker population.
+//!   messages over the same lease queue, so a lost connection costs one
+//!   attempt. The aggregate stays byte-identical to a local serial run
+//!   for any worker population, and the two backends' journals are
+//!   interchangeable.
 
 pub mod agg;
 pub mod cell;
@@ -51,5 +55,5 @@ pub use cell::{derive_stream_seed, Cell};
 pub use journal::{JournalRecord, JournalWriter};
 pub use net::{run_worker, serve, WarmPort, WorkerReport, PROTO_VERSION};
 pub use pool::{pending_cells, run_cells, CellOutcome, CellStatus, SweepConfig};
-pub use spec::{SpecError, SweepSpec, SweepSpecBuilder};
+pub use spec::SweepSpec;
 pub use warm::{WarmCache, WarmMemory, WarmRemote, WarmStats, WarmTier};

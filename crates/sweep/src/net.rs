@@ -1,12 +1,13 @@
 //! The distributed sweep fabric: a TCP coordinator/worker protocol
 //! over [`ida_snap::frame`]d messages.
 //!
-//! One process runs [`serve`]: it owns the cell queue, the checkpoint
-//! journal, the warm-image rendezvous, and the aggregation — exactly
-//! the responsibilities the in-process pool's coordinator thread has.
-//! Any number of processes run [`run_worker`]: each opens one
-//! connection per worker thread, claims cells one at a time, executes
-//! them under `catch_unwind`, and streams results back.
+//! One process runs [`serve`]: it drives the same lease queue as the
+//! in-process pool (`pool::Leases`: claim, retry, settle, journal) from
+//! one handler per connection, and adds only what is TCP — the
+//! handshake, the warm-image rendezvous, and fabric events. Any number
+//! of processes run [`run_worker`]: each opens one connection per worker
+//! thread, claims cells one at a time, runs each through the same
+//! panic-to-record helper a local thread uses, and streams results back.
 //!
 //! Wire format: every message is one [`frame`]-sealed [`Snap`] payload,
 //! so torn, bit-flipped, or version-skewed frames are rejected by the
@@ -16,12 +17,12 @@
 //!
 //! Fault tolerance is lease-based: a claim leases exactly one cell to
 //! one connection. If the connection dies before its `Result` arrives,
-//! the lease is released — the cell goes back on the queue (bounded by
-//! `max_attempts`, the same retry budget the local pool uses) for
-//! another worker to claim. A worker-side panic is reported as a failed
-//! attempt and retried by *reassignment*, so a deterministically
-//! panicking cell exhausts the same budget and records the same
-//! `panicked: ...` error a serial run would.
+//! the lease is lost — the cell goes back to the front of the queue
+//! (bounded by `max_attempts`, exactly as a local panic is) for another
+//! worker to claim. A worker-side panic is reported as a failed attempt
+//! and retried by *reassignment*, so a deterministically panicking cell
+//! exhausts the same budget and records the same `panicked: ...` error a
+//! serial run would.
 //!
 //! Determinism: cell payloads are pure functions of the cell, outcomes
 //! are settled into cell-index order, and the aggregate excludes
@@ -30,16 +31,14 @@
 //! worker count, join/leave order, or kill point.
 
 use crate::cell::Cell;
-use crate::journal::{self, JournalWriter};
-use crate::pool::{panic_message, CellOutcome, CellStatus, SweepConfig};
+use crate::pool::{run_attempt, CellOutcome, Leases, SweepConfig};
 use crate::warm::WarmRemote;
 use ida_obs::fabric::FabricEvent;
 use ida_snap::{frame, Reader, Snap, SnapError, Writer};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, ErrorKind};
 use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Fabric protocol version, checked in the `Hello`/`Welcome` handshake.
@@ -224,147 +223,34 @@ fn proto_err(msg: impl Into<String>) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, msg.into())
 }
 
-/// Coordinator-side shared state: the queue, the leases, the outcomes,
-/// the journal, and the warm-image rendezvous.
-struct CoordState {
-    /// Claimable cell indices.
-    queue: VecDeque<usize>,
-    /// Attempts consumed per cell (a lease counts when granted).
-    attempts: Vec<u32>,
-    /// Settled outcomes, cell-index order (cached entries prefilled).
-    outcomes: Vec<Option<CellOutcome>>,
-    /// Cells not yet settled.
-    remaining: usize,
-    /// Checkpoint journal (coordinator is the only writer).
-    writer: Option<JournalWriter>,
-    /// First journal I/O error, surfaced after the sweep drains.
-    journal_err: Option<io::Error>,
-    /// Warm images published by workers, by warm-identity key.
-    warm: HashMap<u64, Vec<u8>>,
-    /// All cells settled; the accept loop should exit.
-    done: bool,
-}
-
-impl CoordState {
-    /// Record a terminal status for `cell` (journal + outcome slot).
-    fn settle(&mut self, cell: &Cell, status: CellStatus, attempts: u32) {
-        if let Some(w) = &mut self.writer {
-            let id = cell.id();
-            let written = match &status {
-                CellStatus::Done { payload } => w.record_ok(&id, attempts, payload),
-                CellStatus::Failed { error } => w.record_failed(&id, attempts, error),
-            };
-            if let Err(e) = written {
-                self.journal_err.get_or_insert(e);
-            }
-        }
-        self.outcomes[cell.index] = Some(CellOutcome {
-            cell: cell.clone(),
-            status,
-            attempts,
-            cached: false,
-        });
-        self.remaining -= 1;
-    }
-}
-
-/// The coordinator: wraps [`CoordState`] with the condvar protocol and
-/// the immutable sweep facts every connection handler needs.
+/// The coordinator: the shared lease queue plus what only the fabric
+/// needs — the handshake facts, the warm-image rendezvous, and the
+/// event sink.
 struct Coordinator<'a, E: Fn(FabricEvent) + Sync> {
     sweep: &'a str,
     setup: &'a str,
-    cells: &'a [Cell],
-    max_attempts: u32,
-    state: Mutex<CoordState>,
-    wake: Condvar,
+    leases: Leases<'a>,
+    /// Warm images published by workers, by warm-identity key.
+    warm: Mutex<HashMap<u64, Vec<u8>>>,
     on_event: E,
 }
 
 impl<E: Fn(FabricEvent) + Sync> Coordinator<'_, E> {
-    /// Lease the next claimable cell, blocking while the queue is empty
-    /// but work is still in flight elsewhere. `None` = sweep finished.
-    fn claim(&self) -> Option<(Cell, u32)> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.remaining == 0 {
-                return None;
-            }
-            if let Some(idx) = st.queue.pop_front() {
-                st.attempts[idx] += 1;
-                return Some((self.cells[idx].clone(), st.attempts[idx]));
-            }
-            st = self.wake.wait(st).unwrap();
-        }
-    }
-
-    /// Settle a worker-reported result: success records the payload; a
-    /// failed attempt is requeued until the shared `max_attempts`
-    /// budget is spent, then recorded as the failure.
-    fn settle_result(&self, idx: usize, ok: bool, body: String) {
-        let requeued = {
-            let mut st = self.state.lock().unwrap();
-            if st.outcomes[idx].is_some() {
-                return; // Stale duplicate; the cell already settled.
-            }
-            let attempts = st.attempts[idx];
-            let requeued = if ok {
-                st.settle(
-                    &self.cells[idx],
-                    CellStatus::Done { payload: body },
-                    attempts,
-                );
-                None
-            } else if attempts >= self.max_attempts {
-                st.settle(
-                    &self.cells[idx],
-                    CellStatus::Failed { error: body },
-                    attempts,
-                );
-                None
-            } else {
-                st.queue.push_back(idx);
-                Some(attempts)
-            };
-            self.wake.notify_all();
-            requeued
-        };
-        if let Some(attempts) = requeued {
+    /// Settle the lease on cell `idx` (`None`: its connection died before
+    /// reporting) and report a requeue.
+    fn settle(&self, idx: usize, result: Option<Result<String, String>>) {
+        if let Some(attempts) = self.leases.settle(idx, result) {
             (self.on_event)(FabricEvent::CellRequeue {
-                cell: self.cells[idx].id(),
+                cell: self.leases.cells[idx].id(),
                 attempts,
             });
         }
     }
 
-    /// Release a lease whose connection died before reporting: requeue,
-    /// or — budget spent — record the disconnect as the failure.
-    fn release(&self, idx: usize) {
-        let requeued = {
-            let mut st = self.state.lock().unwrap();
-            if st.outcomes[idx].is_some() {
-                return;
-            }
-            let attempts = st.attempts[idx];
-            let requeued = if attempts >= self.max_attempts {
-                let error = format!(
-                    "worker disconnected mid-cell (attempt {attempts} of {})",
-                    self.max_attempts
-                );
-                st.settle(&self.cells[idx], CellStatus::Failed { error }, attempts);
-                None
-            } else {
-                st.queue.push_back(idx);
-                Some(attempts)
-            };
-            self.wake.notify_all();
-            requeued
-        };
-        if let Some(attempts) = requeued {
-            (self.on_event)(FabricEvent::CellRequeue {
-                cell: self.cells[idx].id(),
-                attempts,
-            });
-        }
+    /// The warm-image map. Handlers hold it only for one lookup or
+    /// insert, so it cannot be poisoned mid-update.
+    fn warm(&self) -> MutexGuard<'_, HashMap<u64, Vec<u8>>> {
+        self.warm.lock().expect("warm map poisoned")
     }
 
     /// One connection, handshake to EOF. Any exit releases an open
@@ -380,9 +266,9 @@ impl<E: Fn(FabricEvent) + Sync> Coordinator<'_, E> {
         if let Some(idx) = lease {
             (self.on_event)(FabricEvent::WorkerDisconnect {
                 peer,
-                mid_cell: Some(self.cells[idx].id()),
+                mid_cell: Some(self.leases.cells[idx].id()),
             });
-            self.release(idx);
+            self.settle(idx, None);
         } else if greeted {
             (self.on_event)(FabricEvent::WorkerDisconnect {
                 peer,
@@ -428,9 +314,10 @@ impl<E: Fn(FabricEvent) + Sync> Coordinator<'_, E> {
                 return Ok(()); // Clean close.
             };
             match msg {
-                Msg::Claim => match self.claim() {
-                    Some((cell, attempt)) => {
-                        *lease = Some(cell.index);
+                Msg::Claim => match self.leases.claim() {
+                    Some((idx, attempt)) => {
+                        *lease = Some(idx);
+                        let cell = self.leases.cells[idx].clone();
                         send_msg(stream, &Msg::Assign { cell, attempt })?;
                     }
                     None => send_msg(stream, &Msg::Done)?,
@@ -443,18 +330,18 @@ impl<E: Fn(FabricEvent) + Sync> Coordinator<'_, E> {
                         )));
                     }
                     *lease = None;
-                    self.settle_result(idx, ok, body);
+                    self.settle(idx, Some(if ok { Ok(body) } else { Err(body) }));
                     send_msg(stream, &Msg::Ack)?;
                 }
                 Msg::WarmGet { key } => {
-                    let bytes = self.state.lock().unwrap().warm.get(&key).cloned();
+                    let bytes = self.warm().get(&key).cloned();
                     send_msg(stream, &Msg::WarmImage { bytes })?;
                 }
                 Msg::WarmPut { key, bytes } => {
                     // First publisher wins; images for one key are
                     // byte-identical by the warm cache's determinism
                     // contract, so this is a pure dedup.
-                    self.state.lock().unwrap().warm.entry(key).or_insert(bytes);
+                    self.warm().entry(key).or_insert(bytes);
                     send_msg(stream, &Msg::Ack)?;
                 }
                 other => return Err(proto_err(format!("unexpected message {other:?}"))),
@@ -466,7 +353,8 @@ impl<E: Fn(FabricEvent) + Sync> Coordinator<'_, E> {
 /// Run a sweep as the fabric coordinator: resume from the journal,
 /// serve cells to workers over `listener`, and return the settled
 /// outcomes in cell-index order — byte-compatible with
-/// [`crate::pool::run_cells`] on the same inputs.
+/// [`crate::pool::run_cells`] on the same inputs, whose lease queue it
+/// shares.
 ///
 /// `setup` is an opaque experiment-setup payload (JSON by convention)
 /// handed to every worker in the `Welcome` message. `on_event` receives
@@ -493,81 +381,30 @@ pub fn serve<E>(
 where
     E: Fn(FabricEvent) + Sync,
 {
-    // Journal resume: identical restore semantics to the local pool —
-    // only recorded successes are cached; failures are retried.
-    let cached = match &cfg.journal {
-        Some(path) => journal::load(path, sweep)?,
-        None => Default::default(),
-    };
-    let outcomes: Vec<Option<CellOutcome>> = cells
-        .iter()
-        .map(|cell| {
-            let rec = cached.get(&cell.id())?;
-            let payload = rec.result.as_ref().ok()?;
-            Some(CellOutcome {
-                cell: cell.clone(),
-                status: CellStatus::Done {
-                    payload: payload.clone(),
-                },
-                attempts: rec.attempts,
-                cached: true,
-            })
-        })
-        .collect();
-    let queue: VecDeque<usize> = outcomes
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    let remaining = queue.len();
-    if remaining == 0 {
-        return Ok(outcomes
-            .into_iter()
-            .map(|o| o.expect("all cells cached"))
-            .collect());
+    let leases = Leases::open(sweep, cells, cfg)?;
+    if leases.remaining() == 0 {
+        return leases.finish();
     }
-
-    let writer = match &cfg.journal {
-        Some(path) => Some(JournalWriter::open(path, sweep)?),
-        None => None,
-    };
     let coord = Coordinator {
         sweep,
         setup,
-        cells,
-        max_attempts: cfg.max_attempts.max(1),
-        state: Mutex::new(CoordState {
-            queue,
-            attempts: vec![0; cells.len()],
-            outcomes,
-            remaining,
-            writer,
-            journal_err: None,
-            warm: HashMap::new(),
-            done: false,
-        }),
-        wake: Condvar::new(),
+        leases,
+        warm: Mutex::default(),
         on_event,
     };
     let unblock_addr = listener.local_addr()?;
 
     std::thread::scope(|scope| {
         let coord = &coord;
-        // Watcher: once every cell settles, mark done and poke the
-        // accept loop awake with a throwaway self-connection.
+        // Watcher: once every cell settles, poke the accept loop awake
+        // with a throwaway self-connection.
         scope.spawn(move || {
-            let mut st = coord.state.lock().unwrap();
-            while st.remaining > 0 {
-                st = coord.wake.wait(st).unwrap();
-            }
-            st.done = true;
-            drop(st);
+            coord.leases.wait_settled();
             let _ = TcpStream::connect(unblock_addr);
         });
         for conn in listener.incoming() {
             let Ok(stream) = conn else { continue };
-            if coord.state.lock().unwrap().done {
+            if coord.leases.remaining() == 0 {
                 break; // The poke (or a late joiner); sweep is over.
             }
             scope.spawn(move || coord.handle(stream));
@@ -575,16 +412,7 @@ where
         // Scope exit joins every handler: open connections drain their
         // final Claim→Done exchanges before we aggregate.
     });
-
-    let mut st = coord.state.into_inner().unwrap();
-    if let Some(e) = st.journal_err.take() {
-        return Err(e);
-    }
-    Ok(st
-        .outcomes
-        .into_iter()
-        .map(|o| o.expect("every cell settled"))
-        .collect())
+    coord.leases.finish()
 }
 
 /// What one worker process did, summed over its connections.
@@ -647,16 +475,15 @@ where
         send_msg(&mut stream, &Msg::Claim)?;
         match recv_msg(&mut stream)? {
             Some(Msg::Assign { cell, attempt: _ }) => {
-                let (ok, body) = match catch_unwind(AssertUnwindSafe(|| run(&cell, &setup))) {
-                    Ok(payload) => (true, payload),
-                    Err(panic) => (false, panic_message(&*panic)),
-                };
+                let result = run_attempt(|| run(&cell, &setup));
+                let ok = result.is_ok();
                 report.ran += 1;
                 if ok {
                     report.ok += 1;
                 } else {
                     report.failed += 1;
                 }
+                let (Ok(body) | Err(body)) = result;
                 send_msg(
                     &mut stream,
                     &Msg::Result {
@@ -798,9 +625,12 @@ impl WarmRemote for WarmPort {
 mod tests {
     use super::*;
     use crate::agg::SweepOutcome;
-    use crate::pool::run_cells;
+    use crate::journal;
+    use crate::pool::{run_cells, CellStatus};
     use crate::spec::SweepSpec;
     use ida_obs::json::JsonObj;
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     fn grid(n_workloads: usize) -> Vec<Cell> {
@@ -1085,5 +915,136 @@ mod tests {
         assert!(resumed.iter().all(|o| o.cached), "cells were recomputed");
         assert_eq!(aggregate(first), aggregate(resumed));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The job of the interchange test: workload `w1` always panics, and
+    /// cell `w0/b/r1` panics on its first attempt only (`flaked` records
+    /// that it has).
+    fn flaky_job(cell: &Cell, flaked: &AtomicBool) -> String {
+        assert!(cell.workload != "w1", "w1 always fails");
+        if cell.id() == "w0/b/r1" && !flaked.swap(true, Ordering::SeqCst) {
+            panic!("flaked once");
+        }
+        payload_of(cell)
+    }
+
+    #[test]
+    fn both_backends_retry_settle_and_journal_interchangeably() {
+        let dir = std::env::temp_dir().join(format!("ida-net-interchange-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cells = grid(3);
+        // One run of the grid with its own journal, on `jobs` local
+        // threads or (`fabric`) `jobs` worker connections: the aggregate,
+        // and the IDs of the cells the job ran.
+        let run = |fabric: bool, jobs: usize, journal: &str| {
+            let cfg = SweepConfig::serial()
+                .with_jobs(jobs)
+                .with_journal(dir.join(journal));
+            let (flaked, ran) = (AtomicBool::new(false), Mutex::new(BTreeSet::new()));
+            let job = |cell: &Cell| {
+                ran.lock().unwrap().insert(cell.id());
+                flaky_job(cell, &flaked)
+            };
+            let outcomes = if fabric {
+                let (addr, handle) = spawn_serve(cells.clone(), cfg, Arc::default());
+                run_worker(&addr, jobs, WAIT, |cell, _| job(cell)).unwrap();
+                handle.join().unwrap().unwrap()
+            } else {
+                run_cells("net-t", &cells, &cfg, job).unwrap()
+            };
+            (aggregate(outcomes), ran.into_inner().unwrap())
+        };
+        let (serial, _) = run(false, 1, "j1.jsonl");
+        assert_eq!(run(false, 3, "j3.jsonl").0, serial);
+        assert_eq!(run(true, 2, "fabric.jsonl").0, serial);
+
+        // Every journal holds the same final record per cell: the flaky
+        // cell succeeded on its retry, both w1 cells spent the budget.
+        let load = |name: &str| journal::load(&dir.join(name), "net-t").unwrap();
+        let reference = load("j1.jsonl");
+        assert_eq!(reference.len(), cells.len());
+        assert_eq!(reference["w0/b/r1"].attempts, 2);
+        assert!(reference["w0/b/r1"].result.is_ok());
+        for id in ["w1/a/r1", "w1/b/r1"] {
+            assert_eq!(reference[id].attempts, 2);
+            assert_eq!(
+                reference[id].result,
+                Err("panicked: w1 always fails".into())
+            );
+        }
+        assert_eq!(load("j3.jsonl"), reference);
+        assert_eq!(load("fabric.jsonl"), reference);
+        // A retry goes to the front of the queue, so one thread runs it
+        // at once and the serial journal stays in cell order.
+        let text = std::fs::read_to_string(dir.join("j1.jsonl")).unwrap();
+        let order: Vec<String> = text
+            .lines()
+            .map(|line| {
+                crate::jsonv::parse(line)
+                    .unwrap()
+                    .get("cell")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(order, cells.iter().map(Cell::id).collect::<Vec<_>>());
+
+        // Each journal resumes under the other backend: only the two
+        // failed w1 cells run again, and the bytes still match.
+        let w1: BTreeSet<String> = ["w1/a/r1".into(), "w1/b/r1".into()].into();
+        for (fabric, journal) in [
+            (true, "j1.jsonl"),
+            (true, "j3.jsonl"),
+            (false, "fabric.jsonl"),
+        ] {
+            let (resumed, ran) = run(fabric, 2, journal);
+            assert_eq!(resumed, serial, "{journal} resumed to other bytes");
+            assert_eq!(ran, w1, "{journal} re-ran more than the failed cells");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lease_lost_at_the_budget_settles_as_a_disconnect_failure() {
+        let cells = SweepSpec::new("net-t", vec!["w0".into()], vec!["a".into()]).cells();
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let (addr, handle) = spawn_serve(cells, SweepConfig::serial(), events.clone());
+
+        // Two raw clients in turn claim the one cell and die holding the
+        // lease; the second claim waits until the first lease is lost.
+        for expected in 1..=2 {
+            let mut s = TcpStream::connect(&addr).unwrap();
+            handshake(&mut s).unwrap().expect("greeted");
+            send_msg(&mut s, &Msg::Claim).unwrap();
+            match recv_msg(&mut s).unwrap() {
+                Some(Msg::Assign { attempt, .. }) => assert_eq!(attempt, expected),
+                other => panic!("expected a lease, got {other:?}"),
+            }
+        }
+        let outcomes = handle.join().unwrap().unwrap();
+        assert_eq!(outcomes[0].attempts, 2);
+        assert_eq!(
+            outcomes[0].status,
+            CellStatus::Failed {
+                error: "worker disconnected mid-cell (attempt 2 of 2)".into()
+            }
+        );
+
+        let events = events.lock().unwrap();
+        let requeues = events.iter().filter(|e| e.kind() == "cell_requeue");
+        assert_eq!(requeues.count(), 1, "{events:?}");
+        let lost = events.iter().filter(|e| {
+            matches!(
+                e,
+                FabricEvent::WorkerDisconnect {
+                    mid_cell: Some(_),
+                    ..
+                }
+            )
+        });
+        assert_eq!(lost.count(), 2, "{events:?}");
     }
 }

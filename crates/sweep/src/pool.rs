@@ -1,25 +1,29 @@
-//! The worker pool: N `std::thread` workers over a shared work queue,
-//! with panic isolation, bounded retry, checkpointing, and progress.
+//! The lease queue every sweep runs on, and the local worker pool that
+//! drives it.
 //!
-//! Workers claim cells from an atomic cursor (cheapest possible shared
-//! queue — the cell list is fixed up front), run the job closure under
-//! `catch_unwind`, and send outcomes back over a channel. The
-//! coordinating thread is the only writer of the journal and the only
-//! source of progress ticks, so neither needs locking. Because every
-//! cell's payload is a pure function of the cell (per-cell RNG streams,
-//! deterministic simulator), *where* and *when* a cell runs never shows
-//! up in its result — which is what lets [`crate::agg`] promise
-//! byte-identical aggregates for any worker count.
+//! `Leases` is the one place a cell is claimed, retried and settled,
+//! for both backends: it restores finished cells from the checkpoint
+//! journal, leases the rest one attempt at a time, puts a failed attempt
+//! or a lost lease back at the *front* of the queue until `max_attempts`
+//! is spent, and is the only journal writer and progress ticker.
+//! [`run_cells`] drives it from N scoped threads; the fabric coordinator
+//! ([`crate::net::serve`]) drives it from its connection handlers. Both
+//! run a cell through `run_attempt`, so a panic becomes the same
+//! failure record wherever it happens. Because every cell's payload is a
+//! pure function of the cell (per-cell RNG streams, deterministic
+//! simulator), *where* and *when* a cell runs never shows up in its
+//! result — which is what lets [`crate::agg`] promise byte-identical
+//! aggregates for any worker count or backend.
 
 use crate::cell::Cell;
 use crate::journal::{self, JournalWriter};
 use crate::warm::WarmCache;
 use ida_obs::progress::Progress;
+use std::collections::VecDeque;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// How a sweep runs: parallelism, retry budget, checkpointing, progress.
 #[derive(Debug, Clone)]
@@ -181,94 +185,31 @@ impl CellOutcome {
 /// # Errors
 ///
 /// Fails only on journal I/O errors; job panics never surface as `Err`.
-///
-/// # Panics
-///
-/// Panics if a worker thread is lost without reporting (a bug in the
-/// pool itself, not in the job closure).
 pub fn run_cells<F>(
     sweep: &str,
     cells: &[Cell],
     cfg: &SweepConfig,
     f: F,
-) -> std::io::Result<Vec<CellOutcome>>
+) -> io::Result<Vec<CellOutcome>>
 where
     F: Fn(&Cell) -> String + Sync,
 {
-    let mut outcomes = restore(sweep, cells, cfg)?;
-    let pending: Vec<usize> = outcomes
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.is_none())
-        .map(|(i, _)| i)
-        .collect();
-
-    let mut writer = match &cfg.journal {
-        Some(path) => Some(JournalWriter::open(path, sweep)?),
-        None => None,
-    };
-    let mut progress = if cfg.progress {
-        Progress::new(&format!("sweep {sweep}"), pending.len() as u64).with_check_every(1)
-    } else {
-        Progress::disabled()
-    };
-
-    let jobs = cfg.jobs.clamp(1, pending.len().max(1));
-    let max_attempts = cfg.max_attempts.max(1);
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, CellOutcome)>();
-
-    let mut io_result = Ok(());
+    let leases = Leases::open(sweep, cells, cfg)?;
     std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let pending = &pending;
-            let f = &f;
-            scope.spawn(move || loop {
-                let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&idx) = pending.get(claim) else {
-                    break;
-                };
-                let outcome = run_one(&cells[idx], max_attempts, f);
-                if tx.send((idx, outcome)).is_err() {
-                    break;
+        for _ in 0..cfg.jobs.max(1).min(leases.remaining()) {
+            scope.spawn(|| {
+                while let Some((idx, _)) = leases.claim() {
+                    leases.settle(idx, Some(run_attempt(|| f(&cells[idx]))));
                 }
             });
         }
-        drop(tx);
-        // Coordinator: journal and progress live on this thread only.
-        for (idx, outcome) in rx {
-            if let Some(w) = &mut writer {
-                let id = outcome.cell.id();
-                let written = match &outcome.status {
-                    CellStatus::Done { payload } => w.record_ok(&id, outcome.attempts, payload),
-                    CellStatus::Failed { error } => w.record_failed(&id, outcome.attempts, error),
-                };
-                if let Err(e) = written {
-                    io_result = Err(e);
-                }
-            }
-            outcomes[idx] = Some(outcome);
-            progress.tick(1);
-        }
     });
-    progress.finish();
-    io_result?;
-
-    Ok(outcomes
-        .into_iter()
-        .map(|o| o.expect("every cell reported"))
-        .collect())
+    leases.finish()
 }
 
 /// The outcomes `cfg`'s journal already holds, per cell: finished cells
 /// are restored, failed and missing ones (to be run) are `None`.
-fn restore(
-    sweep: &str,
-    cells: &[Cell],
-    cfg: &SweepConfig,
-) -> std::io::Result<Vec<Option<CellOutcome>>> {
+fn restore(sweep: &str, cells: &[Cell], cfg: &SweepConfig) -> io::Result<Vec<Option<CellOutcome>>> {
     let cached = match &cfg.journal {
         Some(path) => journal::load(path, sweep)?,
         None => Default::default(),
@@ -301,7 +242,7 @@ pub fn pending_cells<'a>(
     sweep: &str,
     cells: &'a [Cell],
     cfg: &SweepConfig,
-) -> std::io::Result<Vec<&'a Cell>> {
+) -> io::Result<Vec<&'a Cell>> {
     let restored = restore(sweep, cells, cfg)?;
     Ok(cells
         .iter()
@@ -311,44 +252,176 @@ pub fn pending_cells<'a>(
         .collect())
 }
 
-fn run_one<F>(cell: &Cell, max_attempts: u32, f: &F) -> CellOutcome
-where
-    F: Fn(&Cell) -> String + Sync,
-{
-    let mut attempts = 0;
-    let status = loop {
-        attempts += 1;
-        match catch_unwind(AssertUnwindSafe(|| f(cell))) {
-            Ok(payload) => break CellStatus::Done { payload },
-            Err(panic) => {
-                // `&*panic`: pass the payload itself, not the Box, to
-                // the `dyn Any` downcast.
-                let error = panic_message(&*panic);
-                if attempts >= max_attempts {
-                    break CellStatus::Failed { error };
-                }
-            }
+/// Run one attempt of a cell's job, turning a panic into the error text
+/// every failure record carries (`panicked: <message>`) — on a local
+/// thread and on a fabric worker alike.
+pub(crate) fn run_attempt(job: impl FnOnce() -> String) -> Result<String, String> {
+    catch_unwind(AssertUnwindSafe(job)).map_err(|panic| {
+        if let Some(s) = panic.downcast_ref::<&str>() {
+            format!("panicked: {s}")
+        } else if let Some(s) = panic.downcast_ref::<String>() {
+            format!("panicked: {s}")
+        } else {
+            "panicked: (non-string payload)".into()
         }
-    };
-    CellOutcome {
-        cell: cell.clone(),
-        status,
-        attempts,
-        cached: false,
-    }
+    })
 }
 
-/// Render a `catch_unwind` payload the way failure records expect.
-/// Shared with the fabric worker loop (`crate::net`) so a cell that
-/// panics remotely produces the byte-identical error record a local
-/// run would.
-pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        format!("panicked: {s}")
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        format!("panicked: {s}")
-    } else {
-        "panicked: (non-string payload)".into()
+/// Why a lease-queue lock can fail: only settling runs under it, and the
+/// job itself never does.
+const POISONED: &str = "lease queue poisoned: a thread panicked while settling";
+
+/// The mutable half of [`Leases`], behind its mutex.
+struct Ledger {
+    /// Claimable cell indices; retries go to the front.
+    queue: VecDeque<usize>,
+    /// Attempts consumed per cell (a lease counts when granted).
+    attempts: Vec<u32>,
+    /// Settled outcomes, cell-index order (journaled cells prefilled).
+    outcomes: Vec<Option<CellOutcome>>,
+    /// Cells not yet settled.
+    remaining: usize,
+    /// Checkpoint journal; settling is its only writer.
+    journal: Option<JournalWriter>,
+    /// First journal I/O error, surfaced once the sweep drains.
+    journal_err: Option<io::Error>,
+    progress: Progress,
+}
+
+/// The lease queue: which cells are claimable, how many attempts each
+/// has used, and what has settled. Shared by reference between the
+/// threads (or connection handlers) that claim from it.
+pub(crate) struct Leases<'a> {
+    /// The grid, in cell-index order.
+    pub(crate) cells: &'a [Cell],
+    max_attempts: u32,
+    state: Mutex<Ledger>,
+    wake: Condvar,
+}
+
+impl<'a> Leases<'a> {
+    /// Restore `cells` from `cfg`'s journal, open it for appending, and
+    /// queue every cell without a journaled result, in cell order.
+    pub(crate) fn open(sweep: &str, cells: &'a [Cell], cfg: &SweepConfig) -> io::Result<Self> {
+        let outcomes = restore(sweep, cells, cfg)?;
+        let queue: VecDeque<usize> = (0..cells.len())
+            .filter(|&i| outcomes[i].is_none())
+            .collect();
+        let journal = match &cfg.journal {
+            Some(path) => Some(JournalWriter::open(path, sweep)?),
+            None => None,
+        };
+        let progress = if cfg.progress {
+            Progress::new(&format!("sweep {sweep}"), queue.len() as u64).with_check_every(1)
+        } else {
+            Progress::disabled()
+        };
+        Ok(Leases {
+            cells,
+            max_attempts: cfg.max_attempts.max(1),
+            state: Mutex::new(Ledger {
+                remaining: queue.len(),
+                queue,
+                attempts: vec![0; cells.len()],
+                outcomes,
+                journal,
+                journal_err: None,
+                progress,
+            }),
+            wake: Condvar::new(),
+        })
+    }
+
+    /// Cells not yet settled.
+    pub(crate) fn remaining(&self) -> usize {
+        self.state.lock().expect(POISONED).remaining
+    }
+
+    /// Lease the next claimable cell as `(index, attempt)`, blocking while
+    /// the queue is empty but a leased cell may still come back. `None`
+    /// once every cell has settled.
+    pub(crate) fn claim(&self) -> Option<(usize, u32)> {
+        let mut st = self.state.lock().expect(POISONED);
+        loop {
+            if st.remaining == 0 {
+                return None;
+            }
+            if let Some(idx) = st.queue.pop_front() {
+                st.attempts[idx] += 1;
+                return Some((idx, st.attempts[idx]));
+            }
+            st = self.wake.wait(st).expect(POISONED);
+        }
+    }
+
+    /// Settle the lease on cell `idx` with the attempt's result, or with
+    /// `None` when its holder vanished before reporting. A success is
+    /// recorded; a failure or lost lease goes back to the front of the
+    /// queue until `max_attempts` is spent, then is recorded as the
+    /// cell's failure. Returns the attempts spent when the cell was
+    /// requeued.
+    pub(crate) fn settle(&self, idx: usize, result: Option<Result<String, String>>) -> Option<u32> {
+        let mut st = self.state.lock().expect(POISONED);
+        let attempts = st.attempts[idx];
+        let status = match result {
+            Some(Ok(payload)) => CellStatus::Done { payload },
+            _ if attempts < self.max_attempts => {
+                st.queue.push_front(idx);
+                self.wake.notify_all();
+                return Some(attempts);
+            }
+            Some(Err(error)) => CellStatus::Failed { error },
+            None => CellStatus::Failed {
+                error: format!(
+                    "worker disconnected mid-cell (attempt {attempts} of {})",
+                    self.max_attempts
+                ),
+            },
+        };
+        let st = &mut *st;
+        if let Some(w) = &mut st.journal {
+            let id = self.cells[idx].id();
+            let written = match &status {
+                CellStatus::Done { payload } => w.record_ok(&id, attempts, payload),
+                CellStatus::Failed { error } => w.record_failed(&id, attempts, error),
+            };
+            if let Err(e) = written {
+                st.journal_err.get_or_insert(e);
+            }
+        }
+        st.outcomes[idx] = Some(CellOutcome {
+            cell: self.cells[idx].clone(),
+            status,
+            attempts,
+            cached: false,
+        });
+        st.remaining -= 1;
+        st.progress.tick(1);
+        self.wake.notify_all();
+        None
+    }
+
+    /// Block until every cell has settled.
+    pub(crate) fn wait_settled(&self) {
+        let mut st = self.state.lock().expect(POISONED);
+        while st.remaining > 0 {
+            st = self.wake.wait(st).expect(POISONED);
+        }
+    }
+
+    /// The settled outcomes in cell-index order, or the first journal
+    /// write error.
+    pub(crate) fn finish(self) -> io::Result<Vec<CellOutcome>> {
+        let st = self.state.into_inner().expect(POISONED);
+        st.progress.finish();
+        if let Some(e) = st.journal_err {
+            return Err(e);
+        }
+        Ok(st
+            .outcomes
+            .into_iter()
+            .map(|o| o.expect("every cell settled"))
+            .collect())
     }
 }
 
@@ -357,7 +430,7 @@ mod tests {
     use super::*;
     use crate::spec::SweepSpec;
     use ida_obs::json::JsonObj;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn grid(n_workloads: usize) -> Vec<Cell> {
         SweepSpec::new(

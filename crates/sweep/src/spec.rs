@@ -8,120 +8,6 @@
 
 use crate::cell::{derive_stream_seed, Cell};
 
-/// A structurally invalid grid, rejected by [`SweepSpecBuilder::build`]
-/// before any cell runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpecError {
-    /// The sweep name is empty — the journal could not tag its records.
-    EmptyName,
-    /// No workloads: the grid expands to zero cells.
-    NoWorkloads,
-    /// No systems: the grid expands to zero cells.
-    NoSystems,
-    /// A parameter axis has no values: the grid expands to zero cells.
-    EmptyAxis {
-        /// The offending axis key.
-        axis: String,
-    },
-    /// Two parameter axes share a key, which would collapse cell IDs.
-    DuplicateAxis {
-        /// The repeated axis key.
-        axis: String,
-    },
-    /// No replicates: the grid expands to zero cells.
-    NoReplicates,
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpecError::EmptyName => write!(f, "sweep spec needs a non-empty name"),
-            SpecError::NoWorkloads => write!(f, "sweep spec needs at least one workload"),
-            SpecError::NoSystems => write!(f, "sweep spec needs at least one system"),
-            SpecError::EmptyAxis { axis } => {
-                write!(f, "parameter axis {axis:?} has no values")
-            }
-            SpecError::DuplicateAxis { axis } => {
-                write!(f, "parameter axis {axis:?} declared twice")
-            }
-            SpecError::NoReplicates => write!(f, "sweep spec needs at least one replicate"),
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-/// Validating constructor for [`SweepSpec`]: collects axes, then
-/// [`build`](Self::build) rejects any combination that would expand to
-/// an empty or ambiguous grid.
-#[derive(Debug, Clone)]
-pub struct SweepSpecBuilder {
-    spec: SweepSpec,
-}
-
-impl SweepSpecBuilder {
-    /// Workload axis.
-    pub fn workloads(mut self, workloads: Vec<String>) -> Self {
-        self.spec.workloads = workloads;
-        self
-    }
-
-    /// System axis.
-    pub fn systems(mut self, systems: Vec<String>) -> Self {
-        self.spec.systems = systems;
-        self
-    }
-
-    /// Add a parameter axis (expanded between workloads and systems).
-    pub fn axis(mut self, key: &str, values: Vec<String>) -> Self {
-        self.spec.param_axes.push((key.to_string(), values));
-        self
-    }
-
-    /// Replace the replicate axis.
-    pub fn replicates(mut self, replicates: Vec<u64>) -> Self {
-        self.spec.replicates = replicates;
-        self
-    }
-
-    /// Replace the base seed mixed into every cell's stream seed.
-    pub fn base_seed(mut self, seed: u64) -> Self {
-        self.spec.base_seed = seed;
-        self
-    }
-
-    /// Validate and produce the spec.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SpecError`]: an empty name, an axis with no values (empty
-    /// grid), or a duplicated parameter key.
-    pub fn build(self) -> Result<SweepSpec, SpecError> {
-        let s = &self.spec;
-        if s.name.is_empty() {
-            return Err(SpecError::EmptyName);
-        }
-        if s.workloads.is_empty() {
-            return Err(SpecError::NoWorkloads);
-        }
-        if s.systems.is_empty() {
-            return Err(SpecError::NoSystems);
-        }
-        for (i, (key, values)) in s.param_axes.iter().enumerate() {
-            if values.is_empty() {
-                return Err(SpecError::EmptyAxis { axis: key.clone() });
-            }
-            if s.param_axes[..i].iter().any(|(k, _)| k == key) {
-                return Err(SpecError::DuplicateAxis { axis: key.clone() });
-            }
-        }
-        if s.replicates.is_empty() {
-            return Err(SpecError::NoReplicates);
-        }
-        Ok(self.spec)
-    }
-}
-
 /// A sweep grid: the cartesian product of its axes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepSpec {
@@ -140,15 +26,6 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// Start a validating builder seeded with a single replicate and no
-    /// parameter axes — the checked alternative to [`Self::new`] for
-    /// grids assembled from user input.
-    pub fn builder(name: &str) -> SweepSpecBuilder {
-        SweepSpecBuilder {
-            spec: SweepSpec::new(name, Vec::new(), Vec::new()),
-        }
-    }
-
     /// A single-replicate spec with no extra parameter axes.
     pub fn new(name: &str, workloads: Vec<String>, systems: Vec<String>) -> Self {
         SweepSpec {
@@ -284,71 +161,5 @@ mod tests {
     #[test]
     fn expansion_is_reproducible() {
         assert_eq!(spec().cells(), spec().cells());
-    }
-
-    #[test]
-    fn builder_accepts_a_complete_grid() {
-        let spec = SweepSpec::builder("t")
-            .workloads(vec!["w1".into()])
-            .systems(vec!["Baseline".into()])
-            .axis("dtr_us", vec!["30".into()])
-            .replicates(vec![1, 2])
-            .base_seed(7)
-            .build()
-            .unwrap();
-        assert_eq!(spec.len(), 2);
-        assert_eq!(spec.base_seed, 7);
-        // The builder produces the same spec (and hence the same cells)
-        // as the unchecked constructor.
-        let manual = SweepSpec::new("t", vec!["w1".into()], vec!["Baseline".into()])
-            .with_axis("dtr_us", vec!["30".into()])
-            .with_replicates(vec![1, 2]);
-        let mut manual = manual;
-        manual.base_seed = 7;
-        assert_eq!(spec, manual);
-    }
-
-    #[test]
-    fn builder_rejects_empty_grids() {
-        let base = || {
-            SweepSpec::builder("t")
-                .workloads(vec!["w".into()])
-                .systems(vec!["s".into()])
-        };
-        assert_eq!(base().build().unwrap().len(), 1);
-        assert_eq!(
-            SweepSpec::builder("").build().unwrap_err(),
-            SpecError::EmptyName
-        );
-        assert_eq!(
-            SweepSpec::builder("t").build().unwrap_err(),
-            SpecError::NoWorkloads
-        );
-        assert_eq!(
-            SweepSpec::builder("t")
-                .workloads(vec!["w".into()])
-                .build()
-                .unwrap_err(),
-            SpecError::NoSystems
-        );
-        assert_eq!(
-            base().axis("dtr_us", vec![]).build().unwrap_err(),
-            SpecError::EmptyAxis {
-                axis: "dtr_us".into()
-            }
-        );
-        assert_eq!(
-            base()
-                .axis("a", vec!["1".into()])
-                .axis("a", vec!["2".into()])
-                .build()
-                .unwrap_err(),
-            SpecError::DuplicateAxis { axis: "a".into() }
-        );
-        assert_eq!(
-            base().replicates(vec![]).build().unwrap_err(),
-            SpecError::NoReplicates
-        );
-        assert!(SpecError::NoWorkloads.to_string().contains("workload"));
     }
 }

@@ -15,8 +15,8 @@
 
 use ida_bench::analyze;
 use ida_bench::runner::{
-    run_config_faulted, run_system_obs, system_config, ExperimentScale, ObsOptions, ReplayMode,
-    SystemUnderTest,
+    run_config_faulted_cached, run_system_obs, system_config, ExperimentScale, ObsOptions,
+    ReplayMode, SystemUnderTest,
 };
 use ida_faults::FaultConfig;
 use ida_flash::timing::FlashTiming;
@@ -106,7 +106,14 @@ fn conservation_holds_under_mid_level_faults() {
         RetryConfig::disabled(),
     );
     let faults = FaultConfig::preset("mid", 41).expect("mid preset");
-    let report = run_config_faulted(&preset, cfg, &scale, ReplayMode::OpenLoop, Some(faults));
+    let report = run_config_faulted_cached(
+        &preset,
+        cfg,
+        &scale,
+        ReplayMode::OpenLoop,
+        Some(faults),
+        None,
+    );
 
     assert!(report.reads.count > 0 && report.writes.count > 0);
     assert!(
