@@ -816,16 +816,17 @@ to a cache-off run — and prints a hit/miss line on stderr.
 Serve/worker: the distributed sweep fabric. `serve` coordinates a grid
 without executing any cell itself: it owns the queue, the --journal,
 and the aggregation, and hands cells to `idasim worker` processes over
-TCP (frame-sealed messages, protocol-version handshake). Workers claim
-cells one at a time; a worker killed mid-cell has its cell requeued
-(bounded by the same retry budget local sweeps use), and workers may
+TCP (frame-sealed messages, protocol-version handshake). Each claim
+leases every queued cell of one workload, which the worker runs in
+order with its own planned warm cache, so each unique warm-up runs once
+per fabric and no snapshot crosses the wire. A worker killed mid-cell
+has that cell requeued (bounded by the same retry budget local sweeps
+use) and the cells it had not started handed back, and workers may
 join or leave at any point. The aggregate is byte-identical to
 `idasim sweep <grid> --jobs 1` on the same scale, whatever the worker
-population did. Warm-up snapshots rendezvous through the coordinator,
-so each unique warm-up runs once per fabric, not once per worker.
-Resuming a journaled serve re-runs only incomplete cells — a fully
-journaled grid returns without waiting for any worker. Two-worker
-loopback example:
+population did. Resuming a journaled serve re-runs only incomplete
+cells — a fully journaled grid returns without waiting for any worker.
+Two-worker loopback example:
   idasim serve faults --smoke --journal run/j.jsonl --out run/agg.json &
   idasim worker --jobs 1 & idasim worker --jobs 1 & wait
 

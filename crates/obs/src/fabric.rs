@@ -21,7 +21,8 @@ pub enum FabricEvent {
     WorkerDisconnect {
         /// Peer address (`ip:port`), best-effort.
         peer: String,
-        /// The cell the worker held a lease on when it vanished, if any.
+        /// The cell the worker was running when it vanished — the first
+        /// unsettled cell of its lease — if any.
         mid_cell: Option<String>,
     },
     /// A leased cell went back on the queue (worker lost or cell

@@ -430,6 +430,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// framed so truncation and corruption are detected before decode.
 pub mod frame {
     use super::{fnv1a, SnapError};
+    use std::io::Read;
 
     /// Frame magic, also the file signature of `.snap` spill files.
     pub const MAGIC: &[u8; 8] = b"IDASNAP1";
@@ -498,10 +499,10 @@ pub mod frame {
         ))
     }
 
-    /// Largest payload a *streamed* frame may declare (64 MiB). A peer
-    /// sending a corrupt length field must not make the reader allocate
-    /// unboundedly; warm-state images — the largest legitimate frames —
-    /// are a few MB.
+    /// Largest payload a *streamed* frame may declare (64 MiB): the most
+    /// a peer that keeps sending can make the reader buffer for one
+    /// frame. Legitimate streamed frames — fabric messages: a group of
+    /// cells, one cell's result payload — are kilobytes.
     pub const MAX_STREAM_PAYLOAD: u64 = 64 << 20;
 
     fn invalid(msg: impl Into<String>) -> std::io::Error {
@@ -523,9 +524,10 @@ pub mod frame {
     /// Returns `Ok(None)` on clean end-of-stream at a frame boundary
     /// (the peer closed between messages). A stream that ends *inside* a
     /// frame, or carries a bad magic/version/length/hash, is an
-    /// `InvalidData`/`UnexpectedEof` error — never a panic, never an
-    /// unbounded allocation (lengths above [`MAX_STREAM_PAYLOAD`] are
-    /// rejected before any buffer is reserved).
+    /// `InvalidData` error — never a panic, never an unbounded
+    /// allocation: lengths above [`MAX_STREAM_PAYLOAD`] are rejected
+    /// outright, and the payload buffer grows only with the bytes that
+    /// actually arrive, whatever length the header declares.
     ///
     /// # Errors
     ///
@@ -560,8 +562,14 @@ pub mod frame {
                  {MAX_STREAM_PAYLOAD}-byte stream limit"
             )));
         }
-        let mut payload = vec![0u8; payload_len as usize];
-        r.read_exact(&mut payload)?;
+        let mut payload = Vec::new();
+        r.take(payload_len).read_to_end(&mut payload)?;
+        if payload.len() as u64 != payload_len {
+            return Err(invalid(format!(
+                "stream closed mid-frame payload ({} of {payload_len} bytes)",
+                payload.len()
+            )));
+        }
         if fnv1a(&payload) != hash {
             return Err(invalid("frame hash mismatch (corrupt payload)"));
         }
@@ -716,6 +724,49 @@ mod tests {
         let mut huge = whole;
         huge[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(frame::read_frame(&mut std::io::Cursor::new(huge)).is_err());
+    }
+
+    /// A reader that records the largest buffer it is offered.
+    struct Offered {
+        bytes: Vec<u8>,
+        pos: usize,
+        largest: usize,
+    }
+
+    impl std::io::Read for Offered {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn stream_reader_buffers_only_the_bytes_that_arrive() {
+        // A header declaring the largest allowed payload, then 1 KiB.
+        let mut bytes = frame::seal(&[]);
+        bytes[12..20].copy_from_slice(&frame::MAX_STREAM_PAYLOAD.to_le_bytes());
+        bytes.extend_from_slice(&[0xA5; 1024]);
+        let mut r = Offered {
+            bytes,
+            pos: 0,
+            largest: 0,
+        };
+        let err = frame::read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("mid-frame payload (1024 of"),
+            "{err}"
+        );
+        assert_eq!(r.pos, r.bytes.len(), "every byte was read");
+        assert!(
+            r.largest <= 4 * r.pos,
+            "offered a {}-byte buffer for {} bytes delivered",
+            r.largest,
+            r.pos
+        );
     }
 
     #[test]

@@ -36,10 +36,12 @@
 //!   it once and fork.
 //! - [`net`]: the distributed fabric — a TCP coordinator ([`net::serve`])
 //!   and worker loop ([`net::run_worker`]) speaking frame-sealed
-//!   messages over the same lease queue, so a lost connection costs one
-//!   attempt. The aggregate stays byte-identical to a local serial run
-//!   for any worker population, and the two backends' journals are
-//!   interchangeable.
+//!   messages over the same lease queue. A claim leases every queued
+//!   cell of one workload, so each worker plans and forks its own warm
+//!   cache and no image crosses the wire; a lost connection costs the
+//!   cell it was running one attempt. The aggregate stays byte-identical
+//!   to a local serial run for any worker population, and the two
+//!   backends' journals are interchangeable.
 
 pub mod agg;
 pub mod cell;
@@ -53,7 +55,7 @@ pub mod warm;
 pub use agg::SweepOutcome;
 pub use cell::{derive_stream_seed, Cell};
 pub use journal::{JournalRecord, JournalWriter};
-pub use net::{run_worker, serve, WarmPort, WorkerReport, PROTO_VERSION};
+pub use net::{run_worker, serve, WorkerReport, PROTO_VERSION};
 pub use pool::{pending_cells, run_cells, CellOutcome, CellStatus, SweepConfig};
 pub use spec::SweepSpec;
-pub use warm::{WarmCache, WarmMemory, WarmRemote, WarmStats, WarmTier};
+pub use warm::{WarmCache, WarmMemory, WarmStats, WarmTier};

@@ -4,10 +4,14 @@
 //! One process runs [`serve`]: it drives the same lease queue as the
 //! in-process pool (`pool::Leases`: claim, retry, settle, journal) from
 //! one handler per connection, and adds only what is TCP — the
-//! handshake, the warm-image rendezvous, and fabric events. Any number
-//! of processes run [`run_worker`]: each opens one connection per worker
-//! thread, claims cells one at a time, runs each through the same
-//! panic-to-record helper a local thread uses, and streams results back.
+//! handshake and fabric events. Any number of processes run
+//! [`run_worker`]: each opens one connection per worker thread, and each
+//! claim leases a *group* — every queued cell of one workload. The
+//! worker plans its warm cache over the group, runs the cells in order
+//! through the same panic-to-record helper a local thread uses, and
+//! reports each as it finishes. The cells of a workload share their
+//! warm-up prefix and no two workloads share an image, so warm images
+//! never leave the worker that built them.
 //!
 //! Wire format: every message is one [`frame`]-sealed [`Snap`] payload,
 //! so torn, bit-flipped, or version-skewed frames are rejected by the
@@ -15,14 +19,16 @@
 //! a protocol-version handshake ([`PROTO_VERSION`]) rejects skewed
 //! peers before any work is assigned.
 //!
-//! Fault tolerance is lease-based: a claim leases exactly one cell to
-//! one connection. If the connection dies before its `Result` arrives,
-//! the lease is lost — the cell goes back to the front of the queue
+//! Fault tolerance is lease-based: a claim leases a group to one
+//! connection, and results must arrive in group order. If the connection
+//! dies (or breaks the protocol) with cells unsettled, the cell it was
+//! running loses its lease — it goes back to the front of the queue
 //! (bounded by `max_attempts`, exactly as a local panic is) for another
-//! worker to claim. A worker-side panic is reported as a failed attempt
-//! and retried by *reassignment*, so a deterministically panicking cell
-//! exhausts the same budget and records the same `panicked: ...` error a
-//! serial run would.
+//! worker to claim — and the cells it had not started go back with
+//! their attempt refunded. A worker-side panic is reported as a failed
+//! attempt and retried by *reassignment*, so a deterministically
+//! panicking cell exhausts the same budget and records the same
+//! `panicked: ...` error a serial run would.
 //!
 //! Determinism: cell payloads are pure functions of the cell, outcomes
 //! are settled into cell-index order, and the aggregate excludes
@@ -32,18 +38,16 @@
 
 use crate::cell::Cell;
 use crate::pool::{run_attempt, CellOutcome, Leases, SweepConfig};
-use crate::warm::WarmRemote;
 use ida_obs::fabric::FabricEvent;
 use ida_snap::{frame, Reader, Snap, SnapError, Writer};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::io::{self, ErrorKind};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Fabric protocol version, checked in the `Hello`/`Welcome` handshake.
 /// Bump on any wire-visible change to [`Msg`].
-pub const PROTO_VERSION: u32 = 1;
+pub const PROTO_VERSION: u32 = 2;
 
 /// One fabric message. The wire form is a [`frame`]-sealed [`Snap`]
 /// encoding: a `u8` tag followed by the variant's fields.
@@ -67,19 +71,19 @@ pub enum Msg {
         /// Human-readable refusal.
         reason: String,
     },
-    /// Worker → coordinator: give me a cell. Blocks server-side until
-    /// a cell is claimable or the sweep is finished.
+    /// Worker → coordinator: give me work. Blocks server-side until a
+    /// cell is claimable or the sweep is finished. Only valid once every
+    /// cell of the previous lease has its `Result`.
     Claim,
-    /// Coordinator → worker: a cell lease.
+    /// Coordinator → worker: a group lease — every queued cell of one
+    /// workload, in the order their results must come back.
     Assign {
-        /// The fully derived cell (seed included).
-        cell: Cell,
-        /// Which attempt this lease is (1 = first).
-        attempt: u32,
+        /// The fully derived cells (seeds included).
+        cells: Vec<Cell>,
     },
     /// Coordinator → worker: no work left, ever; disconnect.
     Done,
-    /// Worker → coordinator: the leased cell's outcome.
+    /// Worker → coordinator: the outcome of the lease's next cell.
     Result {
         /// [`Cell::index`] of the leased cell.
         index: u64,
@@ -88,25 +92,6 @@ pub enum Msg {
         /// Payload JSON on success, panic message on failure.
         body: String,
     },
-    /// Worker → coordinator: fetch a warm image.
-    WarmGet {
-        /// Warm-identity fingerprint.
-        key: u64,
-    },
-    /// Coordinator → worker: the warm image, if any worker published it.
-    WarmImage {
-        /// Frame-sealed snapshot bytes.
-        bytes: Option<Vec<u8>>,
-    },
-    /// Worker → coordinator: publish a freshly built warm image.
-    WarmPut {
-        /// Warm-identity fingerprint.
-        key: u64,
-        /// Frame-sealed snapshot bytes.
-        bytes: Vec<u8>,
-    },
-    /// Coordinator → worker: `Result`/`WarmPut` acknowledged.
-    Ack,
 }
 
 impl Snap for Msg {
@@ -126,10 +111,9 @@ impl Snap for Msg {
                 reason.encode(w);
             }
             Msg::Claim => 3u8.encode(w),
-            Msg::Assign { cell, attempt } => {
+            Msg::Assign { cells } => {
                 4u8.encode(w);
-                cell.encode(w);
-                attempt.encode(w);
+                cells.encode(w);
             }
             Msg::Done => 5u8.encode(w),
             Msg::Result { index, ok, body } => {
@@ -138,20 +122,6 @@ impl Snap for Msg {
                 ok.encode(w);
                 body.encode(w);
             }
-            Msg::WarmGet { key } => {
-                7u8.encode(w);
-                key.encode(w);
-            }
-            Msg::WarmImage { bytes } => {
-                8u8.encode(w);
-                bytes.encode(w);
-            }
-            Msg::WarmPut { key, bytes } => {
-                9u8.encode(w);
-                key.encode(w);
-                bytes.encode(w);
-            }
-            Msg::Ack => 10u8.encode(w),
         }
     }
 
@@ -169,8 +139,7 @@ impl Snap for Msg {
             },
             3 => Msg::Claim,
             4 => Msg::Assign {
-                cell: Cell::decode(r)?,
-                attempt: u32::decode(r)?,
+                cells: Vec::<Cell>::decode(r)?,
             },
             5 => Msg::Done,
             6 => Msg::Result {
@@ -178,17 +147,6 @@ impl Snap for Msg {
                 ok: bool::decode(r)?,
                 body: String::decode(r)?,
             },
-            7 => Msg::WarmGet {
-                key: u64::decode(r)?,
-            },
-            8 => Msg::WarmImage {
-                bytes: Option::<Vec<u8>>::decode(r)?,
-            },
-            9 => Msg::WarmPut {
-                key: u64::decode(r)?,
-                bytes: Vec::<u8>::decode(r)?,
-            },
-            10 => Msg::Ack,
             tag => return Err(SnapError::new(format!("unknown fabric message tag {tag}"))),
         })
     }
@@ -224,14 +182,11 @@ fn proto_err(msg: impl Into<String>) -> io::Error {
 }
 
 /// The coordinator: the shared lease queue plus what only the fabric
-/// needs — the handshake facts, the warm-image rendezvous, and the
-/// event sink.
+/// needs — the handshake facts and the event sink.
 struct Coordinator<'a, E: Fn(FabricEvent) + Sync> {
     sweep: &'a str,
     setup: &'a str,
     leases: Leases<'a>,
-    /// Warm images published by workers, by warm-identity key.
-    warm: Mutex<HashMap<u64, Vec<u8>>>,
     on_event: E,
 }
 
@@ -247,28 +202,25 @@ impl<E: Fn(FabricEvent) + Sync> Coordinator<'_, E> {
         }
     }
 
-    /// The warm-image map. Handlers hold it only for one lookup or
-    /// insert, so it cannot be poisoned mid-update.
-    fn warm(&self) -> MutexGuard<'_, HashMap<u64, Vec<u8>>> {
-        self.warm.lock().expect("warm map poisoned")
-    }
-
-    /// One connection, handshake to EOF. Any exit releases an open
-    /// lease and emits the disconnect event.
+    /// One connection, handshake to EOF. Any exit with cells still
+    /// leased charges the one it was running (the first unsettled, since
+    /// results arrive in order) a lost lease, gives the rest back
+    /// unstarted, and emits the disconnect event.
     fn handle(&self, mut stream: TcpStream) {
         let peer = stream
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "?".into());
-        let mut lease: Option<usize> = None;
+        let mut lease = VecDeque::new();
         let mut greeted = false;
         let _ = self.converse(&mut stream, &peer, &mut lease, &mut greeted);
-        if let Some(idx) = lease {
+        if let Some(running) = lease.pop_front() {
             (self.on_event)(FabricEvent::WorkerDisconnect {
                 peer,
-                mid_cell: Some(self.leases.cells[idx].id()),
+                mid_cell: Some(self.leases.cells[running].id()),
             });
-            self.settle(idx, None);
+            self.leases.release(lease.make_contiguous());
+            self.settle(running, None);
         } else if greeted {
             (self.on_event)(FabricEvent::WorkerDisconnect {
                 peer,
@@ -281,7 +233,7 @@ impl<E: Fn(FabricEvent) + Sync> Coordinator<'_, E> {
         &self,
         stream: &mut TcpStream,
         peer: &str,
-        lease: &mut Option<usize>,
+        lease: &mut VecDeque<usize>,
         greeted: &mut bool,
     ) -> io::Result<()> {
         match recv_msg(stream)? {
@@ -314,37 +266,31 @@ impl<E: Fn(FabricEvent) + Sync> Coordinator<'_, E> {
                 return Ok(()); // Clean close.
             };
             match msg {
-                Msg::Claim => match self.leases.claim() {
-                    Some((idx, attempt)) => {
-                        *lease = Some(idx);
-                        let cell = self.leases.cells[idx].clone();
-                        send_msg(stream, &Msg::Assign { cell, attempt })?;
+                Msg::Claim if lease.is_empty() => match self.leases.claim(true) {
+                    Some((front, rest)) => {
+                        lease.push_back(front);
+                        lease.extend(rest);
+                        let cells = lease
+                            .iter()
+                            .map(|&i| self.leases.cells[i].clone())
+                            .collect();
+                        send_msg(stream, &Msg::Assign { cells })?;
                     }
                     None => send_msg(stream, &Msg::Done)?,
                 },
-                Msg::Result { index, ok, body } => {
-                    let idx = index as usize;
-                    if *lease != Some(idx) {
-                        return Err(proto_err(format!(
-                            "result for cell {index} without a lease"
-                        )));
-                    }
-                    *lease = None;
-                    self.settle(idx, Some(if ok { Ok(body) } else { Err(body) }));
-                    send_msg(stream, &Msg::Ack)?;
+                Msg::Result { index, ok, body }
+                    if lease.front().map(|&i| i as u64) == Some(index) =>
+                {
+                    lease.pop_front();
+                    let result = if ok { Ok(body) } else { Err(body) };
+                    self.settle(index as usize, Some(result));
                 }
-                Msg::WarmGet { key } => {
-                    let bytes = self.warm().get(&key).cloned();
-                    send_msg(stream, &Msg::WarmImage { bytes })?;
+                other => {
+                    return Err(proto_err(format!(
+                        "unexpected {other:?} holding {} leased cell(s)",
+                        lease.len()
+                    )))
                 }
-                Msg::WarmPut { key, bytes } => {
-                    // First publisher wins; images for one key are
-                    // byte-identical by the warm cache's determinism
-                    // contract, so this is a pure dedup.
-                    self.warm().entry(key).or_insert(bytes);
-                    send_msg(stream, &Msg::Ack)?;
-                }
-                other => return Err(proto_err(format!("unexpected message {other:?}"))),
             }
         }
     }
@@ -389,7 +335,6 @@ where
         sweep,
         setup,
         leases,
-        warm: Mutex::default(),
         on_event,
     };
     let unblock_addr = listener.local_addr()?;
@@ -458,9 +403,10 @@ fn handshake(stream: &mut TcpStream) -> io::Result<Option<(String, String)>> {
     }
 }
 
-/// One claim→run→report connection loop.
-fn worker_conn<F>(addr: &str, wait: Duration, run: &F) -> io::Result<WorkerReport>
+/// One claim→plan→run→report connection loop.
+fn worker_conn<P, F>(addr: &str, wait: Duration, plan: &P, run: &F) -> io::Result<WorkerReport>
 where
+    P: Fn(&[Cell], &str) + Sync,
     F: Fn(&Cell, &str) -> String + Sync,
 {
     let mut stream = connect_retry(addr, wait)?;
@@ -473,42 +419,35 @@ where
     };
     loop {
         send_msg(&mut stream, &Msg::Claim)?;
-        match recv_msg(&mut stream)? {
-            Some(Msg::Assign { cell, attempt: _ }) => {
-                let result = run_attempt(|| run(&cell, &setup));
-                let ok = result.is_ok();
-                report.ran += 1;
-                if ok {
-                    report.ok += 1;
-                } else {
-                    report.failed += 1;
-                }
-                let (Ok(body) | Err(body)) = result;
-                send_msg(
-                    &mut stream,
-                    &Msg::Result {
-                        index: cell.index as u64,
-                        ok,
-                        body,
-                    },
-                )?;
-                match recv_msg(&mut stream)? {
-                    Some(Msg::Ack) => {}
-                    other => return Err(proto_err(format!("expected Ack, got {other:?}"))),
-                }
-            }
+        let cells = match recv_msg(&mut stream)? {
+            Some(Msg::Assign { cells }) => cells,
             Some(Msg::Done) | None => return Ok(report),
             other => return Err(proto_err(format!("expected Assign/Done, got {other:?}"))),
+        };
+        plan(&cells, &setup);
+        for cell in &cells {
+            let result = run_attempt(|| run(cell, &setup));
+            let ok = result.is_ok();
+            report.ran += 1;
+            if ok {
+                report.ok += 1;
+            } else {
+                report.failed += 1;
+            }
+            let (Ok(body) | Err(body)) = result;
+            let index = cell.index as u64;
+            send_msg(&mut stream, &Msg::Result { index, ok, body })?;
         }
     }
 }
 
 /// Run a fabric worker: `threads` connections to the coordinator at
-/// `addr`, each claiming and executing cells until the coordinator says
-/// `Done`. `run(cell, setup)` is the job closure — it must be
-/// deterministic in the cell (same contract as
-/// [`crate::pool::run_cells`]); panics are caught per cell and reported
-/// to the coordinator as failed attempts.
+/// `addr`, each claiming and executing group leases until the
+/// coordinator says `Done`. `plan(cells, setup)` sees each group before
+/// its first cell runs (to plan a warm cache, say). `run(cell, setup)`
+/// is the job closure — it must be deterministic in the cell (same
+/// contract as [`crate::pool::run_cells`]); panics are caught per cell
+/// and reported to the coordinator as failed attempts.
 ///
 /// # Errors
 ///
@@ -516,15 +455,22 @@ where
 /// failed; if any connection completed its loop, their summed
 /// [`WorkerReport`] is returned (the coordinator requeues whatever the
 /// failed connections held).
-pub fn run_worker<F>(addr: &str, threads: usize, wait: Duration, run: F) -> io::Result<WorkerReport>
+pub fn run_worker<P, F>(
+    addr: &str,
+    threads: usize,
+    wait: Duration,
+    plan: P,
+    run: F,
+) -> io::Result<WorkerReport>
 where
+    P: Fn(&[Cell], &str) + Sync,
     F: Fn(&Cell, &str) -> String + Sync,
 {
     let threads = threads.max(1);
     let results: Vec<io::Result<WorkerReport>> = std::thread::scope(|scope| {
-        let run = &run;
+        let (plan, run) = (&plan, &run);
         let handles: Vec<_> = (0..threads)
-            .map(|_| scope.spawn(move || worker_conn(addr, wait, run)))
+            .map(|_| scope.spawn(move || worker_conn(addr, wait, plan, run)))
             .collect();
         handles
             .into_iter()
@@ -556,71 +502,6 @@ where
     }
 }
 
-/// A [`WarmRemote`] over a dedicated fabric connection: worker threads
-/// fetch warm images other workers already built, and publish their own
-/// builds, through the coordinator's rendezvous map. All failures
-/// degrade to `None`/no-op — the warm cache then simply builds locally.
-#[derive(Debug)]
-pub struct WarmPort {
-    stream: TcpStream,
-    broken: bool,
-}
-
-impl WarmPort {
-    /// Connect and handshake a dedicated warm-exchange connection.
-    ///
-    /// # Errors
-    ///
-    /// Connection or handshake failures (including version skew).
-    pub fn connect(addr: &str, wait: Duration) -> io::Result<WarmPort> {
-        let mut stream = connect_retry(addr, wait)?;
-        // The Welcome content is redundant here (the cell connections
-        // carry it); the handshake is still required so version skew is
-        // rejected on every connection.
-        handshake(&mut stream)?;
-        Ok(WarmPort {
-            stream,
-            broken: false,
-        })
-    }
-
-    fn exchange(&mut self, msg: &Msg) -> Option<Msg> {
-        if self.broken {
-            return None;
-        }
-        let ok = send_msg(&mut self.stream, msg)
-            .and_then(|()| recv_msg(&mut self.stream))
-            .ok()
-            .flatten();
-        if ok.is_none() {
-            self.broken = true;
-        }
-        ok
-    }
-}
-
-impl WarmRemote for WarmPort {
-    fn fetch(&mut self, key: u64) -> Option<Vec<u8>> {
-        match self.exchange(&Msg::WarmGet { key })? {
-            Msg::WarmImage { bytes } => bytes,
-            _ => {
-                self.broken = true;
-                None
-            }
-        }
-    }
-
-    fn publish(&mut self, key: u64, bytes: &[u8]) {
-        let sent = self.exchange(&Msg::WarmPut {
-            key,
-            bytes: bytes.to_vec(),
-        });
-        if !matches!(sent, Some(Msg::Ack)) {
-            self.broken = true;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,7 +512,7 @@ mod tests {
     use ida_obs::json::JsonObj;
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     fn grid(n_workloads: usize) -> Vec<Cell> {
         SweepSpec::new(
@@ -685,6 +566,20 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(10);
 
+    /// A `run_worker` plan hook that plans nothing.
+    fn no_plan(_: &[Cell], _: &str) {}
+
+    /// Connect a raw client, handshake, and claim one lease.
+    fn raw_claim(addr: &str) -> (TcpStream, Vec<Cell>) {
+        let mut s = TcpStream::connect(addr).unwrap();
+        handshake(&mut s).unwrap().expect("greeted");
+        send_msg(&mut s, &Msg::Claim).unwrap();
+        match recv_msg(&mut s).unwrap() {
+            Some(Msg::Assign { cells }) => (s, cells),
+            other => panic!("expected a lease, got {other:?}"),
+        }
+    }
+
     #[test]
     fn messages_round_trip_and_reject_corruption() {
         let msgs = [
@@ -697,26 +592,13 @@ mod tests {
                 reason: "no".into(),
             },
             Msg::Claim,
-            Msg::Assign {
-                cell: grid(1).remove(0),
-                attempt: 2,
-            },
+            Msg::Assign { cells: grid(1) },
             Msg::Done,
             Msg::Result {
                 index: 7,
                 ok: false,
                 body: "panicked: x".into(),
             },
-            Msg::WarmGet { key: 9 },
-            Msg::WarmImage { bytes: None },
-            Msg::WarmImage {
-                bytes: Some(vec![1, 2, 3]),
-            },
-            Msg::WarmPut {
-                key: 9,
-                bytes: vec![4, 5],
-            },
-            Msg::Ack,
         ];
         let mut wire = Vec::new();
         for m in &msgs {
@@ -756,7 +638,12 @@ mod tests {
         for workers in [1usize, 2] {
             let events = Arc::new(Mutex::new(Vec::new()));
             let (addr, handle) = spawn_serve(cells.clone(), SweepConfig::serial(), events);
-            let report = run_worker(&addr, workers, WAIT, |cell, setup| {
+            let groups = Mutex::new(Vec::new());
+            let plan = |group: &[Cell], _: &str| {
+                let ids = group.iter().map(Cell::id).collect::<Vec<_>>();
+                groups.lock().unwrap().push(ids);
+            };
+            let report = run_worker(&addr, workers, WAIT, plan, |cell, setup| {
                 assert_eq!(setup, r#"{"kind":"test"}"#);
                 payload_of(cell)
             })
@@ -770,6 +657,13 @@ mod tests {
                 aggregate(distributed),
                 "aggregate diverged at {workers} worker connections"
             );
+            // Each lease was one workload's cells, in cell order.
+            let mut groups = groups.into_inner().unwrap();
+            groups.sort();
+            let expected: Vec<Vec<String>> = (0..4)
+                .map(|w| vec![format!("w{w}/a/r1"), format!("w{w}/b/r1")])
+                .collect();
+            assert_eq!(groups, expected);
         }
     }
 
@@ -784,7 +678,7 @@ mod tests {
 
         let events = Arc::new(Mutex::new(Vec::new()));
         let (addr, handle) = spawn_serve(cells.clone(), SweepConfig::serial(), events.clone());
-        let report = run_worker(&addr, 2, WAIT, |cell, _| job(cell)).unwrap();
+        let report = run_worker(&addr, 2, WAIT, no_plan, |cell, _| job(cell)).unwrap();
         let distributed = handle.join().unwrap().unwrap();
 
         // Workload w1 spans two cells (systems a and b); each burns the
@@ -810,24 +704,13 @@ mod tests {
         let events = Arc::new(Mutex::new(Vec::new()));
         let (addr, handle) = spawn_serve(cells.clone(), SweepConfig::serial(), events.clone());
 
-        // A raw client claims a cell and dies holding the lease.
-        let killed_cell = {
-            let mut s = TcpStream::connect(&addr).unwrap();
-            let (_, _) = handshake(&mut s).unwrap().expect("greeted");
-            send_msg(&mut s, &Msg::Claim).unwrap();
-            match recv_msg(&mut s).unwrap() {
-                Some(Msg::Assign { cell, attempt }) => {
-                    assert_eq!(attempt, 1);
-                    cell.id()
-                }
-                other => panic!("expected a lease, got {other:?}"),
-            }
-            // Drop: connection dies mid-cell.
-        };
+        // A raw client claims a lease and dies holding it, mid-way
+        // through its first cell.
+        let killed_cell = raw_claim(&addr).1[0].id();
 
         // A real worker joins afterwards and finishes everything,
-        // including the abandoned cell.
-        run_worker(&addr, 1, WAIT, |cell, _| payload_of(cell)).unwrap();
+        // including the abandoned cells.
+        run_worker(&addr, 1, WAIT, no_plan, |cell, _| payload_of(cell)).unwrap();
         let distributed = handle.join().unwrap().unwrap();
         assert_eq!(aggregate(serial), aggregate(distributed));
 
@@ -865,31 +748,7 @@ mod tests {
         drop(s);
 
         // The sweep is unharmed: a current-version worker finishes it.
-        run_worker(&addr, 1, WAIT, |cell, _| payload_of(cell)).unwrap();
-        handle.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn warm_images_rendezvous_through_the_coordinator() {
-        let cells = grid(1);
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let (addr, handle) = spawn_serve(cells.clone(), SweepConfig::serial(), events);
-
-        let mut port = WarmPort::connect(&addr, WAIT).unwrap();
-        assert_eq!(port.fetch(5), None, "nothing published yet");
-        let image = frame::seal(&[7u8; 32]);
-        port.publish(5, &image);
-        assert_eq!(port.fetch(5), Some(image.clone()));
-
-        // A second worker's port sees the first worker's image.
-        let mut other = WarmPort::connect(&addr, WAIT).unwrap();
-        assert_eq!(other.fetch(5), Some(image));
-
-        // Finish the sweep so serve returns; ports must be dropped or
-        // serve would (correctly) wait for their connections to close.
-        drop(port);
-        drop(other);
-        run_worker(&addr, 1, WAIT, |cell, _| payload_of(cell)).unwrap();
+        run_worker(&addr, 1, WAIT, no_plan, |cell, _| payload_of(cell)).unwrap();
         handle.join().unwrap().unwrap();
     }
 
@@ -904,7 +763,7 @@ mod tests {
         let cfg = SweepConfig::serial().with_journal(journal.clone());
         let events = Arc::new(Mutex::new(Vec::new()));
         let (addr, handle) = spawn_serve(cells.clone(), cfg.clone(), events);
-        run_worker(&addr, 2, WAIT, |cell, _| payload_of(cell)).unwrap();
+        run_worker(&addr, 2, WAIT, no_plan, |cell, _| payload_of(cell)).unwrap();
         let first = handle.join().unwrap().unwrap();
         assert!(first.iter().all(|o| !o.cached));
 
@@ -948,7 +807,7 @@ mod tests {
             };
             let outcomes = if fabric {
                 let (addr, handle) = spawn_serve(cells.clone(), cfg, Arc::default());
-                run_worker(&addr, jobs, WAIT, |cell, _| job(cell)).unwrap();
+                run_worker(&addr, jobs, WAIT, no_plan, |cell, _| job(cell)).unwrap();
                 handle.join().unwrap().unwrap()
             } else {
                 run_cells("net-t", &cells, &cfg, job).unwrap()
@@ -1015,14 +874,8 @@ mod tests {
 
         // Two raw clients in turn claim the one cell and die holding the
         // lease; the second claim waits until the first lease is lost.
-        for expected in 1..=2 {
-            let mut s = TcpStream::connect(&addr).unwrap();
-            handshake(&mut s).unwrap().expect("greeted");
-            send_msg(&mut s, &Msg::Claim).unwrap();
-            match recv_msg(&mut s).unwrap() {
-                Some(Msg::Assign { attempt, .. }) => assert_eq!(attempt, expected),
-                other => panic!("expected a lease, got {other:?}"),
-            }
+        for _ in 0..2 {
+            assert_eq!(raw_claim(&addr).1.len(), 1);
         }
         let outcomes = handle.join().unwrap().unwrap();
         assert_eq!(outcomes[0].attempts, 2);
@@ -1046,5 +899,90 @@ mod tests {
             )
         });
         assert_eq!(lost.count(), 2, "{events:?}");
+    }
+
+    /// `serve`'s outcomes, failing the test instead of hanging when a
+    /// `run_worker` on a side thread does not finish within `limit`.
+    fn finish_with_worker(
+        addr: String,
+        handle: std::thread::JoinHandle<io::Result<Vec<CellOutcome>>>,
+        limit: Duration,
+    ) -> Vec<CellOutcome> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let report = run_worker(&addr, 1, WAIT, no_plan, |cell, _| payload_of(cell));
+            tx.send(()).unwrap();
+            report
+        });
+        rx.recv_timeout(limit)
+            .expect("the worker hung: a lease was never settled");
+        worker.join().unwrap().unwrap();
+        handle.join().unwrap().unwrap()
+    }
+
+    #[test]
+    fn a_lost_group_charges_the_running_cell_and_refunds_the_rest() {
+        let cells = SweepSpec::new(
+            "net-t",
+            vec!["w0".into(), "w1".into()],
+            vec!["a".into(), "b".into(), "c".into()],
+        )
+        .cells();
+        let serial = run_cells("net-t", &cells, &SweepConfig::serial(), payload_of).unwrap();
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let (addr, handle) = spawn_serve(cells.clone(), SweepConfig::serial(), events.clone());
+
+        // A raw client leases workload w0 whole, reports its first cell,
+        // and dies while running the second.
+        let (mut s, group) = raw_claim(&addr);
+        let ids: Vec<String> = group.iter().map(Cell::id).collect();
+        assert_eq!(ids, ["w0/a/r1", "w0/b/r1", "w0/c/r1"]);
+        let result = Msg::Result {
+            index: group[0].index as u64,
+            ok: true,
+            body: payload_of(&group[0]),
+        };
+        send_msg(&mut s, &result).unwrap();
+        drop(s);
+
+        let distributed = finish_with_worker(addr, handle, Duration::from_secs(20));
+        let attempts: Vec<u32> = distributed[..3].iter().map(|o| o.attempts).collect();
+        assert_eq!(attempts, [1, 2, 1], "a settled, b charged, c refunded");
+        assert_eq!(aggregate(serial), aggregate(distributed));
+
+        let events = events.lock().unwrap();
+        let requeues = events.iter().filter(|e| e.kind() == "cell_requeue");
+        assert_eq!(requeues.count(), 1, "{events:?}");
+        let lost: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match e {
+                FabricEvent::WorkerDisconnect {
+                    mid_cell: Some(c), ..
+                } => Some(c.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lost, ["w0/b/r1"], "{events:?}");
+    }
+
+    #[test]
+    fn a_second_claim_on_an_unsettled_lease_drops_the_connection() {
+        let cells = grid(2);
+        let serial = run_cells("net-t", &cells, &SweepConfig::serial(), payload_of).unwrap();
+        let (addr, handle) = spawn_serve(cells, SweepConfig::serial(), Arc::default());
+
+        // A raw client claims again before reporting its lease: the
+        // coordinator treats that as a protocol error and hangs up.
+        let (mut s, group) = raw_claim(&addr);
+        assert_eq!(group.len(), 2);
+        send_msg(&mut s, &Msg::Claim).unwrap();
+        assert!(!matches!(recv_msg(&mut s), Ok(Some(_))), "no second lease");
+        drop(s);
+
+        // Its lease comes back, so a real worker can finish the grid.
+        let distributed = finish_with_worker(addr, handle, Duration::from_secs(20));
+        let attempts: Vec<u32> = distributed.iter().map(|o| o.attempts).collect();
+        assert_eq!(attempts, [2, 1, 1, 1], "w0/a lost a lease, w0/b refunded");
+        assert_eq!(aggregate(serial), aggregate(distributed));
     }
 }

@@ -6,10 +6,11 @@
 //! journal, leases the rest one attempt at a time, puts a failed attempt
 //! or a lost lease back at the *front* of the queue until `max_attempts`
 //! is spent, and is the only journal writer and progress ticker.
-//! [`run_cells`] drives it from N scoped threads; the fabric coordinator
-//! ([`crate::net::serve`]) drives it from its connection handlers. Both
-//! run a cell through `run_attempt`, so a panic becomes the same
-//! failure record wherever it happens. Because every cell's payload is a
+//! [`run_cells`] drives it from N scoped threads, one cell per claim; the
+//! fabric coordinator ([`crate::net::serve`]) drives it from its
+//! connection handlers, one workload's queued cells per claim. Both run
+//! a cell through `run_attempt`, so a panic becomes the same failure
+//! record wherever it happens. Because every cell's payload is a
 //! pure function of the cell (per-cell RNG streams, deterministic
 //! simulator), *where* and *when* a cell runs never shows up in its
 //! result — which is what lets [`crate::agg`] promise byte-identical
@@ -198,7 +199,7 @@ where
     std::thread::scope(|scope| {
         for _ in 0..cfg.jobs.max(1).min(leases.remaining()) {
             scope.spawn(|| {
-                while let Some((idx, _)) = leases.claim() {
+                while let Some((idx, _)) = leases.claim(false) {
                     leases.settle(idx, Some(run_attempt(|| f(&cells[idx]))));
                 }
             });
@@ -337,21 +338,49 @@ impl<'a> Leases<'a> {
         self.state.lock().expect(POISONED).remaining
     }
 
-    /// Lease the next claimable cell as `(index, attempt)`, blocking while
-    /// the queue is empty but a leased cell may still come back. `None`
-    /// once every cell has settled.
-    pub(crate) fn claim(&self) -> Option<(usize, u32)> {
+    /// Lease the front claimable cell, and with `whole_workload` every
+    /// other queued cell of its workload too (the second part, in queue
+    /// order; empty otherwise), charging each one attempt. Blocks while
+    /// the queue is empty but a leased cell may still come back; `None`
+    /// once every cell has settled. A one-cell claim allocates nothing: a
+    /// small block held across a local cell's run splits the large blocks
+    /// the cells reuse, which cost the fig8 smoke grid 2–4 MiB of RSS.
+    pub(crate) fn claim(&self, whole_workload: bool) -> Option<(usize, Vec<usize>)> {
         let mut st = self.state.lock().expect(POISONED);
         loop {
             if st.remaining == 0 {
                 return None;
             }
-            if let Some(idx) = st.queue.pop_front() {
-                st.attempts[idx] += 1;
-                return Some((idx, st.attempts[idx]));
+            if let Some(front) = st.queue.pop_front() {
+                let mut rest = Vec::new();
+                if whole_workload {
+                    let workload = &self.cells[front].workload;
+                    st.queue.retain(|&idx| {
+                        let same = self.cells[idx].workload == *workload;
+                        if same {
+                            rest.push(idx);
+                        }
+                        !same
+                    });
+                }
+                for &idx in std::iter::once(&front).chain(&rest) {
+                    st.attempts[idx] += 1;
+                }
+                return Some((front, rest));
             }
             st = self.wake.wait(st).expect(POISONED);
         }
+    }
+
+    /// Give back leased cells that never started: each gets its attempt
+    /// back and returns to the front of the queue, in the given order.
+    pub(crate) fn release(&self, lease: &[usize]) {
+        let mut st = self.state.lock().expect(POISONED);
+        for &idx in lease.iter().rev() {
+            st.attempts[idx] -= 1;
+            st.queue.push_front(idx);
+        }
+        self.wake.notify_all();
     }
 
     /// Settle the lease on cell `idx` with the attempt's result, or with

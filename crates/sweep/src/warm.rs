@@ -40,20 +40,6 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// A remote peer that can serve and accept warm snapshots — in
-/// practice the distributed-sweep coordinator, reached over a dedicated
-/// fabric connection (see `ida_sweep::net::WarmPort`). Both calls are
-/// best-effort: a lost or empty peer degrades to building locally,
-/// never to an error, and fetched images are revalidated by their
-/// [`ida_snap::frame`] header exactly like spill files. Only
-/// [`WarmTier::Full`] images travel.
-pub trait WarmRemote: Send {
-    /// The snapshot bytes for `key`, if the peer holds them.
-    fn fetch(&mut self, key: u64) -> Option<Vec<u8>>;
-    /// Offer a freshly built snapshot for `key` to the peer.
-    fn publish(&mut self, key: u64, bytes: &[u8]);
-}
-
 /// Which stage of a staged warm-up an image holds. The tiers have
 /// separate key spaces, counters and spill file names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,7 +80,9 @@ pub struct WarmStats {
     pub hits: u64,
     /// Served by revalidating a spill file from a previous run.
     pub disk_hits: u64,
-    /// Served by a remote peer (the sweep coordinator's image store).
+    /// Always 0, and not part of [`WarmStats::total_hits`]: no image is
+    /// ever served by another process. Kept so existing `WarmStats`
+    /// literals still build.
     pub remote_hits: u64,
     /// The build closure ran.
     pub misses: u64,
@@ -103,7 +91,7 @@ pub struct WarmStats {
 impl WarmStats {
     /// Total snapshots served without running a warm-up.
     pub fn total_hits(&self) -> u64 {
-        self.hits + self.disk_hits + self.remote_hits
+        self.hits + self.disk_hits
     }
 }
 
@@ -169,14 +157,12 @@ pub struct WarmCache {
     table: Mutex<Table>,
     ready: Condvar,
     spill: Option<PathBuf>,
-    remote: Mutex<Option<Box<dyn WarmRemote>>>,
 }
 
 impl std::fmt::Debug for WarmCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WarmCache")
             .field("spill", &self.spill)
-            .field("remote", &self.remote.lock().unwrap().is_some())
             .field("stats", &self.stats())
             .field("prefix_stats", &self.prefix_stats())
             .field("memory", &self.memory())
@@ -258,17 +244,7 @@ impl WarmCache {
             table: Mutex::new(Table::default()),
             ready: Condvar::new(),
             spill,
-            remote: Mutex::new(None),
         }
-    }
-
-    /// Attach a remote snapshot peer (builder-style, before the cache is
-    /// shared). Once attached, a local miss consults the peer before
-    /// running the build closure, and locally built snapshots are
-    /// offered back so other workers on the fabric can fork them.
-    pub fn with_remote(self, remote: Box<dyn WarmRemote>) -> Self {
-        *self.remote.lock().unwrap() = Some(remote);
-        self
     }
 
     fn lock(&self) -> MutexGuard<'_, Table> {
@@ -346,26 +322,13 @@ impl WarmCache {
             refund: spent,
             armed: true,
         };
-        // Peer consult: dearer than disk, far cheaper than a warm-up.
-        // Only a locally built snapshot is offered back — a fetched one
-        // is already on the peer by definition.
-        let fetched = self.fetch_remote(tier, key);
-        let from_peer = fetched.is_some();
-        let bytes = fetched.or_else(|| build(!last)).map(Arc::new);
+        let bytes = build(!last).map(Arc::new);
         if let Some(bytes) = &bytes {
-            if !from_peer {
-                self.publish_remote(tier, key, bytes);
-            }
             self.store_spill(tier, key, bytes);
         }
         let mut table = self.lock();
-        let stats = table.stats(tier);
-        if from_peer {
-            stats.remote_hits += 1;
-        } else {
-            stats.misses += 1;
-        }
-        if bytes.is_some() && !from_peer {
+        table.stats(tier).misses += 1;
+        if bytes.is_some() {
             match tier {
                 WarmTier::Full => table.memory.full_captures += 1,
                 WarmTier::Prefix => table.memory.prefix_captures += 1,
@@ -399,16 +362,15 @@ impl WarmCache {
     }
 
     /// A one-line human/CI-greppable summary, e.g.
-    /// `warm-cache: 66 hits (0 from disk, 0 from peers), 22 misses (22 warm-ups for 88 cells); prefixes: 11 built, 11 forked; peak 46.2 MiB held`.
+    /// `warm-cache: 66 hits (0 from disk), 22 misses (22 warm-ups for 88 cells); prefixes: 11 built, 11 forked; peak 45.0 MiB held`.
     pub fn stats_line(&self, cells: usize) -> String {
         let s = self.stats();
         let p = self.prefix_stats();
         format!(
-            "warm-cache: {} hits ({} from disk, {} from peers), {} misses ({} warm-ups for {} cells); \
+            "warm-cache: {} hits ({} from disk), {} misses ({} warm-ups for {} cells); \
              prefixes: {} built, {} forked; peak {:.1} MiB held",
             s.total_hits(),
             s.disk_hits,
-            s.remote_hits,
             s.misses,
             s.misses,
             cells,
@@ -416,29 +378,6 @@ impl WarmCache {
             p.total_hits(),
             self.memory().peak_bytes as f64 / f64::from(1 << 20)
         )
-    }
-
-    /// A frame-valid snapshot from the remote peer, if one is attached
-    /// and holds the key. Invalid bytes are dropped, same as corrupt
-    /// spill files.
-    fn fetch_remote(&self, tier: WarmTier, key: u64) -> Option<Vec<u8>> {
-        if tier != WarmTier::Full {
-            return None;
-        }
-        let mut remote = self.remote.lock().unwrap();
-        let bytes = remote.as_mut()?.fetch(key)?;
-        ida_snap::frame::open(&bytes).ok()?;
-        Some(bytes)
-    }
-
-    /// Best-effort offer of a locally built snapshot to the peer.
-    fn publish_remote(&self, tier: WarmTier, key: u64, bytes: &[u8]) {
-        if tier != WarmTier::Full {
-            return;
-        }
-        if let Some(remote) = self.remote.lock().unwrap().as_mut() {
-            remote.publish(key, bytes);
-        }
     }
 
     fn spill_path(&self, tier: WarmTier, key: u64) -> Option<PathBuf> {
@@ -605,7 +544,7 @@ mod tests {
         assert_eq!(
             cache.stats_line(3),
             format!(
-                "warm-cache: 1 hits (0 from disk, 0 from peers), 2 misses (2 warm-ups for 3 cells); \
+                "warm-cache: 1 hits (0 from disk), 2 misses (2 warm-ups for 3 cells); \
                  prefixes: 1 built, 1 forked; peak {:.1} MiB held",
                 held as f64 / f64::from(1 << 20)
             )
@@ -718,59 +657,6 @@ mod tests {
         assert!(results.iter().all(|r| r.as_deref() == Some(&payload(9))));
         assert_eq!(cache.stats().hits, 7);
         assert_eq!(cache.memory().held_bytes, 0, "the last fork evicts");
-    }
-
-    /// An in-memory [`WarmRemote`] stand-in recording the traffic.
-    struct FakePeer {
-        images: HashMap<u64, Vec<u8>>,
-        published: Vec<u64>,
-    }
-
-    impl WarmRemote for FakePeer {
-        fn fetch(&mut self, key: u64) -> Option<Vec<u8>> {
-            self.images.get(&key).cloned()
-        }
-        fn publish(&mut self, key: u64, bytes: &[u8]) {
-            self.published.push(key);
-            self.images.insert(key, bytes.to_vec());
-        }
-    }
-
-    #[test]
-    fn remote_peer_is_consulted_before_building_and_offered_local_builds() {
-        let peer = FakePeer {
-            // Key 1 is on the peer; key 3 is on the peer but corrupt.
-            images: HashMap::from([(1, payload(11)), (3, b"garbage".to_vec())]),
-            published: Vec::new(),
-        };
-        let cache = WarmCache::new(None).with_remote(Box::new(peer));
-
-        // Peer hit: the build closure must not run.
-        let fetched = cache.get_or_build(1, || unreachable!("peer must serve key 1"));
-        assert_eq!(*fetched, payload(11));
-
-        // Peer miss: build locally, then offer the image back.
-        let built = cache.get_or_build(2, || payload(22));
-        assert_eq!(*built, payload(22));
-
-        // Corrupt peer image: rejected by frame validation, rebuilt.
-        let rebuilt = cache.get_or_build(3, || payload(33));
-        assert_eq!(*rebuilt, payload(33));
-
-        // Prefix images never travel: key 1 is built locally here.
-        let prefix = cache.get_or_build_live(WarmTier::Prefix, 1, |_| Some(payload(44)));
-        assert_eq!(prefix.as_deref(), Some(&payload(44)));
-
-        assert_eq!(
-            cache.stats(),
-            WarmStats {
-                hits: 0,
-                disk_hits: 0,
-                remote_hits: 1,
-                misses: 2
-            }
-        );
-        assert_eq!(cache.prefix_stats().misses, 1);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! unit tests):
 //!
 //! (a) a coordinator plus an in-process worker produce the exact bytes
-//!     a local serial `run_grid` emits, warm cache rendezvous included;
+//!     a local serial `run_grid` emits, with each of the worker's two
+//!     connections leasing one workload and planning its warm cache;
 //! (b) resuming a journaled distributed run returns every cell cached,
 //!     without needing a single worker, and still emits the same bytes;
 //! (c) the coordinator→worker setup payload reconstructs the
@@ -28,13 +29,14 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// One real workload, both systems — the smallest grid that still
-/// exercises warm-up, simulation, and aggregation end to end.
+/// Two real workloads, both systems — the smallest grid that still
+/// exercises warm-up, simulation, and aggregation end to end, and gives
+/// each of two worker connections a workload of its own to lease.
 fn tiny_spec() -> SweepSpec {
-    let workload = paper_workloads().remove(0).spec.name;
+    let workloads = paper_workloads().into_iter().take(2);
     SweepSpec::new(
         "dist-tiny",
-        vec![workload],
+        workloads.map(|w| w.spec.name).collect(),
         vec!["Baseline".into(), "IDA-E20".into()],
     )
 }
