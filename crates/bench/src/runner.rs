@@ -683,6 +683,21 @@ mod tests {
     use ida_workloads::suite::paper_workload;
 
     #[test]
+    fn warm_cache_keys_do_not_move_with_the_snapshot_codec() {
+        // Warm keys and cell seeds hash the encoded config with FNV-1a;
+        // a change to the frame hash or the FTL's table layout must not
+        // move them (spill file names and seeds stay valid).
+        let scale = ExperimentScale::smoke();
+        let cfg = system_config(
+            SystemUnderTest::Baseline,
+            scale.geometry,
+            FlashTiming::paper_tlc(),
+            RetryConfig::disabled(),
+        );
+        assert_eq!(warm_cache_key("hm_1", &cfg, &scale), 0xe61f_f94c_2096_d652);
+    }
+
+    #[test]
     fn smoke_run_produces_reads_and_writes() {
         let preset = paper_workload("hm_1").unwrap();
         let scale = ExperimentScale::smoke().with_requests(1_500);

@@ -1131,6 +1131,7 @@ mod tests {
         let inspected = snapshot("inspect", &path, smoke.clone()).unwrap();
         assert!(inspected.contains("proj_3/Baseline"), "{inspected}");
         assert!(inspected.contains("300 measured requests"), "{inspected}");
+        assert!(inspected.contains("format v2"), "{inspected}");
 
         // Restoring runs the measured trace; twice gives identical output
         // (the file is read-only state, so each restore forks fresh).
@@ -1139,8 +1140,17 @@ mod tests {
         assert_eq!(r1, r2);
         assert!(r1.contains("replayed 300 requests"), "{r1}");
 
-        // A truncated file is rejected with a real error, not a panic.
+        // A file in the version-1 layout is refused by its version.
         let bytes = std::fs::read(&path).unwrap();
+        let mut old = bytes.clone();
+        old[8] = 1;
+        std::fs::write(&path, &old).unwrap();
+        for action in ["inspect", "restore"] {
+            let err = snapshot(action, &path, smoke.clone()).unwrap_err();
+            assert!(err.contains("frame version 1, expected 2"), "{err}");
+        }
+
+        // A truncated file is rejected with a real error, not a panic.
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         for action in ["inspect", "restore"] {
             let err = snapshot(action, &path, smoke.clone()).unwrap_err();

@@ -7,6 +7,7 @@
 //! which merged coding each wordline carries (one small mask per WL,
 //! matching the "additional bit per block / per WL" of Section III-C).
 
+use crate::map::check_len;
 use ida_flash::addr::{BlockAddr, PlaneAddr};
 use ida_flash::geometry::Geometry;
 use ida_flash::timing::SimTime;
@@ -43,11 +44,6 @@ struct BlockInfo {
     valid_pages: u32,
     erase_count: u32,
     closed_at: SimTime,
-    /// Per-wordline keep mask; 0 = conventional coding.
-    wl_masks: Vec<u8>,
-    /// Per-wordline host-read counts since the last erase (the read-disturb
-    /// clock the aging model and the patrol scrub consume).
-    wl_reads: Vec<u32>,
 }
 
 /// Erase-count statistics across the device, as reported by
@@ -90,8 +86,6 @@ ida_snap::snap_struct!(BlockInfo {
     valid_pages,
     erase_count,
     closed_at,
-    wl_masks,
-    wl_reads,
 });
 
 ida_snap::snap_struct!(PlaneIndex {
@@ -142,6 +136,13 @@ impl PlaneIndex {
 pub struct BlockTable {
     geometry: Geometry,
     blocks: Vec<BlockInfo>,
+    /// Per-wordline keep mask, `block × wordline`; 0 = conventional
+    /// coding.
+    wl_masks: Vec<u8>,
+    /// Per-wordline host-read counts since the last erase (the
+    /// read-disturb clock the aging model and the patrol scrub consume),
+    /// `block × wordline`.
+    wl_reads: Vec<u32>,
     /// Per-plane victim index, maintained on every state/valid/wear
     /// transition below so GC never rescans the device.
     index: Vec<PlaneIndex>,
@@ -167,6 +168,8 @@ pub struct BlockTable {
 ida_snap::snap_struct!(BlockTable {
     geometry,
     blocks,
+    wl_masks,
+    wl_reads,
     index,
     ida_blocks,
     adjusted_wordlines,
@@ -176,23 +179,46 @@ ida_snap::snap_struct!(BlockTable {
     wear_offset,
 });
 
+/// Wordlines in the whole array: the length of a `block × wordline` table.
+pub(crate) fn wordline_count(g: &Geometry) -> u64 {
+    u64::from(g.total_blocks()) * u64::from(g.wordlines_per_block)
+}
+
+/// The slots of `b`'s wordlines in a `block × wordline` table.
+pub(crate) fn wordline_slots(g: &Geometry, b: BlockAddr) -> std::ops::Range<usize> {
+    let wls = g.wordlines_per_block as usize;
+    b.0 as usize * wls..(b.0 as usize + 1) * wls
+}
+
+/// The slot of wordline `wl` of `b` in a `block × wordline` table.
+///
+/// # Panics
+///
+/// Panics if `wl` is out of range (it would alias the next block's).
+pub(crate) fn wordline_slot(g: &Geometry, b: BlockAddr, wl: u32) -> usize {
+    assert!(wl < g.wordlines_per_block, "wordline {wl} out of range");
+    b.0 as usize * g.wordlines_per_block as usize + wl as usize
+}
+
 impl BlockTable {
     /// A table with every block free.
     pub fn new(geometry: Geometry) -> Self {
         geometry.validate();
-        let blocks = (0..geometry.total_blocks())
-            .map(|_| BlockInfo {
-                state: BlockState::Free,
-                write_ptr: 0,
-                valid_pages: 0,
-                erase_count: 0,
-                closed_at: 0,
-                wl_masks: vec![0; geometry.wordlines_per_block as usize],
-                wl_reads: vec![0; geometry.wordlines_per_block as usize],
-            })
-            .collect();
+        let blocks = geometry.total_blocks() as usize;
+        let wordlines = wordline_count(&geometry) as usize;
         BlockTable {
-            blocks,
+            blocks: vec![
+                BlockInfo {
+                    state: BlockState::Free,
+                    write_ptr: 0,
+                    valid_pages: 0,
+                    erase_count: 0,
+                    closed_at: 0,
+                };
+                blocks
+            ],
+            wl_masks: vec![0; wordlines],
+            wl_reads: vec![0; wordlines],
             index: (0..geometry.total_planes())
                 .map(|_| PlaneIndex::new(geometry.pages_per_block()))
                 .collect(),
@@ -221,6 +247,25 @@ impl BlockTable {
     /// The geometry this table was built for.
     pub fn geometry(&self) -> &Geometry {
         &self.geometry
+    }
+
+    /// An error unless this (decoded) table was built for `geometry` and
+    /// its tables have the lengths that implies.
+    pub(crate) fn check(&self, geometry: &Geometry) -> Result<(), ida_snap::SnapError> {
+        if self.geometry != *geometry {
+            return Err(ida_snap::SnapError::new(
+                "block table geometry differs from the FTL's",
+            ));
+        }
+        let wordlines = wordline_count(geometry);
+        check_len("blocks", self.blocks.len(), geometry.total_blocks().into())?;
+        check_len("wordline masks", self.wl_masks.len(), wordlines)?;
+        check_len("wordline reads", self.wl_reads.len(), wordlines)?;
+        check_len(
+            "victim index",
+            self.index.len(),
+            geometry.total_planes().into(),
+        )
     }
 
     /// Current lifecycle state of `b`.
@@ -318,40 +363,53 @@ impl BlockTable {
     /// for symmetry; validity itself lives in the page map).
     pub fn keep_page(&mut self, _b: BlockAddr) {}
 
+    /// Take `b` out of circulation on its way to `Free` or `Bad`: check
+    /// that it is not open and holds no valid data (`what` names the
+    /// operation in the panic), undo its IDA and victim-index accounting,
+    /// and reset its write pointer, close time and wordline state. Returns
+    /// whether it was reclaimable (Closed/Ida).
+    fn release(&mut self, b: BlockAddr, what: &str) -> bool {
+        let info = self.info_mut(b);
+        assert_ne!(info.state, BlockState::Open, "{what} of open block {b}");
+        assert_eq!(
+            info.valid_pages, 0,
+            "{what} of block {b} with {} valid pages",
+            info.valid_pages
+        );
+        let (state, erases) = (info.state, info.erase_count);
+        info.write_ptr = 0;
+        info.closed_at = 0;
+        let wls = wordline_slots(&self.geometry, b);
+        if state == BlockState::Ida {
+            self.ida_blocks -= 1;
+            self.adjusted_wordlines -= self.wl_masks[wls.clone()]
+                .iter()
+                .filter(|&&m| m != 0)
+                .count() as u64;
+        }
+        self.wl_masks[wls.clone()].fill(0);
+        self.wl_reads[wls].fill(0);
+        let reclaimable = matches!(state, BlockState::Closed | BlockState::Ida);
+        if reclaimable {
+            let plane = self.plane_index(b);
+            self.index[plane].remove(0, erases, b.0);
+        }
+        reclaimable
+    }
+
     /// Erase `b`: wear increments, wordline codings reset, state Free.
     ///
     /// # Panics
     ///
     /// Panics if the block still holds valid pages or is open.
     pub fn erase(&mut self, b: BlockAddr) {
-        let info = self.info_mut(b);
-        assert_ne!(info.state, BlockState::Open, "erase of open block {b}");
-        assert_eq!(
-            info.valid_pages, 0,
-            "erase of block {b} with {} valid pages",
-            info.valid_pages
-        );
-        let was_ida = info.state == BlockState::Ida;
-        let was_reclaimable = matches!(info.state, BlockState::Closed | BlockState::Ida);
-        let adjusted = info.wl_masks.iter().filter(|&&m| m != 0).count() as u64;
-        if was_ida {
-            self.ida_blocks -= 1;
-            self.adjusted_wordlines -= adjusted;
-        }
-        if was_reclaimable {
-            let erases = self.info(b).erase_count;
-            let plane = self.plane_index(b);
-            self.index[plane].remove(0, erases, b.0);
+        if self.release(b, "erase") {
             self.in_use -= 1;
         }
         self.total_erases += 1;
         let info = self.info_mut(b);
         info.state = BlockState::Free;
-        info.write_ptr = 0;
         info.erase_count += 1;
-        info.closed_at = 0;
-        info.wl_masks.fill(0);
-        info.wl_reads.fill(0);
     }
 
     /// Retire `b` to the grown-bad list. The block must hold no valid
@@ -362,34 +420,11 @@ impl BlockTable {
     ///
     /// Panics if the block is open or still holds valid pages.
     pub fn mark_bad(&mut self, b: BlockAddr) {
-        let info = self.info_mut(b);
-        assert_ne!(info.state, BlockState::Open, "retire of open block {b}");
-        assert_eq!(
-            info.valid_pages, 0,
-            "retire of block {b} with {} valid pages",
-            info.valid_pages
-        );
-        let was_ida = info.state == BlockState::Ida;
-        let was_reclaimable = matches!(info.state, BlockState::Closed | BlockState::Ida);
-        let adjusted = info.wl_masks.iter().filter(|&&m| m != 0).count() as u64;
-        if was_ida {
-            self.ida_blocks -= 1;
-            self.adjusted_wordlines -= adjusted;
-        }
-        if was_reclaimable {
-            let erases = self.info(b).erase_count;
-            let plane = self.plane_index(b);
-            self.index[plane].remove(0, erases, b.0);
-        } else {
+        if !self.release(b, "retire") {
             // A Free block retires straight into the in-use population.
             self.in_use += 1;
         }
-        let info = self.info_mut(b);
-        info.state = BlockState::Bad;
-        info.write_ptr = 0;
-        info.closed_at = 0;
-        info.wl_masks.fill(0);
-        info.wl_reads.fill(0);
+        self.info_mut(b).state = BlockState::Bad;
         self.bad_blocks += 1;
     }
 
@@ -437,7 +472,8 @@ impl BlockTable {
         info.valid_pages = valid_pages;
         info.erase_count = erase_count;
         info.closed_at = closed_at;
-        info.wl_masks.copy_from_slice(wl_masks);
+        let wls = wordline_slots(&self.geometry, b);
+        self.wl_masks[wls].copy_from_slice(wl_masks);
     }
 
     /// Blocks on the grown-bad list (O(1)).
@@ -453,7 +489,6 @@ impl BlockTable {
     /// Panics if the block is not closed, or a mask refers to an
     /// out-of-range wordline.
     pub fn mark_ida(&mut self, b: BlockAddr, wl_masks: &[(u32, u8)], now: SimTime) {
-        let wls = self.geometry.wordlines_per_block;
         let info = self.info_mut(b);
         assert_eq!(
             info.state,
@@ -464,13 +499,13 @@ impl BlockTable {
         info.closed_at = now;
         let mut adjusted = 0u64;
         for &(wl, mask) in wl_masks {
-            assert!(wl < wls, "wordline {wl} out of range");
             // A closed block's masks are all zero, so every non-zero mask
             // written here is a newly adjusted wordline.
             if mask != 0 {
                 adjusted += 1;
             }
-            info.wl_masks[wl as usize] = mask;
+            let i = wordline_slot(&self.geometry, b, wl);
+            self.wl_masks[i] = mask;
         }
         self.ida_blocks += 1;
         self.adjusted_wordlines += adjusted;
@@ -479,7 +514,7 @@ impl BlockTable {
     /// The IDA keep mask of wordline `wl` in block `b`; 0 means the
     /// wordline still carries conventional coding.
     pub fn wl_keep_mask(&self, b: BlockAddr, wl: u32) -> u8 {
-        self.info(b).wl_masks[wl as usize]
+        self.wl_masks[wordline_slot(&self.geometry, b, wl)]
     }
 
     /// Iterate all blocks in `Closed` or `Ida` state with their valid
@@ -587,7 +622,8 @@ impl BlockTable {
     /// accumulated read count since the block's last erase (the
     /// read-disturb clock).
     pub fn record_wl_read(&mut self, b: BlockAddr, wl: u32) -> u32 {
-        let c = &mut self.info_mut(b).wl_reads[wl as usize];
+        let i = wordline_slot(&self.geometry, b, wl);
+        let c = &mut self.wl_reads[i];
         *c = c.saturating_add(1);
         *c
     }
@@ -595,7 +631,7 @@ impl BlockTable {
     /// Accumulated host reads of wordline `wl` in block `b` since its
     /// block's last erase.
     pub fn wl_reads(&self, b: BlockAddr, wl: u32) -> u32 {
-        self.info(b).wl_reads[wl as usize]
+        self.wl_reads[wordline_slot(&self.geometry, b, wl)]
     }
 
     /// Add `cycles` virtual P/E cycles uniformly to every block (the soak

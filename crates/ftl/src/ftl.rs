@@ -170,6 +170,14 @@ impl ida_snap::Snap for Ftl {
         let op_origin = OpOrigin::decode(r)?;
         let scrub_cursor = u32::decode(r)?;
         let next_scrub_at = Option::decode(r)?;
+        // A hash-valid image still must not index out of bounds: every
+        // table is checked against the FTL's geometry and exported range.
+        if cfg.geometry != geometry {
+            return Err(ida_snap::SnapError::new("FTL config geometry differs"));
+        }
+        map.check(cfg.exported_pages(), geometry.total_pages())?;
+        blocks.check(&geometry)?;
+        oob.check(&geometry, cfg.exported_pages())?;
         Ok(Ftl {
             cfg,
             geometry,

@@ -13,14 +13,24 @@ impl fmt::Display for Lpn {
     }
 }
 
+/// Most pages (physical, and therefore logical) the FTL's `u32` page
+/// tables can address: the two highest `u32` values are reserved as
+/// empty-slot sentinels.
+pub const MAX_PAGES: u64 = u32::MAX as u64 - 1;
+
+/// The empty slot of both map directions.
+const UNMAPPED: u32 = u32::MAX;
+
 /// Bidirectional page map: L2P for host reads, P2L for GC/refresh
-/// relocation and validity queries.
+/// relocation and validity queries. Both directions are dense `u32`
+/// arrays with [`UNMAPPED`] as the empty slot, so a snapshot moves each as
+/// one bulk copy.
 ///
-/// Invariant: `l2p[l] == Some(p)` ⇔ `p2l[p] == Some(l)`.
+/// Invariant: `l2p[l] == p` ⇔ `p2l[p] == l`.
 #[derive(Debug, Clone)]
 pub struct PageMap {
-    l2p: Vec<Option<PageAddr>>,
-    p2l: Vec<Option<Lpn>>,
+    l2p: Vec<u32>,
+    p2l: Vec<u32>,
 }
 
 impl ida_snap::Snap for Lpn {
@@ -34,13 +44,48 @@ impl ida_snap::Snap for Lpn {
 
 ida_snap::snap_struct!(PageMap { l2p, p2l });
 
+/// The first slot of `table` that is `bad`, if any. A branch-free pass
+/// (it vectorizes) runs first, so a clean table — what every decode of a
+/// valid image sees — costs one streaming read.
+pub(crate) fn first_bad(table: &[u32], bad: impl Fn(u32) -> bool) -> Option<usize> {
+    if table.iter().fold(false, |any, &v| any | bad(v)) {
+        table.iter().position(|&v| bad(v))
+    } else {
+        None
+    }
+}
+
+/// An error unless a decoded table has the `want` entries its geometry
+/// implies.
+pub(crate) fn check_len(what: &str, len: usize, want: u64) -> Result<(), ida_snap::SnapError> {
+    if len as u64 == want {
+        Ok(())
+    } else {
+        Err(ida_snap::SnapError::new(format!(
+            "{what}: {len} entries, geometry implies {want}"
+        )))
+    }
+}
+
+fn slot(v: u32) -> Option<u64> {
+    (v != UNMAPPED).then_some(u64::from(v))
+}
+
 impl PageMap {
     /// A map for `logical_pages` LPNs over `physical_pages` flash pages,
     /// initially fully unmapped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either count exceeds [`MAX_PAGES`].
     pub fn new(logical_pages: u64, physical_pages: u64) -> Self {
+        assert!(
+            logical_pages.max(physical_pages) <= MAX_PAGES,
+            "page map of {physical_pages} pages exceeds {MAX_PAGES}"
+        );
         PageMap {
-            l2p: vec![None; logical_pages as usize],
-            p2l: vec![None; physical_pages as usize],
+            l2p: vec![UNMAPPED; logical_pages as usize],
+            p2l: vec![UNMAPPED; physical_pages as usize],
         }
     }
 
@@ -55,18 +100,18 @@ impl PageMap {
     ///
     /// Panics if `lpn` is out of the exported range.
     pub fn translate(&self, lpn: Lpn) -> Option<PageAddr> {
-        self.l2p[lpn.0 as usize]
+        slot(self.l2p[lpn.0 as usize]).map(PageAddr)
     }
 
     /// The logical owner of physical page `page`, if any. `None` means the
     /// page is invalid (superseded or never written).
     pub fn owner(&self, page: PageAddr) -> Option<Lpn> {
-        self.p2l[page.0 as usize]
+        slot(self.p2l[page.0 as usize]).map(Lpn)
     }
 
     /// Whether physical page `page` holds current data.
     pub fn is_valid(&self, page: PageAddr) -> bool {
-        self.owner(page).is_some()
+        self.p2l[page.0 as usize] != UNMAPPED
     }
 
     /// Map `lpn` to `page`, returning the previous physical location (now
@@ -78,27 +123,24 @@ impl PageMap {
     /// never double-book a physical page.
     pub fn map(&mut self, lpn: Lpn, page: PageAddr) -> Option<PageAddr> {
         assert!(
-            self.p2l[page.0 as usize].is_none(),
+            !self.is_valid(page),
             "physical page {page} already owned by {:?}",
-            self.p2l[page.0 as usize]
+            self.owner(page)
         );
-        let old = self.l2p[lpn.0 as usize].take();
-        if let Some(old_page) = old {
-            self.p2l[old_page.0 as usize] = None;
-        }
-        self.l2p[lpn.0 as usize] = Some(page);
-        self.p2l[page.0 as usize] = Some(lpn);
+        let old = self.unmap(lpn);
+        // Both fit a slot: the lookups above bounded them by the table
+        // lengths, which `new` bounded by `MAX_PAGES`.
+        self.l2p[lpn.0 as usize] = page.0 as u32;
+        self.p2l[page.0 as usize] = lpn.0 as u32;
         old
     }
 
     /// Remove the mapping of `lpn` (host trim / discard), returning the
     /// freed physical page if there was one.
     pub fn unmap(&mut self, lpn: Lpn) -> Option<PageAddr> {
-        let old = self.l2p[lpn.0 as usize].take();
-        if let Some(p) = old {
-            self.p2l[p.0 as usize] = None;
-        }
-        old
+        let old = slot(std::mem::replace(&mut self.l2p[lpn.0 as usize], UNMAPPED))?;
+        self.p2l[old as usize] = UNMAPPED;
+        Some(PageAddr(old))
     }
 
     /// Relocate the data of physical page `from` to `to` (GC / refresh
@@ -111,19 +153,40 @@ impl PageMap {
     ///
     /// Panics if `to` is already owned.
     pub fn relocate(&mut self, from: PageAddr, to: PageAddr) -> Option<Lpn> {
-        let lpn = self.p2l[from.0 as usize].take()?;
-        assert!(
-            self.p2l[to.0 as usize].is_none(),
-            "relocation target {to} already owned"
-        );
-        self.l2p[lpn.0 as usize] = Some(to);
-        self.p2l[to.0 as usize] = Some(lpn);
-        Some(lpn)
+        let lpn = slot(std::mem::replace(&mut self.p2l[from.0 as usize], UNMAPPED))?;
+        assert!(!self.is_valid(to), "relocation target {to} already owned");
+        self.l2p[lpn as usize] = to.0 as u32;
+        self.p2l[to.0 as usize] = lpn as u32;
+        Some(Lpn(lpn))
+    }
+
+    /// An error unless this (decoded) map spans `logical_pages` LPNs over
+    /// `physical_pages` pages and every entry is empty or in range, so a
+    /// hash-valid image can never make it index out of bounds.
+    pub(crate) fn check(
+        &self,
+        logical_pages: u64,
+        physical_pages: u64,
+    ) -> Result<(), ida_snap::SnapError> {
+        check_len("l2p", self.l2p.len(), logical_pages)?;
+        check_len("p2l", self.p2l.len(), physical_pages)?;
+        for (what, table, bound) in [
+            ("l2p", &self.l2p, physical_pages),
+            ("p2l", &self.p2l, logical_pages),
+        ] {
+            if let Some(i) = first_bad(table, |v| v != UNMAPPED && u64::from(v) >= bound) {
+                return Err(ida_snap::SnapError::new(format!(
+                    "{what}[{i}] = {} is out of range (< {bound})",
+                    table[i]
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Number of currently mapped logical pages.
     pub fn mapped_count(&self) -> u64 {
-        self.l2p.iter().filter(|m| m.is_some()).count() as u64
+        self.l2p.iter().filter(|&&p| p != UNMAPPED).count() as u64
     }
 }
 

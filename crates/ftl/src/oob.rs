@@ -17,6 +17,8 @@
 //! recovery and rolled forward, which is what makes the merge atomic per
 //! wordline.
 
+use crate::block::{wordline_count, wordline_slot, wordline_slots};
+use crate::map::{check_len, first_bad};
 use ida_flash::addr::{BlockAddr, PageAddr};
 use ida_flash::geometry::Geometry;
 
@@ -36,32 +38,10 @@ pub enum PageRecord {
     Failed,
 }
 
-impl ida_snap::Snap for PageRecord {
-    fn encode(&self, w: &mut ida_snap::Writer) {
-        match self {
-            PageRecord::Erased => 0u8.encode(w),
-            PageRecord::Data { lpn, seq } => {
-                1u8.encode(w);
-                lpn.encode(w);
-                seq.encode(w);
-            }
-            PageRecord::Failed => 2u8.encode(w),
-        }
-    }
-    fn decode(r: &mut ida_snap::Reader<'_>) -> Result<Self, ida_snap::SnapError> {
-        match u8::decode(r)? {
-            0 => Ok(PageRecord::Erased),
-            1 => Ok(PageRecord::Data {
-                lpn: u64::decode(r)?,
-                seq: u64::decode(r)?,
-            }),
-            2 => Ok(PageRecord::Failed),
-            tag => Err(ida_snap::SnapError::new(format!(
-                "bad PageRecord tag {tag}"
-            ))),
-        }
-    }
-}
+/// `lpn` slot of a page never programmed since the last erase.
+const ERASED: u32 = u32::MAX;
+/// `lpn` slot of a page whose program attempt failed.
+const FAILED: u32 = u32::MAX - 1;
 
 /// Persistent per-block metadata.
 #[derive(Debug, Clone, Default)]
@@ -69,21 +49,28 @@ struct BlockOob {
     bad: bool,
     spare: bool,
     erase_count: u32,
-    /// Per-wordline merge-pulse record (the keep-mask the pulse applied).
-    merged: Vec<u8>,
-    /// Per-wordline commit flag: the merged coding is authoritative.
-    committed: Vec<bool>,
     /// Open refresh-adjustment intent: planned `(wordline, keep_mask)`
     /// pairs, journaled before the first pulse and cleared after verify.
     intent: Option<Vec<(u32, u8)>>,
 }
 
 /// The simulated OOB store for a whole device.
+///
+/// Page records and wordline merge state live in dense arrays (one slot
+/// per page or per `block × wordline`), so a snapshot moves each as one
+/// bulk copy. A page's record is its `lpn` slot ([`ERASED`], [`FAILED`]
+/// or the stamped LPN) plus its `seq` slot, which is 0 unless the page
+/// holds data — one canonical form per record.
 #[derive(Debug, Clone)]
 pub struct OobStore {
     geometry: Geometry,
-    pages: Vec<PageRecord>,
+    lpn: Vec<u32>,
+    seq: Vec<u64>,
     blocks: Vec<BlockOob>,
+    /// Per-wordline merge-pulse record (the keep-mask the pulse applied).
+    merged: Vec<u8>,
+    /// Per-wordline commit flag: the merged coding is authoritative.
+    committed: Vec<bool>,
     next_seq: u64,
 }
 
@@ -91,32 +78,31 @@ ida_snap::snap_struct!(BlockOob {
     bad,
     spare,
     erase_count,
-    merged,
-    committed,
     intent,
 });
 
 ida_snap::snap_struct!(OobStore {
     geometry,
-    pages,
+    lpn,
+    seq,
     blocks,
+    merged,
+    committed,
     next_seq,
 });
 
 impl OobStore {
     /// A fresh store: every page erased, every block clean.
     pub fn new(geometry: Geometry) -> Self {
-        let wl = geometry.wordlines_per_block as usize;
+        let pages = geometry.total_pages() as usize;
+        let wordlines = wordline_count(&geometry) as usize;
         OobStore {
             geometry,
-            pages: vec![PageRecord::Erased; geometry.total_pages() as usize],
-            blocks: (0..geometry.total_blocks())
-                .map(|_| BlockOob {
-                    merged: vec![0; wl],
-                    committed: vec![false; wl],
-                    ..BlockOob::default()
-                })
-                .collect(),
+            lpn: vec![ERASED; pages],
+            seq: vec![0; pages],
+            blocks: vec![BlockOob::default(); geometry.total_blocks() as usize],
+            merged: vec![0; wordlines],
+            committed: vec![false; wordlines],
             next_seq: 0,
         }
     }
@@ -129,43 +115,63 @@ impl OobStore {
         &mut self.blocks[b.index() as usize]
     }
 
+    /// The page-array range of `b`.
+    fn pages_of(&self, b: BlockAddr) -> std::ops::Range<usize> {
+        let first = b.first_page(&self.geometry).index() as usize;
+        first..first + self.geometry.pages_per_block() as usize
+    }
+
     /// The record in `page`'s spare area.
     pub fn page(&self, page: PageAddr) -> PageRecord {
-        self.pages[page.index() as usize]
+        let i = page.index() as usize;
+        match self.lpn[i] {
+            ERASED => PageRecord::Erased,
+            FAILED => PageRecord::Failed,
+            lpn => PageRecord::Data {
+                lpn: u64::from(lpn),
+                seq: self.seq[i],
+            },
+        }
     }
 
     /// Stamp a successful program of `lpn` into `page`; returns the
     /// sequence number assigned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpn` exceeds the page tables' range
+    /// ([`crate::map::MAX_PAGES`]).
     pub fn record_program(&mut self, page: PageAddr, lpn: u64) -> u64 {
+        assert!(lpn < u64::from(FAILED), "LPN {lpn} out of range");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pages[page.index() as usize] = PageRecord::Data { lpn, seq };
+        let i = page.index() as usize;
+        self.lpn[i] = lpn as u32;
+        self.seq[i] = seq;
         seq
     }
 
     /// Mark `page` as a failed program attempt.
     pub fn record_failed(&mut self, page: PageAddr) {
-        self.pages[page.index() as usize] = PageRecord::Failed;
+        let i = page.index() as usize;
+        self.lpn[i] = FAILED;
+        self.seq[i] = 0;
     }
 
     /// Pages of `block` programmed (data or failed) since its last erase.
     /// Programs are sequential, so this equals the block's write pointer.
     pub fn programmed_count(&self, b: BlockAddr) -> u32 {
-        let first = b.first_page(&self.geometry).index() as usize;
-        let n = self.geometry.pages_per_block() as usize;
-        self.pages[first..first + n]
+        self.lpn[self.pages_of(b)]
             .iter()
-            .filter(|r| !matches!(r, PageRecord::Erased))
+            .filter(|&&l| l != ERASED)
             .count() as u32
     }
 
     /// Failed-program marks in `block` since its last erase.
     pub fn failed_count(&self, b: BlockAddr) -> u32 {
-        let first = b.first_page(&self.geometry).index() as usize;
-        let n = self.geometry.pages_per_block() as usize;
-        self.pages[first..first + n]
+        self.lpn[self.pages_of(b)]
             .iter()
-            .filter(|r| matches!(r, PageRecord::Failed))
+            .filter(|&&l| l == FAILED)
             .count() as u32
     }
 
@@ -173,13 +179,14 @@ impl OobStore {
     /// wordline merge state and any open intent, and bumps the persistent
     /// erase count.
     pub fn record_erase(&mut self, b: BlockAddr) {
-        let first = b.first_page(&self.geometry).index() as usize;
-        let n = self.geometry.pages_per_block() as usize;
-        self.pages[first..first + n].fill(PageRecord::Erased);
+        let pages = self.pages_of(b);
+        self.lpn[pages.clone()].fill(ERASED);
+        self.seq[pages].fill(0);
+        let wls = wordline_slots(&self.geometry, b);
+        self.merged[wls.clone()].fill(0);
+        self.committed[wls].fill(false);
         let oob = self.block_mut(b);
         oob.erase_count += 1;
-        oob.merged.fill(0);
-        oob.committed.fill(false);
         oob.intent = None;
     }
 
@@ -232,32 +239,34 @@ impl OobStore {
     /// Record that wordline `wl` of `block` received its merge pulse with
     /// `mask` as the keep-mask.
     pub fn record_merge(&mut self, b: BlockAddr, wl: u32, mask: u8) {
-        self.block_mut(b).merged[wl as usize] = mask;
+        let i = wordline_slot(&self.geometry, b, wl);
+        self.merged[i] = mask;
     }
 
     /// Commit wordline `wl` of `block`: its merged coding is now
     /// authoritative for reads.
     pub fn commit_merge(&mut self, b: BlockAddr, wl: u32) {
-        self.block_mut(b).committed[wl as usize] = true;
+        let i = wordline_slot(&self.geometry, b, wl);
+        self.committed[i] = true;
     }
 
     /// The merge-pulse mask recorded for wordline `wl` (0 = no pulse).
     pub fn merged_mask(&self, b: BlockAddr, wl: u32) -> u8 {
-        self.block(b).merged[wl as usize]
+        self.merged[wordline_slot(&self.geometry, b, wl)]
     }
 
     /// Whether wordline `wl`'s merge is committed.
     pub fn is_committed(&self, b: BlockAddr, wl: u32) -> bool {
-        self.block(b).committed[wl as usize]
+        self.committed[wordline_slot(&self.geometry, b, wl)]
     }
 
     /// Per-wordline keep-masks of `block` counting only *committed*
     /// merges — the authoritative coding state a recovery scan trusts.
     pub fn committed_masks(&self, b: BlockAddr) -> Vec<u8> {
-        let oob = self.block(b);
-        oob.merged
+        let wls = wordline_slots(&self.geometry, b);
+        self.merged[wls.clone()]
             .iter()
-            .zip(&oob.committed)
+            .zip(&self.committed[wls])
             .map(|(&m, &c)| if c { m } else { 0 })
             .collect()
     }
@@ -266,10 +275,45 @@ impl OobStore {
     /// page order. The recovery scan sorts these by `seq` to rebuild the
     /// mapping table.
     pub fn data_records(&self) -> impl Iterator<Item = (PageAddr, u64, u64)> + '_ {
-        self.pages.iter().enumerate().filter_map(|(i, r)| match r {
-            PageRecord::Data { lpn, seq } => Some((PageAddr(i as u64), *lpn, *seq)),
-            _ => None,
-        })
+        self.lpn
+            .iter()
+            .zip(&self.seq)
+            .enumerate()
+            .filter(|&(_, (&lpn, _))| lpn < FAILED)
+            .map(|(i, (&lpn, &seq))| (PageAddr(i as u64), u64::from(lpn), seq))
+    }
+
+    /// An error unless this (decoded) store was built for `geometry`, its
+    /// tables have the lengths that implies and every stamped LPN is below
+    /// `logical_pages`, so a recovery scan over it cannot index out of
+    /// bounds.
+    pub(crate) fn check(
+        &self,
+        geometry: &Geometry,
+        logical_pages: u64,
+    ) -> Result<(), ida_snap::SnapError> {
+        if self.geometry != *geometry {
+            return Err(ida_snap::SnapError::new(
+                "oob geometry differs from the FTL's",
+            ));
+        }
+        let (pages, wordlines) = (geometry.total_pages(), wordline_count(geometry));
+        check_len("oob lpn", self.lpn.len(), pages)?;
+        check_len("oob seq", self.seq.len(), pages)?;
+        check_len(
+            "oob blocks",
+            self.blocks.len(),
+            geometry.total_blocks().into(),
+        )?;
+        check_len("oob merged", self.merged.len(), wordlines)?;
+        check_len("oob committed", self.committed.len(), wordlines)?;
+        match first_bad(&self.lpn, |l| l < FAILED && u64::from(l) >= logical_pages) {
+            None => Ok(()),
+            Some(i) => Err(ida_snap::SnapError::new(format!(
+                "oob page {i} stamps LPN {} of {logical_pages}",
+                self.lpn[i]
+            ))),
+        }
     }
 
     /// Blocks with an open refresh-adjustment intent.

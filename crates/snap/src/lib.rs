@@ -12,10 +12,10 @@
 //! - [`snap_struct!`] / [`snap_enum!`]: field-by-field impl macros invoked
 //!   *inside* the defining crate (they need access to private fields).
 //! - [`frame`]: a self-describing outer frame (`magic ‖ version ‖ len ‖
-//!   fnv1a ‖ payload`) so corrupt or stale spill files are detected and
+//!   xxh64 ‖ payload`) so corrupt or stale spill files are detected and
 //!   rebuilt instead of silently restored.
-//! - [`fnv1a`]: the same hash used repo-wide, reused both for frame
-//!   integrity and for warm-up cache keys.
+//! - [`fnv1a`]: the repo-wide content hash behind warm-up cache keys and
+//!   cell seeds. Frames use the word-at-a-time [`frame::hash`] instead.
 //!
 //! Determinism rules: every integer is fixed-width little-endian, `usize`
 //! travels as `u64`, `f64` as its IEEE-754 bit pattern, and containers are
@@ -49,12 +49,28 @@ impl SnapError {
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
+    /// Bytes reserved at the front for a frame header (see
+    /// [`Writer::framed`]); 0 for a plain writer.
+    header: usize,
 }
 
 impl Writer {
     /// An empty writer.
     pub fn new() -> Self {
         Writer::default()
+    }
+
+    /// An empty writer that reserves room for a frame header in front of
+    /// the payload and for `capacity` payload bytes, so
+    /// [`frame::seal_writer`] seals it without copying the payload.
+    /// Reserved capacity the payload never reaches is never touched.
+    pub fn framed(capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(frame::HEADER_LEN + capacity);
+        buf.resize(frame::HEADER_LEN, 0);
+        Writer {
+            buf,
+            header: frame::HEADER_LEN,
+        }
     }
 
     /// Append raw bytes.
@@ -64,18 +80,19 @@ impl Writer {
     }
 
     /// Finish, yielding the encoded payload.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.drain(..self.header);
         self.buf
     }
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.header
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 }
 
@@ -199,11 +216,14 @@ macro_rules! snap_int {
                 }
                 // Bulk forms: the little-endian byte layout of a run of
                 // integers IS the element-wise encoding, so the whole
-                // slice moves as one copy instead of one call per value.
+                // slice is written into one resized span, with no
+                // per-value append.
                 fn encode_slice(slice: &[Self], w: &mut Writer) {
-                    w.buf.reserve(std::mem::size_of::<$ty>() * slice.len());
-                    for v in slice {
-                        w.buf.extend_from_slice(&v.to_le_bytes());
+                    const W: usize = std::mem::size_of::<$ty>();
+                    let start = w.buf.len();
+                    w.buf.resize(start + W * slice.len(), 0);
+                    for (out, v) in w.buf[start..].chunks_exact_mut(W).zip(slice) {
+                        out.copy_from_slice(&v.to_le_bytes());
                     }
                 }
                 fn decode_vec(len: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, SnapError> {
@@ -254,7 +274,10 @@ impl Snap for bool {
     }
     fn decode_vec(len: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, SnapError> {
         let b = r.take(len)?;
-        if let Some(bad) = b.iter().find(|&&x| x > 1) {
+        // Branch-free check first (it vectorizes); find the culprit only
+        // on failure.
+        if b.iter().fold(0, |any, &x| any | x) > 1 {
+            let bad = b.iter().find(|&&x| x > 1).expect("found above");
             return Err(SnapError::new(format!("bad bool byte {bad}")));
         }
         Ok(b.iter().map(|&x| x == 1).collect())
@@ -414,8 +437,8 @@ macro_rules! snap_enum {
     };
 }
 
-/// FNV-1a 64-bit over `bytes` — the repo's standard content hash, reused
-/// here for frame integrity and warm-up cache keys.
+/// FNV-1a 64-bit over `bytes` — the repo's standard content hash behind
+/// warm-up cache keys and cell seeds, which must never move.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -426,18 +449,20 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Self-describing outer frame: `IDASNAP1 ‖ version:u32 ‖ len:u64 ‖
-/// fnv1a:u64 ‖ payload`. Spill files and CLI snapshot files always travel
-/// framed so truncation and corruption are detected before decode.
+/// hash:u64 ‖ payload`, where `hash` is [`frame::hash`] (XXH64) of the
+/// payload. Spill files, CLI snapshot files and fabric messages always
+/// travel framed so truncation and corruption are detected before decode.
 pub mod frame {
-    use super::{fnv1a, SnapError};
+    use super::{SnapError, Writer};
     use std::io::Read;
 
     /// Frame magic, also the file signature of `.snap` spill files.
     pub const MAGIC: &[u8; 8] = b"IDASNAP1";
     /// Current payload-layout version. Bump whenever any `Snap` impl's
-    /// field order changes; stale spill files are then rebuilt, not
-    /// misdecoded.
-    pub const VERSION: u32 = 1;
+    /// field order or the frame hash changes; stale spill files are then
+    /// rebuilt, not misdecoded. Version 2: dense FTL page tables and the
+    /// XXH64 frame hash.
+    pub const VERSION: u32 = 2;
     /// Frame header length in bytes.
     pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
@@ -448,19 +473,124 @@ pub mod frame {
         pub version: u32,
         /// Payload length in bytes.
         pub payload_len: u64,
-        /// FNV-1a hash of the payload.
+        /// [`hash`] of the payload.
         pub hash: u64,
+    }
+
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+    #[inline]
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    }
+
+    #[inline]
+    fn word(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b[..8].try_into().expect("8-byte lane"))
+    }
+
+    /// XXH64 (seed 0) of `bytes`: the frame content hash. It consumes
+    /// 32-byte stripes in four independent 8-byte lanes, so it runs at
+    /// memory speed where byte-serial [`super::fnv1a`] does not.
+    pub fn hash(bytes: &[u8]) -> u64 {
+        let mut stripes = bytes.chunks_exact(32);
+        let mut h = if bytes.len() >= 32 {
+            let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+            for stripe in &mut stripes {
+                for (i, lane) in v.iter_mut().enumerate() {
+                    *lane = round(*lane, word(&stripe[8 * i..]));
+                }
+            }
+            let mut h = v[0]
+                .rotate_left(1)
+                .wrapping_add(v[1].rotate_left(7))
+                .wrapping_add(v[2].rotate_left(12))
+                .wrapping_add(v[3].rotate_left(18));
+            for lane in v {
+                h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+            }
+            h
+        } else {
+            P5
+        };
+        h = h.wrapping_add(bytes.len() as u64);
+        let mut rest = stripes.remainder();
+        while rest.len() >= 8 {
+            h = (h ^ round(0, word(rest)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+            rest = &rest[8..];
+        }
+        if rest.len() >= 4 {
+            let half = u32::from_le_bytes(rest[..4].try_into().expect("4-byte tail"));
+            h = (h ^ u64::from(half).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            rest = &rest[4..];
+        }
+        for &b in rest {
+            h = (h ^ u64::from(b).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+
+    /// Check a header's magic and version and read its declared length and
+    /// hash.
+    fn parse_header(h: &[u8]) -> Result<Meta, SnapError> {
+        if &h[..8] != MAGIC {
+            return Err(SnapError::new("bad frame magic"));
+        }
+        let field = |at: usize| u64::from_le_bytes(h[at..at + 8].try_into().expect("sized"));
+        let version = u32::from_le_bytes(h[8..12].try_into().expect("sized"));
+        if version != VERSION {
+            return Err(SnapError::new(format!(
+                "frame version {version}, expected {VERSION}"
+            )));
+        }
+        Ok(Meta {
+            version,
+            payload_len: field(12),
+            hash: field(20),
+        })
     }
 
     /// Wrap `payload` in a verified frame.
     pub fn seal(payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-        out
+        let mut w = Writer::framed(payload.len());
+        w.bytes(payload);
+        seal_writer(w)
+    }
+
+    /// [`seal`] the payload a [`Writer::framed`] writer holds, in place:
+    /// the header goes into the room reserved for it and the payload is
+    /// never copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` was not made by [`Writer::framed`].
+    pub fn seal_writer(w: Writer) -> Vec<u8> {
+        assert_eq!(w.header, HEADER_LEN, "seal_writer needs a Writer::framed");
+        let mut buf = w.buf;
+        let (head, payload) = buf.split_at_mut(HEADER_LEN);
+        head[..8].copy_from_slice(MAGIC);
+        head[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        head[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        head[20..].copy_from_slice(&hash(payload).to_le_bytes());
+        buf
     }
 
     /// Parse and verify a frame, returning its metadata and payload.
@@ -468,35 +598,19 @@ pub mod frame {
         if buf.len() < HEADER_LEN {
             return Err(SnapError::new("frame shorter than header"));
         }
-        if &buf[..8] != MAGIC {
-            return Err(SnapError::new("bad frame magic"));
-        }
-        let version = u32::from_le_bytes(buf[8..12].try_into().expect("sized"));
-        if version != VERSION {
-            return Err(SnapError::new(format!(
-                "frame version {version}, expected {VERSION}"
-            )));
-        }
-        let payload_len = u64::from_le_bytes(buf[12..20].try_into().expect("sized"));
-        let hash = u64::from_le_bytes(buf[20..28].try_into().expect("sized"));
+        let meta = parse_header(buf)?;
         let payload = &buf[HEADER_LEN..];
-        if payload.len() as u64 != payload_len {
+        if payload.len() as u64 != meta.payload_len {
             return Err(SnapError::new(format!(
-                "frame declares {payload_len} payload bytes, carries {}",
+                "frame declares {} payload bytes, carries {}",
+                meta.payload_len,
                 payload.len()
             )));
         }
-        if fnv1a(payload) != hash {
+        if hash(payload) != meta.hash {
             return Err(SnapError::new("frame hash mismatch (corrupt payload)"));
         }
-        Ok((
-            Meta {
-                version,
-                payload_len,
-                hash,
-            },
-            payload,
-        ))
+        Ok((meta, payload))
     }
 
     /// Largest payload a *streamed* frame may declare (64 MiB): the most
@@ -545,17 +659,8 @@ pub mod frame {
                 Err(e) => return Err(e),
             }
         }
-        if &header[..8] != MAGIC {
-            return Err(invalid("bad frame magic"));
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("sized"));
-        if version != VERSION {
-            return Err(invalid(format!(
-                "frame version {version}, expected {VERSION}"
-            )));
-        }
-        let payload_len = u64::from_le_bytes(header[12..20].try_into().expect("sized"));
-        let hash = u64::from_le_bytes(header[20..28].try_into().expect("sized"));
+        let meta = parse_header(&header).map_err(|e| invalid(e.0))?;
+        let payload_len = meta.payload_len;
         if payload_len > MAX_STREAM_PAYLOAD {
             return Err(invalid(format!(
                 "frame declares {payload_len} payload bytes, over the \
@@ -570,7 +675,7 @@ pub mod frame {
                 payload.len()
             )));
         }
-        if fnv1a(&payload) != hash {
+        if hash(&payload) != meta.hash {
             return Err(invalid("frame hash mismatch (corrupt payload)"));
         }
         Ok(Some(payload))
@@ -678,6 +783,47 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn frame_hash_matches_xxh64_reference_vectors() {
+        assert_eq!(frame::hash(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(frame::hash(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(frame::hash(b"abc"), 0x44bc_2cf5_ad77_0999);
+        // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails.
+        assert_eq!(
+            frame::hash(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    #[test]
+    fn bulk_integer_encoding_equals_element_wise() {
+        let values: Vec<u32> = (0..37).map(|i| i * 0x0101_0407).collect();
+        let mut bulk = Writer::new();
+        u32::encode_slice(&values, &mut bulk);
+        let mut each = Writer::new();
+        for v in &values {
+            v.encode(&mut each);
+        }
+        assert_eq!(bulk.into_bytes(), each.into_bytes());
+    }
+
+    #[test]
+    fn sealing_a_framed_writer_in_place_equals_seal() {
+        for n in [0usize, 5, 64, 1000] {
+            let payload: Vec<u8> = (0..n).map(|i| (i * 7) as u8).collect();
+            // Under-, exactly- and over-sized reservations alike.
+            for capacity in [0, n, 2 * n + 3] {
+                let mut w = Writer::framed(capacity);
+                w.bytes(&payload);
+                assert_eq!(w.len(), n);
+                assert_eq!(frame::seal_writer(w), frame::seal(&payload));
+            }
+            let mut framed = Writer::framed(n);
+            framed.bytes(&payload);
+            assert_eq!(framed.into_bytes(), payload);
+        }
     }
 
     #[test]

@@ -37,6 +37,12 @@ pub enum ConfigError {
         /// The high (stop) watermark.
         high: u32,
     },
+    /// More pages than the FTL's `u32` page tables address
+    /// ([`ida_ftl::map::MAX_PAGES`]).
+    TooManyPages {
+        /// The geometry's page count.
+        pages: u64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -55,6 +61,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadWatermarks { low, high } => write!(
                 f,
                 "GC watermarks must satisfy 0 < low <= high, got low={low} high={high}"
+            ),
+            ConfigError::TooManyPages { pages } => write!(
+                f,
+                "geometry has {pages} pages, over the {} the page tables address",
+                ida_ftl::map::MAX_PAGES
             ),
         }
     }
@@ -128,8 +139,9 @@ impl SsdConfigBuilder {
     /// # Errors
     ///
     /// Any [`ConfigError`]: zero geometry dimensions, `bits_per_cell`
-    /// outside 1–4, fractions outside their domain, a zero refresh
-    /// period, or inverted GC watermarks.
+    /// outside 1–4, more pages than the page tables address, fractions
+    /// outside their domain, a zero refresh period, or inverted GC
+    /// watermarks.
     pub fn build(self) -> Result<SsdConfig, ConfigError> {
         let cfg = self.cfg;
         let g = cfg.ftl.geometry;
@@ -150,6 +162,10 @@ impl SsdConfigBuilder {
             return Err(ConfigError::BadBitsPerCell {
                 bits: g.bits_per_cell,
             });
+        }
+        let pages = g.total_pages();
+        if pages > ida_ftl::map::MAX_PAGES {
+            return Err(ConfigError::TooManyPages { pages });
         }
         let op = cfg.ftl.overprovision;
         if !(0.0..1.0).contains(&op) {
@@ -298,6 +314,27 @@ mod tests {
         g.channels = 0;
         let err = SsdConfig::builder().geometry(g).build().unwrap_err();
         assert!(err.to_string().contains("channels"));
+    }
+
+    #[test]
+    fn builder_bounds_the_page_count_by_the_u32_page_tables() {
+        let paper = SsdConfig::builder()
+            .geometry(Geometry::paper_512gb())
+            .build()
+            .unwrap();
+        assert_eq!(paper.ftl.geometry.total_pages(), 67_239_936);
+        let huge = Geometry {
+            blocks_per_plane: 400_000,
+            ..Geometry::paper_512gb()
+        };
+        let err = SsdConfig::builder().geometry(huge).build().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::TooManyPages {
+                pages: 4_915_200_000
+            }
+        );
+        assert!(err.to_string().contains("page tables"), "{err}");
     }
 
     #[test]

@@ -355,9 +355,16 @@ impl Simulator {
     /// lets the sweep engine run one warm-up and fork every dependent
     /// cell from the cached bytes.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = ida_snap::Writer::new();
+        // Size the image up front so it is written once and sealed in
+        // place: the dense per-page tables (map and OOB: 20 bytes a page)
+        // and per-wordline tables (7 bytes) dominate it, and the per-block
+        // records and queues fit in the rest.
+        let g = self.cfg.ftl.geometry;
+        let per_block = u64::from(g.wordlines_per_block) * 7 + 128;
+        let capacity = g.total_pages() * 20 + u64::from(g.total_blocks()) * per_block + (1 << 20);
+        let mut w = ida_snap::Writer::framed(capacity as usize);
         ida_snap::Snap::encode(self, &mut w);
-        ida_snap::frame::seal(&w.into_bytes())
+        ida_snap::frame::seal_writer(w)
     }
 
     /// Rebuild a simulator from [`Simulator::snapshot`] bytes. The frame
@@ -1446,6 +1453,30 @@ mod tests {
             });
         }
         t
+    }
+
+    #[test]
+    fn a_hash_valid_image_with_an_out_of_range_page_is_rejected() {
+        let cfg = SsdConfig::tiny_test();
+        let exported = cfg.ftl.exported_pages();
+        let pages = cfg.ftl.geometry.total_pages();
+        let mut sim = Simulator::new(cfg);
+        sim.prefill(0..exported / 2);
+        let image = sim.snapshot();
+        let (_, payload) = ida_snap::frame::open(&image).unwrap();
+        // The l2p table: its length, `exported` u32 slots, then p2l's length.
+        let slots = 4 * exported as usize;
+        let at = (0..payload.len() - 16 - slots)
+            .find(|&i| {
+                payload[i..i + 8] == exported.to_le_bytes()
+                    && payload[i + 8 + slots..i + 16 + slots] == pages.to_le_bytes()
+            })
+            .expect("the l2p table is in the payload");
+        let mut bad = payload.to_vec();
+        bad[at + 8..at + 12].copy_from_slice(&(pages as u32).to_le_bytes());
+        // Re-sealed, so the frame hash passes and only the decoder can object.
+        let err = Simulator::from_snapshot(&ida_snap::frame::seal(&bad)).unwrap_err();
+        assert!(err.to_string().contains("l2p[0]"), "{err}");
     }
 
     #[test]

@@ -533,6 +533,45 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_spill_file_is_rebuilt_and_overwritten() {
+        let dir = scratch_dir("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A frame as the previous layout wrote it: intact, hash-valid
+        // under its own FNV-1a, but version 1.
+        let body = [0x5A; 64];
+        let mut v1 = ida_snap::frame::MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        v1.extend_from_slice(&ida_snap::fnv1a(&body).to_le_bytes());
+        v1.extend_from_slice(&body);
+        let path = dir.join(WarmTier::Full.spill_name(0xC1));
+        std::fs::write(&path, &v1).unwrap();
+
+        let cache = WarmCache::new(Some(dir.clone()));
+        let built = AtomicU32::new(0);
+        let bytes = cache.get_or_build(0xC1, || {
+            built.fetch_add(1, Ordering::SeqCst);
+            payload(3)
+        });
+        assert_eq!(*bytes, payload(3));
+        assert_eq!(built.load(Ordering::SeqCst), 1, "the old image is rebuilt");
+        assert_eq!(
+            cache.stats(),
+            WarmStats {
+                hits: 0,
+                disk_hits: 0,
+                remote_hits: 0,
+                misses: 1
+            }
+        );
+        let rewritten = std::fs::read(&path).unwrap();
+        assert_eq!(rewritten, payload(3));
+        let (meta, _) = ida_snap::frame::open(&rewritten).unwrap();
+        assert_eq!(meta.version, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn stats_line_is_greppable() {
         let cache = WarmCache::new(None);
         cache.get_or_build(1, || payload(1));
