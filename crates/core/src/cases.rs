@@ -137,28 +137,42 @@ impl WlCase {
     }
 
     /// Decide the refresh-time action for this wordline (the policy of
-    /// Section III-C, "Selecting Pages to Apply IDA Coding").
+    /// Section III-C, "Selecting Pages to Apply IDA Coding"), as lists.
     pub fn action(self) -> WlAction {
-        if self.valid_mask == 0 {
-            return WlAction::Nothing;
+        let bits = |mask: u8| {
+            (0..self.bits_per_cell)
+                .filter(|b| mask & (1 << b) != 0)
+                .collect()
+        };
+        match self.ida_masks() {
+            Some((move_out, keep)) => WlAction::Ida {
+                move_out: bits(move_out),
+                keep: bits(keep),
+            },
+            None if self.valid_mask == 0 => WlAction::Nothing,
+            None => WlAction::MoveAll {
+                pages: bits(self.valid_mask),
+            },
         }
-        let valid_bits = |mask: u8| (0..self.bits_per_cell).filter(move |b| mask & (1 << b) != 0);
-        if !self.top_valid() || self.bits_per_cell == 1 {
-            return WlAction::MoveAll {
-                pages: valid_bits(self.valid_mask).collect(),
-            };
+    }
+
+    /// The refresh-time decision as bit masks — the one statement of the
+    /// policy, which [`WlCase::action`] and the refresh planner share.
+    /// `Some((move_out, keep))` when the wordline takes IDA coding: the
+    /// valid pages evicted to the new block, and the pages kept behind
+    /// under the merged coding. `None` when its valid pages (if any) all
+    /// move as the original refresh moves them.
+    pub fn ida_masks(self) -> Option<(u8, u8)> {
+        if self.valid_mask == 0 || !self.top_valid() || self.bits_per_cell == 1 {
+            return None;
         }
         // Keep the contiguous valid suffix starting above the highest
         // invalid bit — but always release bit 0 so a merge exists.
-        let highest_invalid = (0..self.bits_per_cell)
-            .rev()
-            .find(|b| self.valid_mask & (1 << b) == 0);
-        let keep_from = highest_invalid.map_or(1, |b| b + 1).max(1);
-        let keep: Vec<u8> = (keep_from..self.bits_per_cell).collect();
-        let move_out: Vec<u8> = valid_bits(self.valid_mask)
-            .filter(|&b| b < keep_from)
-            .collect();
-        WlAction::Ida { move_out, keep }
+        let full = ((1u16 << self.bits_per_cell) - 1) as u8;
+        let invalid = full & !self.valid_mask;
+        let keep_from = (u8::BITS - invalid.leading_zeros()).max(1);
+        let keep = full & !((1u8 << keep_from) - 1);
+        Some((self.valid_mask & !keep, keep))
     }
 }
 

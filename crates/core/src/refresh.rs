@@ -17,7 +17,7 @@
 //! with corruption sampled from an [`InterferenceModel`]. The FTL executes
 //! the plan and the simulator charges its timing.
 
-use crate::cases::{WlAction, WlCase};
+use crate::cases::WlCase;
 use ida_flash::interference::InterferenceModel;
 
 /// A page within the refresh target block: wordline index and bit (page
@@ -140,50 +140,74 @@ impl RefreshPlanner {
     /// the paper requires IDA blocks to be reclaimed on the next cycle).
     pub fn plan_block(&mut self, wl_valid_masks: &[u8]) -> RefreshPlan {
         let mut plan = RefreshPlan::default();
-        for (w, &mask) in wl_valid_masks.iter().enumerate() {
-            let w = w as u32;
-            for b in 0..self.bits_per_cell {
-                if mask & (1 << b) != 0 {
-                    plan.initial_reads.push((w, b));
-                }
-            }
-            match self.mode {
-                RefreshMode::Baseline => {
-                    for b in 0..self.bits_per_cell {
-                        if mask & (1 << b) != 0 {
-                            plan.moves.push((w, b));
-                        }
-                    }
-                }
-                RefreshMode::Ida => match WlCase::classify(self.bits_per_cell, mask).action() {
-                    WlAction::Nothing => {}
-                    WlAction::MoveAll { pages } => {
-                        plan.moves.extend(pages.into_iter().map(|b| (w, b)));
-                    }
-                    WlAction::Ida { move_out, keep } => {
-                        plan.evictions.extend(move_out.into_iter().map(|b| (w, b)));
-                        let mut keep_mask = 0u8;
-                        for b in keep {
-                            keep_mask |= 1 << b;
-                            // Only pages that were valid hold data to verify;
-                            // kept-but-invalid pages need no read.
-                            if mask & (1 << b) != 0 {
-                                plan.verify_reads.push((w, b));
-                                if self.interference.page_corrupted() {
-                                    plan.error_writes.push((w, b));
-                                } else {
-                                    plan.survivors.push((w, b));
-                                }
-                            }
-                        }
-                        plan.adjusted_wordlines.push(w);
-                        plan.keep_masks.push(keep_mask);
-                    }
-                },
-            }
-        }
+        self.plan_into(wl_valid_masks, &mut plan);
         plan
     }
+
+    /// [`RefreshPlanner::plan_block`] into `plan`, whose lists are cleared
+    /// first, so a caller refreshing block after block reuses their
+    /// allocations.
+    pub fn plan_into(&mut self, wl_valid_masks: &[u8], plan: &mut RefreshPlan) {
+        let RefreshPlan {
+            initial_reads,
+            moves,
+            evictions,
+            adjusted_wordlines,
+            keep_masks,
+            verify_reads,
+            error_writes,
+            survivors,
+        } = plan;
+        for list in [
+            &mut *initial_reads,
+            moves,
+            evictions,
+            verify_reads,
+            error_writes,
+            survivors,
+        ] {
+            list.clear();
+        }
+        adjusted_wordlines.clear();
+        keep_masks.clear();
+        let full = ((1u16 << self.bits_per_cell) - 1) as u8;
+        for (w, &mask) in wl_valid_masks.iter().enumerate() {
+            let w = w as u32;
+            let ida = match self.mode {
+                RefreshMode::Baseline => None,
+                RefreshMode::Ida => WlCase::classify(self.bits_per_cell, mask).ida_masks(),
+            };
+            initial_reads.extend(pages(w, mask & full));
+            let Some((move_out, keep)) = ida else {
+                moves.extend(pages(w, mask & full));
+                continue;
+            };
+            evictions.extend(pages(w, move_out));
+            // Only pages that were valid hold data to verify; kept-but-invalid
+            // pages need no read.
+            for page in pages(w, keep & mask) {
+                verify_reads.push(page);
+                if self.interference.page_corrupted() {
+                    error_writes.push(page);
+                } else {
+                    survivors.push(page);
+                }
+            }
+            adjusted_wordlines.push(w);
+            keep_masks.push(keep);
+        }
+    }
+}
+
+/// The pages of wordline `w` whose bits are set in `mask`, in bit order.
+fn pages(w: u32, mut mask: u8) -> impl Iterator<Item = PageRef> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as u8;
+            mask &= mask - 1;
+            (w, b)
+        })
+    })
 }
 
 #[cfg(test)]

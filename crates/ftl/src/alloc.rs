@@ -25,38 +25,67 @@ pub struct Allocator {
     /// Per-plane reserved spares: erased blocks held out of circulation
     /// until a grown-bad block needs replacing.
     spares: Vec<Vec<BlockAddr>>,
+    /// The plane [`Allocator::tightest_plane`] reports, kept current
+    /// wherever a pool's length changes.
+    tightest: usize,
+    /// Per plane, the page type (bit index) the active block allocates
+    /// next; `None` until known (a rebuilt or decoded allocator learns it
+    /// from the block table on the first preferring allocation).
+    next_bit: Vec<Option<u8>>,
 }
 
-// Free-pool deque order is allocation-order-significant, so every field
-// (including the derived CWDP plane order) is serialized verbatim.
-ida_snap::snap_struct!(Allocator {
-    geometry,
-    plane_order,
-    cursor,
-    free,
-    active,
-    spares,
-});
+// Free-pool deque order is allocation-order-significant, so every pool
+// field (including the derived CWDP plane order) is serialized verbatim.
+// The tightest plane and next page types are derived, and re-derived on
+// decode.
+impl ida_snap::Snap for Allocator {
+    fn encode(&self, w: &mut ida_snap::Writer) {
+        self.geometry.encode(w);
+        self.plane_order.encode(w);
+        self.cursor.encode(w);
+        self.free.encode(w);
+        self.active.encode(w);
+        self.spares.encode(w);
+    }
+
+    fn decode(r: &mut ida_snap::Reader<'_>) -> Result<Self, ida_snap::SnapError> {
+        let mut alloc = Allocator {
+            geometry: Geometry::decode(r)?,
+            plane_order: Vec::decode(r)?,
+            cursor: usize::decode(r)?,
+            free: Vec::decode(r)?,
+            active: Vec::decode(r)?,
+            spares: Vec::decode(r)?,
+            tightest: 0,
+            next_bit: Vec::new(),
+        };
+        alloc.next_bit = vec![None; alloc.free.len()];
+        alloc.rescan_tightest();
+        Ok(alloc)
+    }
+}
 
 impl Allocator {
+    /// Recompute the tightest plane: the first plane with the fewest
+    /// pooled free blocks.
+    fn rescan_tightest(&mut self) {
+        self.tightest = (0..self.free.len())
+            .min_by_key(|&i| self.free[i].len())
+            .unwrap_or(0);
+    }
+
+    /// `slot`'s pool just shrank: it is the tightest plane if it now has
+    /// fewer free blocks, or as few and a lower index.
+    fn pool_shrank(&mut self, slot: usize) {
+        let t = self.tightest;
+        if (self.free[slot].len(), slot) < (self.free[t].len(), t) {
+            self.tightest = slot;
+        }
+    }
+
     /// An allocator with every block of every plane in its free pool.
     pub fn new(geometry: Geometry) -> Self {
-        geometry.validate();
-        let mut free: Vec<VecDeque<BlockAddr>> =
-            vec![VecDeque::new(); geometry.total_planes() as usize];
-        for b in 0..geometry.total_blocks() {
-            let b = BlockAddr(b);
-            free[b.plane(&geometry).0 as usize].push_back(b);
-        }
-        let plane_order = cwdp_plane_order(&geometry);
-        Allocator {
-            geometry,
-            plane_order,
-            cursor: 0,
-            free,
-            active: vec![None; geometry.total_planes() as usize],
-            spares: vec![Vec::new(); geometry.total_planes() as usize],
-        }
+        Self::rebuild(geometry, |_| RecoveredPool::Free)
     }
 
     /// An allocator that holds `per_plane` blocks out of each plane's free
@@ -82,6 +111,7 @@ impl Allocator {
                 taken.push(b);
             }
         }
+        alloc.rescan_tightest();
         (alloc, taken)
     }
 
@@ -107,6 +137,7 @@ impl Allocator {
     /// active block. Deterministic by construction — the pools depend only
     /// on the recovered states, not on pre-crash pool order.
     pub fn rebuild(geometry: Geometry, pool_of: impl Fn(BlockAddr) -> RecoveredPool) -> Self {
+        geometry.validate();
         let planes = geometry.total_planes() as usize;
         let mut free: Vec<VecDeque<BlockAddr>> = vec![VecDeque::new(); planes];
         let mut spares: Vec<Vec<BlockAddr>> = vec![Vec::new(); planes];
@@ -127,23 +158,28 @@ impl Allocator {
                 RecoveredPool::None => {}
             }
         }
-        Allocator {
+        let mut alloc = Allocator {
             geometry,
             plane_order: cwdp_plane_order(&geometry),
             cursor: 0,
             free,
             active,
             spares,
-        }
+            tightest: 0,
+            next_bit: vec![None; planes],
+        };
+        alloc.rescan_tightest();
+        alloc
     }
 
     /// Allocate the next physical page in CWDP order, opening fresh blocks
     /// as needed. Returns `None` when no plane has space left (the caller
     /// must garbage-collect).
     pub fn allocate(&mut self, blocks: &mut BlockTable, now: SimTime) -> Option<PageAddr> {
-        for _ in 0..self.plane_order.len() {
+        let n = self.plane_order.len();
+        for _ in 0..n {
             let plane = self.plane_order[self.cursor];
-            self.cursor = (self.cursor + 1) % self.plane_order.len();
+            self.cursor = wrapping_next(self.cursor, n);
             if let Some(page) = self.allocate_in_plane(plane, blocks, now) {
                 return Some(page);
             }
@@ -191,14 +227,19 @@ impl Allocator {
                 return None;
             }
             let block = self.free[slot].pop_front()?;
+            self.pool_shrank(slot);
             blocks.open(block);
             self.active[slot] = Some(block);
+            self.next_bit[slot] = Some(0);
         }
         let block = self.active[slot].expect("active block just ensured");
         let off = blocks.allocate_page(block, now);
         if !blocks.has_room(block) {
             self.active[slot] = None;
         }
+        // Pages fill in order, so the page type cycles through the bits.
+        let bits = self.geometry.bits_per_cell as u8;
+        self.next_bit[slot] = self.next_bit[slot].map(|b| if b + 1 == bits { 0 } else { b + 1 });
         Some(block.page(&self.geometry, off))
     }
 
@@ -214,11 +255,15 @@ impl Allocator {
         now: SimTime,
     ) -> Option<PageAddr> {
         let n = self.plane_order.len();
-        for i in 0..n {
-            let plane = self.plane_order[(self.cursor + i) % n];
+        let mut at = self.cursor;
+        for _ in 0..n {
+            let plane = self.plane_order[at];
+            at = wrapping_next(at, n);
             let slot = plane.0 as usize;
             let next_bit = match self.active[slot] {
-                Some(b) => (blocks.next_offset(b) % self.geometry.bits_per_cell) as u8,
+                Some(b) => *self.next_bit[slot].get_or_insert_with(|| {
+                    (blocks.next_offset(b) % self.geometry.bits_per_cell) as u8
+                }),
                 None if !self.free[slot].is_empty() => 0,
                 None => continue,
             };
@@ -226,7 +271,7 @@ impl Allocator {
                 // The matched plane may still refuse (GC reserve); keep
                 // scanning rather than giving up.
                 if let Some(page) = self.allocate_in_plane(plane, blocks, now) {
-                    self.cursor = (self.cursor + i + 1) % n;
+                    self.cursor = at;
                     return Some(page);
                 }
             }
@@ -236,7 +281,11 @@ impl Allocator {
 
     /// Return an erased block to its plane's free pool.
     pub fn push_free(&mut self, block: BlockAddr) {
-        self.free[block.plane(&self.geometry).0 as usize].push_back(block);
+        let slot = block.plane(&self.geometry).0 as usize;
+        self.free[slot].push_back(block);
+        if slot == self.tightest {
+            self.rescan_tightest();
+        }
     }
 
     /// Free blocks currently pooled in `plane` (not counting the active
@@ -245,15 +294,11 @@ impl Allocator {
         self.free[plane.0 as usize].len() as u32
     }
 
-    /// The plane with the fewest pooled free blocks, and that count.
+    /// The plane with the fewest pooled free blocks (the lowest such
+    /// plane on a tie), and that count. O(1).
     pub fn tightest_plane(&self) -> (PlaneAddr, u32) {
-        let (i, q) = self
-            .free
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, q)| q.len())
-            .expect("at least one plane");
-        (PlaneAddr(i as u32), q.len() as u32)
+        let t = self.tightest;
+        (PlaneAddr(t as u32), self.free[t].len() as u32)
     }
 
     /// The currently active (open) block of `plane`, if any.
@@ -264,15 +309,6 @@ impl Allocator {
     /// Total free blocks across all planes.
     pub fn total_free(&self) -> u64 {
         self.free.iter().map(|q| q.len() as u64).sum()
-    }
-
-    /// Debugging summary: per-plane `(pool length, has active block)`.
-    pub fn pool_snapshot(&self) -> Vec<(u32, bool)> {
-        self.free
-            .iter()
-            .zip(&self.active)
-            .map(|(q, a)| (q.len() as u32, a.is_some()))
-            .collect()
     }
 }
 
@@ -287,6 +323,15 @@ pub enum RecoveredPool {
     Active,
     /// Not allocatable (closed, IDA, or bad).
     None,
+}
+
+/// The position after `i` in a ring of `n`.
+fn wrapping_next(i: usize, n: usize) -> usize {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
+    }
 }
 
 /// The CWDP plane visiting order: channel varies fastest, then chip, then
@@ -309,6 +354,8 @@ fn cwdp_plane_order(g: &Geometry) -> Vec<PlaneAddr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockState;
+    use ida_obs::rng::Rng64;
 
     #[test]
     fn cwdp_order_visits_channels_first() {
@@ -415,6 +462,132 @@ mod tests {
         assert_eq!(alloc.spare_count(PlaneAddr(0)), 1);
         assert_eq!(alloc.free_count(PlaneAddr(0)), 60);
         assert_eq!(alloc.free_count(PlaneAddr(1)), 64);
+    }
+
+    /// The probe loop `allocate_preferring` ran before the allocator kept
+    /// each plane's next page type: the reference its choices must match.
+    fn allocate_preferring_reference(
+        a: &mut Allocator,
+        wanted_bit: u8,
+        blocks: &mut BlockTable,
+        now: SimTime,
+    ) -> Option<PageAddr> {
+        let n = a.plane_order.len();
+        for i in 0..n {
+            let plane = a.plane_order[(a.cursor + i) % n];
+            let slot = plane.0 as usize;
+            let next_bit = match a.active[slot] {
+                Some(b) => (blocks.next_offset(b) % a.geometry.bits_per_cell) as u8,
+                None if !a.free[slot].is_empty() => 0,
+                None => continue,
+            };
+            if next_bit == wanted_bit {
+                if let Some(page) = a.allocate_in_plane(plane, blocks, now) {
+                    a.cursor = (a.cursor + i + 1) % n;
+                    return Some(page);
+                }
+            }
+        }
+        a.allocate(blocks, now)
+    }
+
+    fn encode(v: &impl ida_snap::Snap) -> Vec<u8> {
+        let mut w = ida_snap::Writer::new();
+        v.encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// Drive `a` over `blocks` with random allocations, preferring
+    /// allocations, GC allocations, reclaims and spare promotions,
+    /// checking `tightest_plane` against a first-minimum scan before every
+    /// step and each `allocate_preferring` against the reference.
+    fn drive(mut a: Allocator, mut blocks: BlockTable, rng: &mut Rng64, steps: u64) {
+        let g = a.geometry;
+        for now in 0..steps {
+            let scan = a
+                .free
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, q)| q.len())
+                .map(|(i, q)| (PlaneAddr(i as u32), q.len() as u32));
+            assert_eq!(Some(a.tightest_plane()), scan, "step {now}");
+            let plane = PlaneAddr(rng.gen_below(g.total_planes().into()) as u32);
+            match rng.gen_below(10) {
+                0..=2 => {
+                    a.allocate(&mut blocks, now);
+                }
+                3..=6 => {
+                    let bit = rng.gen_below(g.bits_per_cell.into()) as u8;
+                    let (mut ref_a, mut ref_blocks) = (a.clone(), blocks.clone());
+                    let want = allocate_preferring_reference(&mut ref_a, bit, &mut ref_blocks, now);
+                    assert_eq!(a.allocate_preferring(bit, &mut blocks, now), want);
+                    assert_eq!(encode(&a), encode(&ref_a), "pools diverged at step {now}");
+                    assert_eq!(encode(&blocks), encode(&ref_blocks));
+                }
+                7 => {
+                    a.allocate_gc(plane, &mut blocks, now);
+                }
+                8 => {
+                    // A GC reclaim: drain a closed block, erase it, pool it.
+                    let closed: Vec<BlockAddr> =
+                        blocks.reclaimable_blocks().map(|(b, _, _)| b).collect();
+                    if !closed.is_empty() {
+                        let b = closed[rng.gen_below(closed.len() as u64) as usize];
+                        for _ in 0..blocks.valid_pages(b) {
+                            blocks.invalidate_page(b);
+                        }
+                        blocks.erase(b);
+                        a.push_free(b);
+                    }
+                }
+                _ => {
+                    // A retirement promotes a spare into the free pool.
+                    if let Some(s) = a.take_spare(plane) {
+                        a.push_free(s);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Few, small blocks, so pools drain, refill and tie constantly.
+    fn micro(bits_per_cell: u32) -> Geometry {
+        Geometry {
+            channels: 2,
+            chips_per_channel: 1,
+            dies_per_chip: 1,
+            planes_per_die: 2,
+            blocks_per_plane: 6,
+            wordlines_per_block: 3,
+            bits_per_cell,
+            page_size_bytes: 4 * 1024,
+        }
+    }
+
+    #[test]
+    fn allocator_choices_match_their_references() {
+        let mut rng = Rng64::seed_from_u64(0x00A1_10C8);
+        for g in [micro(2), micro(3), Geometry::tiny()] {
+            for _ in 0..3 {
+                drive(Allocator::new(g), BlockTable::new(g), &mut rng, 2_000);
+                let (a, _) = Allocator::with_spares(g, 2);
+                drive(a, BlockTable::new(g), &mut rng, 2_000);
+                // A recovered allocator: open blocks resume mid-block, the
+                // free pools re-sort, some free blocks become spares.
+                let mut blocks = BlockTable::new(g);
+                let mut before = Allocator::new(g);
+                for now in 0..rng.gen_below(g.total_pages() / 2) {
+                    before.allocate(&mut blocks, now);
+                }
+                let a = Allocator::rebuild(g, |b| match blocks.state(b) {
+                    BlockState::Free if b.0 % 5 == 0 => RecoveredPool::Spare,
+                    BlockState::Free => RecoveredPool::Free,
+                    BlockState::Open => RecoveredPool::Active,
+                    _ => RecoveredPool::None,
+                });
+                drive(a, blocks, &mut rng, 2_000);
+            }
+        }
     }
 
     #[test]

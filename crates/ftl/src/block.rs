@@ -11,6 +11,7 @@ use crate::map::check_len;
 use ida_flash::addr::{BlockAddr, PlaneAddr};
 use ida_flash::geometry::Geometry;
 use ida_flash::timing::SimTime;
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 /// Lifecycle state of a block.
@@ -143,9 +144,11 @@ pub struct BlockTable {
     /// read-disturb clock the aging model and the patrol scrub consume),
     /// `block × wordline`.
     wl_reads: Vec<u32>,
-    /// Per-plane victim index, maintained on every state/valid/wear
-    /// transition below so GC never rescans the device.
-    index: Vec<PlaneIndex>,
+    /// Per-plane victim index: built from the block records by the first
+    /// victim query, then maintained on every state/valid/wear transition
+    /// below so GC never rescans the device. Until then nothing queries
+    /// it, so nothing maintains it.
+    index: OnceCell<Vec<PlaneIndex>>,
     /// Blocks currently in the `Ida` state (kept incrementally so gauges
     /// can sample it without an O(blocks) scan).
     ida_blocks: u32,
@@ -165,19 +168,49 @@ pub struct BlockTable {
     wear_offset: u32,
 }
 
-ida_snap::snap_struct!(BlockTable {
-    geometry,
-    blocks,
-    wl_masks,
-    wl_reads,
-    index,
-    ida_blocks,
-    adjusted_wordlines,
-    bad_blocks,
-    in_use,
-    total_erases,
-    wear_offset,
-});
+// The victim index is derived state: an image carries the index the
+// block records imply (built or not, the bytes are the same) and decodes
+// it unbuilt.
+impl ida_snap::Snap for BlockTable {
+    fn encode(&self, w: &mut ida_snap::Writer) {
+        self.geometry.encode(w);
+        self.blocks.encode(w);
+        self.wl_masks.encode(w);
+        self.wl_reads.encode(w);
+        match self.index.get() {
+            Some(index) => index.encode(w),
+            None => self.build_index().encode(w),
+        }
+        self.ida_blocks.encode(w);
+        self.adjusted_wordlines.encode(w);
+        self.bad_blocks.encode(w);
+        self.in_use.encode(w);
+        self.total_erases.encode(w);
+        self.wear_offset.encode(w);
+    }
+
+    fn decode(r: &mut ida_snap::Reader<'_>) -> Result<Self, ida_snap::SnapError> {
+        let geometry = Geometry::decode(r)?;
+        let blocks = Vec::decode(r)?;
+        let wl_masks = Vec::decode(r)?;
+        let wl_reads = Vec::decode(r)?;
+        let index = Vec::<PlaneIndex>::decode(r)?;
+        check_len("victim index", index.len(), geometry.total_planes().into())?;
+        Ok(BlockTable {
+            geometry,
+            blocks,
+            wl_masks,
+            wl_reads,
+            index: OnceCell::new(),
+            ida_blocks: u32::decode(r)?,
+            adjusted_wordlines: u64::decode(r)?,
+            bad_blocks: u32::decode(r)?,
+            in_use: u32::decode(r)?,
+            total_erases: u64::decode(r)?,
+            wear_offset: u32::decode(r)?,
+        })
+    }
+}
 
 /// Wordlines in the whole array: the length of a `block × wordline` table.
 pub(crate) fn wordline_count(g: &Geometry) -> u64 {
@@ -219,9 +252,7 @@ impl BlockTable {
             ],
             wl_masks: vec![0; wordlines],
             wl_reads: vec![0; wordlines],
-            index: (0..geometry.total_planes())
-                .map(|_| PlaneIndex::new(geometry.pages_per_block()))
-                .collect(),
+            index: OnceCell::new(),
             geometry,
             ida_blocks: 0,
             adjusted_wordlines: 0,
@@ -234,6 +265,29 @@ impl BlockTable {
 
     fn plane_index(&self, b: BlockAddr) -> usize {
         (b.0 / self.geometry.blocks_per_plane) as usize
+    }
+
+    /// The victim index the block records imply: every reclaimable block
+    /// under its plane, valid count and `(erase_count, block)` key.
+    fn build_index(&self) -> Vec<PlaneIndex> {
+        let mut index: Vec<PlaneIndex> = (0..self.geometry.total_planes())
+            .map(|_| PlaneIndex::new(self.geometry.pages_per_block()))
+            .collect();
+        for (b, valid, erases) in self.reclaimable_blocks() {
+            index[self.plane_index(b)].insert(valid, erases, b.0);
+        }
+        index
+    }
+
+    /// The victim index, built on first use.
+    fn index(&self) -> &[PlaneIndex] {
+        self.index.get_or_init(|| self.build_index())
+    }
+
+    /// `b`'s plane in the victim index, if the index has been built.
+    fn index_of(&mut self, b: BlockAddr) -> Option<&mut PlaneIndex> {
+        let plane = self.plane_index(b);
+        self.index.get_mut().map(|index| &mut index[plane])
     }
 
     fn info(&self, b: BlockAddr) -> &BlockInfo {
@@ -260,12 +314,7 @@ impl BlockTable {
         let wordlines = wordline_count(geometry);
         check_len("blocks", self.blocks.len(), geometry.total_blocks().into())?;
         check_len("wordline masks", self.wl_masks.len(), wordlines)?;
-        check_len("wordline reads", self.wl_reads.len(), wordlines)?;
-        check_len(
-            "victim index",
-            self.index.len(),
-            geometry.total_planes().into(),
-        )
+        check_len("wordline reads", self.wl_reads.len(), wordlines)
     }
 
     /// Current lifecycle state of `b`.
@@ -323,8 +372,9 @@ impl BlockTable {
             info.state = BlockState::Closed;
             info.closed_at = now;
             let (valid, erases) = (info.valid_pages, info.erase_count);
-            let plane = self.plane_index(b);
-            self.index[plane].insert(valid, erases, b.0);
+            if let Some(index) = self.index_of(b) {
+                index.insert(valid, erases, b.0);
+            }
         }
         off
     }
@@ -352,16 +402,12 @@ impl BlockTable {
         info.valid_pages -= 1;
         if matches!(info.state, BlockState::Closed | BlockState::Ida) {
             let (valid, erases) = (info.valid_pages, info.erase_count);
-            let plane = self.plane_index(b);
-            self.index[plane].remove(valid + 1, erases, b.0);
-            self.index[plane].insert(valid, erases, b.0);
+            if let Some(index) = self.index_of(b) {
+                index.remove(valid + 1, erases, b.0);
+                index.insert(valid, erases, b.0);
+            }
         }
     }
-
-    /// Record that one kept-in-place page remains valid after an IDA
-    /// refresh but the block-level accounting changed (no-op placeholder
-    /// for symmetry; validity itself lives in the page map).
-    pub fn keep_page(&mut self, _b: BlockAddr) {}
 
     /// Take `b` out of circulation on its way to `Free` or `Bad`: check
     /// that it is not open and holds no valid data (`what` names the
@@ -391,8 +437,9 @@ impl BlockTable {
         self.wl_reads[wls].fill(0);
         let reclaimable = matches!(state, BlockState::Closed | BlockState::Ida);
         if reclaimable {
-            let plane = self.plane_index(b);
-            self.index[plane].remove(0, erases, b.0);
+            if let Some(index) = self.index_of(b) {
+                index.remove(0, erases, b.0);
+            }
         }
         reclaimable
     }
@@ -459,8 +506,9 @@ impl BlockTable {
             _ => {}
         }
         if matches!(state, BlockState::Closed | BlockState::Ida) {
-            let plane = self.plane_index(b);
-            self.index[plane].insert(valid_pages, erase_count, b.0);
+            if let Some(index) = self.index_of(b) {
+                index.insert(valid_pages, erase_count, b.0);
+            }
         }
         if state != BlockState::Free {
             self.in_use += 1;
@@ -557,13 +605,14 @@ impl BlockTable {
     /// the reclaimable (Closed/Ida) block minimizing
     /// `(valid_pages, erase_count, BlockAddr)` — skipping fully-valid
     /// blocks (no net space) and `exclude`. O(1) amortized via the
-    /// per-plane bucket index.
+    /// per-plane bucket index; the first query of any kind builds the
+    /// index in O(blocks).
     pub fn victim_in_plane(
         &self,
         plane: PlaneAddr,
         exclude: Option<BlockAddr>,
     ) -> Option<BlockAddr> {
-        let idx = &self.index[plane.0 as usize];
+        let idx = &self.index()[plane.0 as usize];
         if idx.len == 0 {
             return None;
         }
@@ -589,8 +638,8 @@ impl BlockTable {
     /// best candidate. O(planes) rather than O(blocks).
     pub fn victim_global(&self, exclude: Option<BlockAddr>) -> Option<BlockAddr> {
         let mut best: Option<(u32, u32, u32)> = None;
-        for p in 0..self.index.len() {
-            if let Some(b) = self.victim_in_plane(PlaneAddr(p as u32), exclude) {
+        for p in 0..self.geometry.total_planes() {
+            if let Some(b) = self.victim_in_plane(PlaneAddr(p), exclude) {
                 let key = (self.valid_pages(b), self.erase_count(b), b.0);
                 if best.is_none_or(|k| key < k) {
                     best = Some(key);

@@ -12,12 +12,12 @@ use crate::config::FtlConfig;
 use crate::error::FtlError;
 use crate::gc;
 use crate::map::{Lpn, PageMap};
-use crate::oob::OobStore;
+use crate::oob::{OobStore, PageRecord};
 use crate::ops::{FlashOp, FlashOpKind, OpOrigin, Priority, ReadOp, ReadScenario};
 use crate::refresh::RefreshQueue;
 use crate::stats::FtlStats;
 use ida_core::merge::MergePlan;
-use ida_core::refresh::{RefreshMode, RefreshPlanner};
+use ida_core::refresh::{RefreshMode, RefreshPlan, RefreshPlanner};
 use ida_faults::{AgingConfig, FaultConfig, FaultInjector, FaultStats, PersistOutcome};
 use ida_flash::addr::{BlockAddr, PageAddr, PageType, PlaneAddr};
 use ida_flash::geometry::Geometry;
@@ -28,6 +28,28 @@ use ida_obs::trace::{SinkHandle, TraceEvent};
 /// Program-fail redirects attempted before the injector is overridden and
 /// the write forced through (keeps fault storms from livelocking a write).
 const MAX_REDIRECTS: u32 = 8;
+
+/// Where a mutation's flash ops go: into the caller's list on the timed
+/// paths, nowhere on the untimed warm-up path, which never builds them.
+/// Building an op changes no state, so both paths run the same write, GC
+/// and refresh code.
+type OpSink<'a> = Option<&'a mut Vec<FlashOp>>;
+
+/// Build `op` only if `ops` collects it.
+fn emit(ops: &mut OpSink<'_>, op: impl FnOnce() -> FlashOp) {
+    if let Some(ops) = ops {
+        ops.push(op());
+    }
+}
+
+/// Buffers a block refresh plans into, reused from one refresh to the
+/// next. Scratch space, not device state: never encoded.
+#[derive(Debug, Default)]
+struct RefreshScratch {
+    /// Per-wordline validity masks of the target block.
+    valid_masks: Vec<u8>,
+    plan: RefreshPlan,
+}
 
 /// Where a page program originates, which decides how allocation pressure
 /// is relieved when the free pools run dry.
@@ -108,13 +130,14 @@ pub struct Ftl {
     /// When the next patrol-scrub pass is due (`None` until
     /// [`Ftl::arm_aging`] arms an active model with a scrub period).
     next_scrub_at: Option<SimTime>,
+    refresh_scratch: RefreshScratch,
 }
 
 // Manual snapshot impl: every mutable field travels verbatim except the
 // trace sink (process-local; restored to null — the embedding simulator
-// re-attaches its own handle) and `read_only`, whose `&'static str` reason
-// round-trips through the closed set of literals used by
-// `enter_read_only`.
+// re-attaches its own handle), the refresh scratch buffers, and
+// `read_only`, whose `&'static str` reason round-trips through the closed
+// set of literals used by `enter_read_only`.
 impl ida_snap::Snap for Ftl {
     fn encode(&self, w: &mut ida_snap::Writer) {
         self.cfg.encode(w);
@@ -199,6 +222,7 @@ impl ida_snap::Snap for Ftl {
             op_origin,
             scrub_cursor,
             next_scrub_at,
+            refresh_scratch: RefreshScratch::default(),
         })
     }
 }
@@ -264,6 +288,7 @@ impl Ftl {
             scrub_cursor: 0,
             next_scrub_at: (cfg.aging.is_active() && cfg.aging.scrub_period > 0)
                 .then_some(cfg.aging.scrub_period),
+            refresh_scratch: RefreshScratch::default(),
             cfg,
         }
     }
@@ -503,24 +528,39 @@ impl Ftl {
     /// mode, and [`FtlError::OutOfSpace`] if the host exceeded the
     /// exported capacity.
     pub fn write(&mut self, lpn: Lpn, now: SimTime) -> Result<Vec<FlashOp>, FtlError> {
+        let mut ops = Vec::new();
+        self.write_to(lpn, now, &mut Some(&mut ops))?;
+        Ok(ops)
+    }
+
+    /// [`Ftl::write`] on the untimed warm-up path: the same state changes,
+    /// no flash ops built.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ftl::write`].
+    pub fn write_untimed(&mut self, lpn: Lpn, now: SimTime) -> Result<(), FtlError> {
+        self.write_to(lpn, now, &mut None)
+    }
+
+    fn write_to(&mut self, lpn: Lpn, now: SimTime, ops: &mut OpSink<'_>) -> Result<(), FtlError> {
         if self.power_lost {
             return Err(FtlError::PowerLoss);
         }
         if let Some(reason) = self.read_only {
             return Err(self.reject_write(lpn, now, reason));
         }
-        let mut ops = Vec::new();
-        self.collect_if_needed(now, &mut ops);
+        self.collect_if_needed(now, ops);
         if self.power_lost {
             return Err(FtlError::PowerLoss);
         }
-        match self.program_data(lpn, AllocSource::Host, now, Priority::HostWrite, &mut ops) {
+        match self.program_data(lpn, AllocSource::Host, now, Priority::HostWrite, ops) {
             Some(page) => {
                 if let Some(old) = self.map.map(lpn, page) {
                     self.blocks.invalidate_page(old.block(&self.geometry));
                 }
                 self.stats.host_writes += 1;
-                Ok(ops)
+                Ok(())
             }
             None if self.power_lost => Err(FtlError::PowerLoss),
             None => match self.read_only {
@@ -580,7 +620,7 @@ impl Ftl {
         &mut self,
         src: AllocSource,
         now: SimTime,
-        ops: &mut Vec<FlashOp>,
+        ops: &mut OpSink<'_>,
     ) -> Option<PageAddr> {
         match src {
             AllocSource::Host => {
@@ -648,7 +688,7 @@ impl Ftl {
         src: AllocSource,
         now: SimTime,
         priority: Priority,
-        ops: &mut Vec<FlashOp>,
+        ops: &mut OpSink<'_>,
     ) -> Option<PageAddr> {
         let mut attempts = 0u32;
         loop {
@@ -656,7 +696,7 @@ impl Ftl {
                 return None;
             }
             let page = self.try_alloc(src, now, ops)?;
-            ops.push(self.program_op(page, priority));
+            emit(ops, || self.program_op(page, priority));
             if self.persist(now) {
                 return None;
             }
@@ -738,6 +778,7 @@ impl Ftl {
         if now < due {
             return ops;
         }
+        let sink = &mut Some(&mut ops);
         let aging = self.cfg.aging.clone();
         let saved = self.op_origin;
         self.op_origin = OpOrigin::Refresh;
@@ -767,8 +808,8 @@ impl Ftl {
                     if !self.map.is_valid(page) {
                         continue;
                     }
-                    ops.push(self.read_op(page, Priority::Background));
-                    if !self.relocate_page(page, now, None, &mut ops) {
+                    emit(sink, || self.read_op(page, Priority::Background));
+                    if !self.relocate_page(page, now, None, sink) {
                         break 'scan;
                     }
                     self.stats.scrub_relocations += 1;
@@ -776,7 +817,7 @@ impl Ftl {
                 }
             }
         }
-        let wear_moves = self.wear_level_pass(now, &aging, &mut ops);
+        let wear_moves = self.wear_level_pass(now, &aging, sink);
         self.stats.scrub_passes += 1;
         self.trace.emit_with(|| TraceEvent::ScrubPass {
             t: now,
@@ -792,12 +833,7 @@ impl Ftl {
     /// Migrate valid data off the coldest (least-worn) block when the
     /// device's wear spread exceeds the armed target, then erase it so it
     /// rejoins the hot allocation rotation. Returns pages moved.
-    fn wear_level_pass(
-        &mut self,
-        now: SimTime,
-        aging: &AgingConfig,
-        ops: &mut Vec<FlashOp>,
-    ) -> u32 {
+    fn wear_level_pass(&mut self, now: SimTime, aging: &AgingConfig, ops: &mut OpSink<'_>) -> u32 {
         if self.power_lost || self.read_only.is_some() || aging.wear_spread_target == 0 {
             return 0;
         }
@@ -814,7 +850,7 @@ impl Ftl {
             if !self.map.is_valid(page) {
                 continue;
             }
-            ops.push(self.read_op(page, Priority::Background));
+            emit(ops, || self.read_op(page, Priority::Background));
             if !self.relocate_page(page, now, None, ops) {
                 return moves;
             }
@@ -859,7 +895,7 @@ impl Ftl {
         }
         let saved = self.op_origin;
         self.op_origin = OpOrigin::Refresh;
-        self.relocate_page(page, now, None, &mut ops);
+        self.relocate_page(page, now, None, &mut Some(&mut ops));
         self.op_origin = saved;
         ops
     }
@@ -879,42 +915,65 @@ impl Ftl {
     /// that drive refresh manually). No-op once power is lost or the
     /// device went read-only (a degraded device stops background work).
     pub fn refresh_block(&mut self, block: BlockAddr, now: SimTime, ops: &mut Vec<FlashOp>) {
+        self.refresh(block, now, &mut Some(ops));
+    }
+
+    /// [`Ftl::refresh_block`] on the untimed warm-up path: the same state
+    /// changes, no flash ops built.
+    pub fn refresh_block_untimed(&mut self, block: BlockAddr, now: SimTime) {
+        self.refresh(block, now, &mut None);
+    }
+
+    fn refresh(&mut self, block: BlockAddr, now: SimTime, ops: &mut OpSink<'_>) {
         if self.power_lost || self.read_only.is_some() {
             return;
         }
         self.refresh_target = Some(block);
         let saved = self.op_origin;
         self.op_origin = OpOrigin::Refresh;
-        self.refresh_block_inner(block, now, ops);
+        // The plan lives outside `self` while the FTL carries it out.
+        let mut scratch = std::mem::take(&mut self.refresh_scratch);
+        self.refresh_block_inner(block, now, &mut scratch, ops);
+        self.refresh_scratch = scratch;
         self.op_origin = saved;
         self.refresh_target = None;
     }
 
-    fn refresh_block_inner(&mut self, block: BlockAddr, now: SimTime, ops: &mut Vec<FlashOp>) {
+    fn refresh_block_inner(
+        &mut self,
+        block: BlockAddr,
+        now: SimTime,
+        scratch: &mut RefreshScratch,
+        ops: &mut OpSink<'_>,
+    ) {
         self.stats.refreshes += 1;
         let moves_before = self.stats.refresh_moves;
         let state = self.blocks.state(block);
-        let wl_masks = self.wl_valid_masks(block);
+        let RefreshScratch { valid_masks, plan } = scratch;
+        let first = block.first_page(&self.geometry).0 as usize;
+        let pages = first..first + self.geometry.pages_per_block() as usize;
+        self.map
+            .wordline_masks(pages, self.geometry.bits_per_cell as usize, valid_masks);
 
         // IDA blocks are reclaimed on their next cycle: baseline move-all,
         // regardless of the configured mode (Section III-C).
-        let plan = if state == BlockState::Ida || self.planner.mode() == RefreshMode::Baseline {
+        if state == BlockState::Ida || self.planner.mode() == RefreshMode::Baseline {
             let mut baseline = RefreshPlanner::new(
                 self.geometry.bits_per_cell as u8,
                 RefreshMode::Baseline,
                 InterferenceModel::new(0.0),
             );
-            baseline.plan_block(&wl_masks)
+            baseline.plan_into(valid_masks, plan);
         } else {
-            let plan = self.planner.plan_block(&wl_masks);
-            self.stats.refresh_overhead.record(&plan);
-            plan
-        };
+            self.planner.plan_into(valid_masks, plan);
+            self.stats.refresh_overhead.record(plan);
+        }
 
         // Step 1: read every valid page (and charge its current coding).
         for &(wl, bit) in &plan.initial_reads {
-            let page = self.block_page(block, wl, bit);
-            ops.push(self.read_op(page, Priority::Background));
+            emit(ops, || {
+                self.read_op(self.block_page(block, wl, bit), Priority::Background)
+            });
         }
         // Step 3: migrate non-beneficial pages (plain CWDP placement) and
         // evicted pages (placed on same-type — typically fast LSB — slots
@@ -952,7 +1011,7 @@ impl Ftl {
             }
             self.oob.set_intent(block, &masks);
             for &(wl, mask) in &masks {
-                ops.push(FlashOp {
+                emit(ops, || FlashOp {
                     kind: FlashOpKind::VoltageAdjust,
                     die: block.die(&self.geometry),
                     channel: block.channel(&self.geometry),
@@ -980,8 +1039,9 @@ impl Ftl {
             });
             // Step 5: verification reads under the merged coding.
             for &(wl, bit) in &plan.verify_reads {
-                let page = self.block_page(block, wl, bit);
-                ops.push(self.read_op(page, Priority::Background));
+                emit(ops, || {
+                    self.read_op(self.block_page(block, wl, bit), Priority::Background)
+                });
             }
             // Step 8: corrupted pages move to the new block after all.
             for &(wl, bit) in &plan.error_writes {
@@ -1016,6 +1076,10 @@ impl Ftl {
         now: SimTime,
         ops: &mut Vec<FlashOp>,
     ) -> bool {
+        self.collect(plane, now, &mut Some(ops))
+    }
+
+    fn collect(&mut self, plane: PlaneAddr, now: SimTime, ops: &mut OpSink<'_>) -> bool {
         let mut progressed = false;
         // Power loss and read-only degradation both stop GC cold: a
         // degraded device can no longer relocate, so re-selecting the same
@@ -1036,7 +1100,7 @@ impl Ftl {
     /// Reclaim the globally cheapest victim (fewest valid pages; an empty
     /// carcass whenever one exists). Returns false when nothing is
     /// reclaimable.
-    fn reclaim_cheapest(&mut self, now: SimTime, ops: &mut Vec<FlashOp>) -> bool {
+    fn reclaim_cheapest(&mut self, now: SimTime, ops: &mut OpSink<'_>) -> bool {
         // O(planes) via the victim index — the global minimum under the
         // same (valid, erases, BlockAddr) ordering the old device-wide
         // scan produced (fully valid blocks yield no net space and are
@@ -1054,7 +1118,7 @@ impl Ftl {
     /// Relocate a victim's valid pages within its plane and erase it.
     /// Bails (leaving the victim unerased, its remaining pages intact) on
     /// power loss or read-only degradation mid-copy.
-    fn collect_victim(&mut self, victim: BlockAddr, now: SimTime, ops: &mut Vec<FlashOp>) {
+    fn collect_victim(&mut self, victim: BlockAddr, now: SimTime, ops: &mut OpSink<'_>) {
         // GC can trigger inside a refresh (relocation pressure); its ops
         // are still GC interference, so the class wins over Refresh here.
         let saved = self.op_origin;
@@ -1063,14 +1127,14 @@ impl Ftl {
         self.op_origin = saved;
     }
 
-    fn collect_victim_inner(&mut self, victim: BlockAddr, now: SimTime, ops: &mut Vec<FlashOp>) {
+    fn collect_victim_inner(&mut self, victim: BlockAddr, now: SimTime, ops: &mut OpSink<'_>) {
         self.stats.gc_runs += 1;
         let plane = victim.plane(&self.geometry);
         let mut copies = 0u32;
         for off in 0..self.geometry.pages_per_block() {
             let page = victim.page(&self.geometry, off);
             if self.map.is_valid(page) {
-                ops.push(self.read_op(page, Priority::Background));
+                emit(ops, || self.read_op(page, Priority::Background));
                 if !self.relocate_for_gc(page, plane, now, ops) {
                     return;
                 }
@@ -1089,8 +1153,8 @@ impl Ftl {
     /// Erase an emptied block, absorbing injected erase failures (the
     /// block retires) and retiring blocks whose failed-page count crossed
     /// the grown-bad threshold.
-    fn erase_block(&mut self, victim: BlockAddr, now: SimTime, ops: &mut Vec<FlashOp>) {
-        ops.push(FlashOp {
+    fn erase_block(&mut self, victim: BlockAddr, now: SimTime, ops: &mut OpSink<'_>) {
+        emit(ops, || FlashOp {
             kind: FlashOpKind::Erase,
             die: victim.die(&self.geometry),
             channel: victim.channel(&self.geometry),
@@ -1146,20 +1210,20 @@ impl Ftl {
         }
     }
 
-    fn collect_if_needed(&mut self, now: SimTime, ops: &mut Vec<FlashOp>) {
+    fn collect_if_needed(&mut self, now: SimTime, ops: &mut OpSink<'_>) {
         let (plane, free) = self.alloc.tightest_plane();
         if free < self.cfg.gc_low_watermark {
-            self.collect_plane(plane, now, ops);
+            self.collect(plane, now, ops);
         }
     }
 
-    fn force_collect(&mut self, now: SimTime, ops: &mut Vec<FlashOp>) {
+    fn force_collect(&mut self, now: SimTime, ops: &mut OpSink<'_>) {
         let planes = self.geometry.total_planes();
         for p in 0..planes {
             if self.power_lost {
                 return;
             }
-            self.collect_plane(PlaneAddr(p), now, ops);
+            self.collect(PlaneAddr(p), now, ops);
         }
     }
 
@@ -1173,7 +1237,7 @@ impl Ftl {
         from: PageAddr,
         now: SimTime,
         prefer_bit: Option<u8>,
-        ops: &mut Vec<FlashOp>,
+        ops: &mut OpSink<'_>,
     ) -> bool {
         let Some(lpn) = self.map.owner(from) else {
             return true; // Already superseded; nothing to move.
@@ -1196,7 +1260,7 @@ impl Ftl {
         from: PageAddr,
         plane: PlaneAddr,
         now: SimTime,
-        ops: &mut Vec<FlashOp>,
+        ops: &mut OpSink<'_>,
     ) -> bool {
         let Some(lpn) = self.map.owner(from) else {
             return true;
@@ -1279,18 +1343,20 @@ impl Ftl {
             self.oob.clear_intent(block);
         }
 
-        // Phase 2: L2P rebuild, newest sequence number wins.
-        let mut records: Vec<(u64, u64, PageAddr)> = self
-            .oob
-            .data_records()
-            .map(|(page, lpn, seq)| (seq, lpn, page))
-            .collect();
-        records.sort_unstable();
-        let mut map = PageMap::new(self.cfg.exported_pages(), self.geometry.total_pages());
-        for (_, lpn, page) in records {
-            map.map(Lpn(lpn), page);
+        // Phase 2: L2P rebuild, newest sequence number wins. Records come
+        // in page order and each replaces its LPN's mapping unless that
+        // one is newer (a tie would go to the later page). The map is
+        // rebuilt in place, so recovery holds no device-sized copy.
+        self.map.clear();
+        for (page, lpn, seq) in self.oob.data_records() {
+            let newer = self.map.translate(Lpn(lpn)).is_some_and(
+                |cur| matches!(self.oob.page(cur), PageRecord::Data { seq: s, .. } if s > seq),
+            );
+            if !newer {
+                self.map.map(Lpn(lpn), page);
+            }
         }
-        report.rebuilt_mappings = map.mapped_count();
+        report.rebuilt_mappings = self.map.mapped_count();
 
         // Phase 3: block table reconstruction.
         let full = self.geometry.pages_per_block();
@@ -1305,7 +1371,7 @@ impl Ftl {
             }
             let programmed = self.oob.programmed_count(b);
             let valid = (0..full)
-                .filter(|&off| map.is_valid(b.page(&self.geometry, off)))
+                .filter(|&off| self.map.is_valid(b.page(&self.geometry, off)))
                 .count() as u32;
             if programmed == 0 {
                 blocks.restore(b, BlockState::Free, 0, 0, erases, 0, &zero_masks);
@@ -1352,7 +1418,6 @@ impl Ftl {
             }
         }
 
-        self.map = map;
         self.blocks = blocks;
         self.alloc = alloc;
         self.refresh_q = refresh_q;
@@ -1366,11 +1431,10 @@ impl Ftl {
         }
 
         // Phase 6: conservative scrub of kept pages whose post-adjustment
-        // verification was interrupted. The flash ops are not returned —
-        // the simulator charges recovery as a single stall.
-        let mut scrub_ops = Vec::new();
+        // verification was interrupted. No flash ops are built — the
+        // simulator charges recovery as a single stall.
         for page in scrub_pages {
-            if self.map.is_valid(page) && self.relocate_page(page, now, None, &mut scrub_ops) {
+            if self.map.is_valid(page) && self.relocate_page(page, now, None, &mut None) {
                 report.scrubbed += 1;
             }
         }
@@ -1443,26 +1507,11 @@ impl Ftl {
         Ok(())
     }
 
-    fn wl_valid_masks(&self, block: BlockAddr) -> Vec<u8> {
-        (0..self.geometry.wordlines_per_block)
-            .map(|w| {
-                let wl = block.wordline(&self.geometry, w);
-                let mut mask = 0u8;
-                for b in 0..self.geometry.bits_per_cell as u8 {
-                    let page = wl.page(&self.geometry, PageType::from_bit_index(b));
-                    if self.map.is_valid(page) {
-                        mask |= 1 << b;
-                    }
-                }
-                mask
-            })
-            .collect()
-    }
-
     fn block_page(&self, block: BlockAddr, wl: u32, bit: u8) -> PageAddr {
-        block
-            .wordline(&self.geometry, wl)
-            .page(&self.geometry, PageType::from_bit_index(bit))
+        block.page(
+            &self.geometry,
+            wl * self.geometry.bits_per_cell + u32::from(bit),
+        )
     }
 
     fn read_op(&self, page: PageAddr, priority: Priority) -> FlashOp {

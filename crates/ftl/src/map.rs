@@ -2,6 +2,7 @@
 
 use ida_flash::addr::PageAddr;
 use std::fmt;
+use std::ops::Range;
 
 /// A logical page number — the host-visible page address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -89,6 +90,12 @@ impl PageMap {
         }
     }
 
+    /// Unmap every LPN, leaving the map as [`PageMap::new`] made it.
+    pub(crate) fn clear(&mut self) {
+        self.l2p.fill(UNMAPPED);
+        self.p2l.fill(UNMAPPED);
+    }
+
     /// Number of logical pages exposed.
     pub fn logical_pages(&self) -> u64 {
         self.l2p.len() as u64
@@ -158,6 +165,18 @@ impl PageMap {
         self.l2p[lpn as usize] = to.0 as u32;
         self.p2l[to.0 as usize] = lpn as u32;
         Some(Lpn(lpn))
+    }
+
+    /// Overwrite `masks` with the validity mask of each wordline of the
+    /// block whose pages are `pages`, `bits` pages to a wordline: bit `b`
+    /// of entry `w` is set ⇔ page `w · bits + b` is valid.
+    pub(crate) fn wordline_masks(&self, pages: Range<usize>, bits: usize, masks: &mut Vec<u8>) {
+        masks.clear();
+        masks.extend(self.p2l[pages].chunks_exact(bits).map(|wl| {
+            wl.iter()
+                .enumerate()
+                .fold(0, |m, (b, &v)| m | u8::from(v != UNMAPPED) << b)
+        }));
     }
 
     /// An error unless this (decoded) map spans `logical_pages` LPNs over

@@ -272,8 +272,8 @@ impl OobStore {
     }
 
     /// Every data record in the store as `(page, lpn, seq)`, in physical
-    /// page order. The recovery scan sorts these by `seq` to rebuild the
-    /// mapping table.
+    /// page order. The recovery scan rebuilds the mapping table from
+    /// them, the highest `seq` of each LPN winning.
     pub fn data_records(&self) -> impl Iterator<Item = (PageAddr, u64, u64)> + '_ {
         self.lpn
             .iter()

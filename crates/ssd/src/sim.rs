@@ -469,10 +469,10 @@ impl Simulator {
     /// (untimed) and the write is retried once; read-only rejections are
     /// dropped.
     fn warmup_write(&mut self, lpn: Lpn, now: SimTime) {
-        if self.ftl.write(lpn, now) == Err(FtlError::PowerLoss) {
+        if self.ftl.write_untimed(lpn, now) == Err(FtlError::PowerLoss) {
             // Untimed recovery: warm-up charges no latency anywhere.
             self.ftl.recover(now);
-            let _ = self.ftl.write(lpn, now);
+            let _ = self.ftl.write_untimed(lpn, now);
         }
     }
 
@@ -608,11 +608,9 @@ impl Simulator {
             .map(|(b, _, _)| b)
             .collect();
         let n = candidates.len().max(1) as u64;
-        let mut discard = Vec::new();
         for (i, b) in candidates.into_iter().enumerate() {
             let when = base + stagger_span * i as u64 / n;
-            self.ftl.refresh_block(b, when, &mut discard);
-            discard.clear();
+            self.ftl.refresh_block_untimed(b, when);
             if self.ftl.power_lost() {
                 // Untimed recovery during warm-up; remaining blocks still
                 // get their staggered refresh.

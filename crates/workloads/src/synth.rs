@@ -112,7 +112,10 @@ impl WorkloadSpec {
             assert!((0.0..=1.0).contains(&v), "{what} must be in [0,1], got {v}");
         }
         let mut rng = Rng64::seed_from_u64(self.seed);
-        let read_zipf = Zipf::new(footprint_pages.min(1 << 22) as usize, self.read_theta);
+        // A write-only trace (every aging pass) draws no read address, so
+        // it skips the footprint-sized read CDF.
+        let read_zipf = (self.read_ratio > 0.0)
+            .then(|| Zipf::new(footprint_pages.min(1 << 22) as usize, self.read_theta));
         let update_domain = ((footprint_pages as f64 * self.update_fraction) as u64).max(1);
         let write_zipf = Zipf::new(update_domain.min(1 << 22) as usize, self.write_theta);
         let scatter = Scatter::new(footprint_pages);
@@ -139,7 +142,8 @@ impl WorkloadSpec {
                 let page = if last_read_end.is_some() && rng.gen_bool(self.seq_read_prob) {
                     last_read_end.take().expect("just checked")
                 } else {
-                    scatter.apply(read_zipf.sample(&mut rng) as u64)
+                    let zipf = read_zipf.as_ref().expect("a read implies read_ratio > 0");
+                    scatter.apply(zipf.sample(&mut rng) as u64)
                 };
                 let page = page.min(footprint_pages.saturating_sub(pages as u64));
                 last_read_end = Some((page + pages as u64) % footprint_pages);

@@ -9,6 +9,11 @@
 //! post-crash `restore` reconstruction — and assert that index and scan
 //! never diverge, on any plane, with or without an excluded block.
 //!
+//! The index is built by the first victim query, from the block records,
+//! and maintained from then on; so some sequences run thousands of
+//! transitions before their first query, and an image must carry the
+//! same bytes whether or not its index was ever built.
+//!
 //! Randomness comes from the workspace's seeded deterministic RNG, so
 //! every run exercises the same (large) set of cases.
 
@@ -17,6 +22,7 @@ use ida_flash::geometry::Geometry;
 use ida_ftl::block::{BlockState, BlockTable};
 use ida_ftl::gc::{select_victim, select_victim_scan};
 use ida_obs::rng::Rng64;
+use ida_snap::Snap;
 
 /// Pick a random block satisfying `pred`, if any (uniformly via
 /// reservoir sampling over the table).
@@ -247,4 +253,105 @@ fn restore_rebuilds_index_and_counters() {
     assert_eq!(rebuilt.ida_blocks(), t.ida_blocks());
     assert_eq!(rebuilt.adjusted_wordlines(), t.adjusted_wordlines());
     assert_eq!(rebuilt.bad_blocks(), t.bad_blocks());
+}
+
+/// Like [`run_differential`], but the first query comes only after
+/// `unqueried` transitions, so the index is built from the block records.
+fn run_lazy_differential(geometry: Geometry, seed: u64, unqueried: u64, checked: u64) {
+    let mut rng = Rng64::seed_from_u64(seed);
+    let mut t = BlockTable::new(geometry);
+    for now in 0..unqueried {
+        step(&mut t, &mut rng, now);
+    }
+    for now in unqueried..unqueried + checked {
+        check_against_scan(&t, &mut rng);
+        step(&mut t, &mut rng, now);
+    }
+    check_against_scan(&t, &mut rng);
+}
+
+/// A second small geometry: 2 planes of 5 TLC blocks with 9 pages each,
+/// so blocks close, drain and tie often.
+fn small_tlc() -> Geometry {
+    Geometry {
+        channels: 2,
+        chips_per_channel: 1,
+        dies_per_chip: 1,
+        planes_per_die: 1,
+        blocks_per_plane: 5,
+        wordlines_per_block: 3,
+        bits_per_cell: 3,
+        page_size_bytes: 4 * 1024,
+    }
+}
+
+fn encode(t: &BlockTable) -> Vec<u8> {
+    let mut w = ida_snap::Writer::new();
+    t.encode(&mut w);
+    w.into_bytes()
+}
+
+fn decode(bytes: &[u8]) -> BlockTable {
+    BlockTable::decode(&mut ida_snap::Reader::new(bytes)).expect("a table's own image decodes")
+}
+
+/// The first query builds the index from whatever 1–5,000 transitions
+/// left behind; it must then agree with the scan through every later
+/// transition, with and without exclusions.
+#[test]
+fn index_built_on_first_query_matches_scan() {
+    let mut rng = Rng64::seed_from_u64(0x71C_0400);
+    for (i, g) in [Geometry::tiny(), small_tlc()].into_iter().enumerate() {
+        for run in 0..12u64 {
+            let unqueried = match run {
+                0 => 1,
+                1 => 5_000,
+                _ => rng.gen_range_u64(1, 5_001),
+            };
+            run_lazy_differential(g, 0x71C_0500 + 16 * i as u64 + run, unqueried, 200);
+        }
+    }
+    run_lazy_differential(Geometry::scaled_8gb(), 0x71C_0600, 3_000, 60);
+}
+
+/// The index is derived state: a table encodes the index its block
+/// records imply, so the bytes are the same before and after the first
+/// query, a decoded table (index unbuilt) re-encodes to the same bytes,
+/// and an index maintained through later transitions encodes like the
+/// one a decoded table rebuilds.
+#[test]
+fn image_bytes_do_not_depend_on_when_the_index_was_built() {
+    for (i, g) in [Geometry::tiny(), small_tlc()].into_iter().enumerate() {
+        for (j, unqueried) in [0u64, 1, 37, 600, 3_000].into_iter().enumerate() {
+            let mut rng = Rng64::seed_from_u64(0x71C_0700 + 8 * i as u64 + j as u64);
+            let mut t = BlockTable::new(g);
+            for now in 0..unqueried {
+                step(&mut t, &mut rng, now);
+            }
+            let before = encode(&t);
+            let mut decoded = decode(&before);
+            assert_eq!(
+                encode(&decoded),
+                before,
+                "decode → encode changed the bytes"
+            );
+            let _ = t.victim_global(None);
+            assert_eq!(encode(&t), before, "the first query changed the image");
+            check_against_scan(&decoded, &mut rng);
+            // Both tables maintain an index from here on.
+            let mut rng_decoded = rng.clone();
+            for now in unqueried..unqueried + 400 {
+                step(&mut t, &mut rng, now);
+                step(&mut decoded, &mut rng_decoded, now);
+            }
+            let maintained = encode(&t);
+            assert_eq!(encode(&decoded), maintained, "the two tables diverged");
+            assert_eq!(
+                encode(&decode(&maintained)),
+                maintained,
+                "a maintained index encodes unlike the rebuilt one"
+            );
+            check_against_scan(&t, &mut rng);
+        }
+    }
 }
