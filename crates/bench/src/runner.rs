@@ -79,31 +79,54 @@ impl ExperimentScale {
         self
     }
 
-    /// The scale selected by environment variables: `IDA_SCALE=smoke|full`
-    /// (default: the standard scale) and `IDA_REQUESTS=<n>` to override
-    /// the request count directly.
-    pub fn from_env() -> Self {
-        let mut scale = match std::env::var("IDA_SCALE").as_deref() {
-            Ok("smoke") => Self::smoke(),
-            Ok("full") => Self::default_scale().with_requests(120_000),
-            _ => Self::default_scale(),
-        };
-        if let Ok(n) = std::env::var("IDA_REQUESTS") {
-            if let Ok(n) = n.parse() {
-                scale.requests = n;
-            }
-        }
-        scale
+    /// [`ExperimentScale::from_vars`] over the environment variables.
+    ///
+    /// # Errors
+    ///
+    /// An unknown `IDA_SCALE` or a malformed `IDA_REQUESTS`.
+    pub fn from_env() -> Result<Self, String> {
+        let var = |name| std::env::var(name).ok();
+        Self::from_vars(var("IDA_SCALE").as_deref(), var("IDA_REQUESTS").as_deref())
     }
+
+    /// The scale selected by `IDA_SCALE=smoke|full` (`None`, unset: the
+    /// standard scale), with `IDA_REQUESTS=<n>` overriding the request count.
+    ///
+    /// # Errors
+    ///
+    /// Any other scale, or a count [`parse_requests`] rejects, named with
+    /// its variable: a typo fails instead of running another experiment.
+    pub fn from_vars(scale: Option<&str>, requests: Option<&str>) -> Result<Self, String> {
+        let mut out = match scale {
+            None => Self::default_scale(),
+            Some("smoke") => Self::smoke(),
+            Some("full") => Self::default_scale().with_requests(120_000),
+            Some(other) => return Err(format!("IDA_SCALE={other}: expected smoke or full")),
+        };
+        if let Some(n) = requests {
+            out.requests = parse_requests(n).map_err(|e| format!("IDA_REQUESTS={n}: {e}"))?;
+        }
+        Ok(out)
+    }
+}
+
+/// Parse a measured request count (`--requests`, `IDA_REQUESTS`).
+///
+/// # Errors
+///
+/// Anything but a non-negative integer, as `bad request count: …`.
+pub fn parse_requests(v: &str) -> Result<usize, String> {
+    v.parse().map_err(|e| format!("bad request count: {e}"))
 }
 
 /// Default gauge sampling interval: 1 ms of simulated time.
 pub const DEFAULT_GAUGE_INTERVAL_NS: u64 = 1_000_000;
 
 /// Observability options threaded into measured runs: where to write the
-/// event trace and metrics report, whether to show progress, and how
-/// often to sample gauges. The default (all off) adds no overhead — the
-/// simulator keeps its null sink.
+/// event trace and metrics report, and whether to show progress. Gauges
+/// are sampled every [`DEFAULT_GAUGE_INTERVAL_NS`] when metrics are
+/// requested. The default (all off) adds no overhead — the simulator
+/// keeps its null sink.
 #[derive(Debug, Clone, Default)]
 pub struct ObsOptions {
     /// Write the run's event trace as JSONL to this path.
@@ -112,10 +135,6 @@ pub struct ObsOptions {
     pub metrics_json: Option<PathBuf>,
     /// Report run progress on stderr.
     pub progress: bool,
-    /// Gauge sampling interval in simulated ns (`None` = no gauges;
-    /// defaults to [`DEFAULT_GAUGE_INTERVAL_NS`] when metrics are
-    /// requested).
-    pub gauge_interval_ns: Option<u64>,
     /// Comma-separated event-class filter for the trace output
     /// (`host,ftl,gc,refresh,fault,span`; `None` = keep everything), so
     /// span-heavy traces stay bounded.
@@ -123,28 +142,6 @@ pub struct ObsOptions {
 }
 
 impl ObsOptions {
-    /// Options selected by environment variables, for the experiment
-    /// binaries: `IDA_TRACE_OUT=<path>`, `IDA_METRICS_JSON=<path>`,
-    /// `IDA_PROGRESS=1`, `IDA_GAUGE_INTERVAL_US=<n>`,
-    /// `IDA_TRACE_FILTER=<class>[,<class>...]`.
-    pub fn from_env() -> Self {
-        ObsOptions {
-            trace_out: std::env::var_os("IDA_TRACE_OUT").map(PathBuf::from),
-            metrics_json: std::env::var_os("IDA_METRICS_JSON").map(PathBuf::from),
-            progress: std::env::var("IDA_PROGRESS").is_ok_and(|v| v != "0" && !v.is_empty()),
-            gauge_interval_ns: std::env::var("IDA_GAUGE_INTERVAL_US")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .map(|us| us.max(1) * 1_000),
-            trace_filter: std::env::var("IDA_TRACE_FILTER").ok(),
-        }
-    }
-
-    /// Whether any output or progress option is set.
-    pub fn any(&self) -> bool {
-        self.trace_out.is_some() || self.metrics_json.is_some() || self.progress
-    }
-
     /// A copy whose output paths carry a per-run `label` suffix
     /// (`trace.jsonl` → `trace.<label>.jsonl`), so one option set can
     /// serve several runs without the later overwriting the earlier.
@@ -183,9 +180,7 @@ impl ObsOptions {
             // the analyzer needs them for attribution replay.
             sim.set_spans(true);
         }
-        if let Some(interval) = self.gauge_interval_ns {
-            sim.set_gauges(GaugeSet::every(interval));
-        } else if self.metrics_json.is_some() {
+        if self.metrics_json.is_some() {
             sim.set_gauges(GaugeSet::every(DEFAULT_GAUGE_INTERVAL_NS));
         }
         sim.set_progress(self.progress);
@@ -618,23 +613,9 @@ pub fn warm_tail(sim: &mut Simulator, preset: &WorkloadPreset, scale: &Experimen
     trace
 }
 
-/// Run one workload on one system at the paper's TLC timing.
-///
-/// Observability options are picked up from the environment (see
-/// [`ObsOptions::from_env`]); output paths get a `<workload>_<system>`
-/// suffix so sweeps over several runs don't overwrite each other.
-pub fn run_system(
-    preset: &WorkloadPreset,
-    system: SystemUnderTest,
-    scale: &ExperimentScale,
-) -> WorkloadRun {
-    let obs = ObsOptions::from_env();
-    let obs = obs.suffixed(&format!("{}_{}", preset.spec.name, system.label()));
-    run_system_obs(preset, system, scale, &obs).expect("observability output failed")
-}
-
-/// [`run_system`] with explicit observability options (used by the CLI;
-/// paths are taken as given, without a per-run suffix).
+/// Run one workload on one system at the paper's TLC timing, with the
+/// given observability options attached before warm-up (used by the
+/// CLI; paths are taken as given, without a per-run suffix).
 ///
 /// # Errors
 ///
@@ -697,27 +678,64 @@ mod tests {
         assert_eq!(warm_cache_key("hm_1", &cfg, &scale), 0xe61f_f94c_2096_d652);
     }
 
+    /// The paper's TLC configuration of `system` at `scale`.
+    fn tlc(system: SystemUnderTest, scale: &ExperimentScale) -> SsdConfig {
+        system_config(
+            system,
+            scale.geometry,
+            FlashTiming::paper_tlc(),
+            RetryConfig::disabled(),
+        )
+    }
+
     #[test]
     fn smoke_run_produces_reads_and_writes() {
         let preset = paper_workload("hm_1").unwrap();
         let scale = ExperimentScale::smoke().with_requests(1_500);
-        let run = run_system(&preset, SystemUnderTest::Baseline, &scale);
-        assert!(run.report.reads.count > 500);
-        assert!(run.report.writes.count > 0);
-        assert!(run.report.reads.mean() > 0.0);
+        let run = run_config(&preset, tlc(SystemUnderTest::Baseline, &scale), &scale);
+        assert!(run.reads.count > 500);
+        assert!(run.writes.count > 0);
+        assert!(run.reads.mean() > 0.0);
     }
 
     #[test]
     fn ida_beats_baseline_on_a_read_heavy_workload() {
         let preset = paper_workload("proj_1").unwrap();
         let scale = ExperimentScale::smoke();
-        let base = run_system(&preset, SystemUnderTest::Baseline, &scale);
-        let ida = run_system(&preset, SystemUnderTest::Ida { error_rate: 0.0 }, &scale);
-        let norm = normalized_read_response(&ida.report, &base.report);
+        let base = run_config(&preset, tlc(SystemUnderTest::Baseline, &scale), &scale);
+        let ida = run_config(
+            &preset,
+            tlc(SystemUnderTest::Ida { error_rate: 0.0 }, &scale),
+            &scale,
+        );
+        let norm = normalized_read_response(&ida, &base);
         assert!(
             norm < 0.95,
             "IDA-E0 should clearly improve read response, got {norm}"
         );
-        assert!(ida.report.breakdown.ida > 0, "IDA reads must occur");
+        assert!(ida.breakdown.ida > 0, "IDA reads must occur");
+    }
+
+    #[test]
+    fn scale_variables_parse_or_name_the_bad_value() {
+        let scale = |s, r| ExperimentScale::from_vars(s, r).map(|x| x.requests);
+        assert_eq!(scale(None, None), Ok(40_000));
+        assert_eq!(scale(Some("smoke"), None), Ok(6_000));
+        assert_eq!(scale(Some("full"), None), Ok(120_000));
+        assert_eq!(scale(Some("smoke"), Some("20000")), Ok(20_000));
+        assert_eq!(scale(None, Some("0")), Ok(0));
+        let err = scale(Some("ful"), None).unwrap_err();
+        assert!(err.starts_with("IDA_SCALE=ful: "), "{err}");
+        let err = scale(Some("smoke"), Some("20k")).unwrap_err();
+        assert!(
+            err.starts_with("IDA_REQUESTS=20k: bad request count: "),
+            "{err}"
+        );
+        assert!(scale(None, Some("")).is_err());
+        assert!(scale(None, Some("-5")).is_err());
+        assert_eq!(parse_requests("800"), Ok(800));
+        assert!(parse_requests("many")
+            .unwrap_err()
+            .starts_with("bad request count: "));
     }
 }

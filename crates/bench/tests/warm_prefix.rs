@@ -8,11 +8,11 @@ use ida_bench::runner::{
     prefix_cache_key, prefix_config, system_config, warm_prefix, ExperimentScale, SystemUnderTest,
 };
 use ida_bench::soak::SOAK_SPARES_PER_PLANE;
-use ida_bench::sweep::FAULT_SPARES_PER_PLANE;
+use ida_bench::sweep::{warm_config, FAULT_SPARES_PER_PLANE};
 use ida_flash::timing::FlashTiming;
 use ida_ssd::retry::RetryConfig;
 use ida_ssd::{Simulator, SsdConfig};
-use ida_sweep::derive_stream_seed;
+use ida_sweep::{derive_stream_seed, SweepSpec};
 use ida_workloads::suite::paper_workload;
 
 const BASELINE: SystemUnderTest = SystemUnderTest::Baseline;
@@ -42,19 +42,28 @@ fn cell_config(system: SystemUnderTest, dtr_us: Option<u64>, spares: u32) -> Ssd
 /// Build one shared prefix for the variant, fork it into every system,
 /// and compare each fork with the system's own prefix, byte for byte.
 fn assert_forks_equal_own_prefixes(dtr_us: Option<u64>, spares: u32, systems: &[SystemUnderTest]) {
+    let columns: Vec<(String, SsdConfig)> = systems
+        .iter()
+        .map(|&s| (s.label(), cell_config(s, dtr_us, spares)))
+        .collect();
+    assert_columns_fork_one_prefix(&format!("dtr {dtr_us:?}, {spares} spares"), &columns);
+}
+
+/// Build one shared prefix under the first column's `prefix_config`,
+/// fork it into every `(label, config)` column, and compare each fork
+/// with the prefix the column builds under its own config, byte for byte.
+fn assert_columns_fork_one_prefix(what: &str, columns: &[(String, SsdConfig)]) {
     let preset = paper_workload("proj_3").unwrap();
     let scale = ExperimentScale::smoke();
-    let first = cell_config(systems[0], dtr_us, spares);
-    let mut shared = Simulator::new(prefix_config(&first));
+    let first = &columns[0].1;
+    let mut shared = Simulator::new(prefix_config(first));
     warm_prefix(&mut shared, &preset);
     let image = shared.snapshot();
-    for &system in systems {
-        let cfg = cell_config(system, dtr_us, spares);
+    for (label, cfg) in columns {
         assert_eq!(
-            prefix_cache_key("proj_3", &cfg, &scale),
-            prefix_cache_key("proj_3", &first, &scale),
-            "{} must share the prefix key",
-            system.label()
+            prefix_cache_key("proj_3", cfg, &scale),
+            prefix_cache_key("proj_3", first, &scale),
+            "{label} ({what}) must share the prefix key"
         );
         let mut own = Simulator::new(cfg.clone());
         warm_prefix(&mut own, &preset);
@@ -63,8 +72,7 @@ fn assert_forks_equal_own_prefixes(dtr_us: Option<u64>, spares: u32, systems: &[
         fork.arm_refresh(f.refresh_mode, f.adjust_error_rate, f.seed);
         assert!(
             fork.snapshot() == own.snapshot(),
-            "{} (dtr {dtr_us:?}, {spares} spares): forked prefix differs from its own",
-            system.label()
+            "{label} ({what}): forked prefix differs from its own"
         );
     }
 }
@@ -88,6 +96,27 @@ fn soak_config_forks_one_prefix() {
 fn dtr_variants_fork_one_prefix_each() {
     assert_forks_equal_own_prefixes(Some(30), 0, &[BASELINE, E20]);
     assert_forks_equal_own_prefixes(Some(70), 0, &[BASELINE, E20]);
+}
+
+#[test]
+fn device_variants_fork_one_prefix_each() {
+    // The `variant` axis of the table5, fig6 and ablation grids, with the
+    // warm configs and seeds their Baseline and IDA-E20 cells use.
+    let scale = ExperimentScale::smoke();
+    for variant in ["mlc", "qlc", "tlc232", "noplace"] {
+        let cells = SweepSpec::new(
+            "variants",
+            vec!["proj_3".into()],
+            vec![BASELINE.label(), E20.label()],
+        )
+        .with_axis("variant", vec![variant.into()])
+        .cells();
+        let columns: Vec<(String, SsdConfig)> = cells
+            .iter()
+            .map(|c| (c.system.clone(), warm_config(c, &scale).unwrap().1))
+            .collect();
+        assert_columns_fork_one_prefix(variant, &columns);
+    }
 }
 
 #[test]

@@ -9,6 +9,7 @@
 //! there, whichever other subcommand accepts it.
 
 use crate::DEFAULT_FABRIC_ADDR;
+use ida_bench::runner::parse_requests;
 use ida_bench::soak::SOAK_EPOCHS;
 use ida_faults::AgingConfig;
 use ida_host::{AdmissionPolicy, ArrivalSpec};
@@ -148,7 +149,7 @@ pub const FLAGS: &[(&str, Shape)] = &[
     (
         "--requests",
         One("a value", |o, v| {
-            put(&mut o.requests, some(v, "request count"))
+            put(&mut o.requests, parse_requests(v).map(Some))
         }),
     ),
     ("--progress", Switch(|o| o.progress = true)),

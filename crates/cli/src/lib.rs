@@ -18,6 +18,7 @@ use ida_bench::sweep::{
     builtin_grid, parse_system, render, run_grid, run_grid_on, run_grid_worker, warm_config,
     Backend, BUILTIN_GRIDS,
 };
+use ida_bench::table::{f, TextTable};
 use ida_obs::json::JsonObj;
 use ida_ssd::Simulator;
 use ida_sweep::{SweepConfig, SweepOutcome, SweepSpec};
@@ -38,7 +39,7 @@ const FABRIC_CONNECT_WAIT: std::time::Duration = std::time::Duration::from_secs(
 /// [`Opts`] (flags the subcommand does not accept keep their defaults).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// List the available workloads.
+    /// List the paper workloads: Table III, measured against the paper.
     List,
     /// Print the characteristics of one workload.
     Describe { workload: String },
@@ -174,14 +175,25 @@ pub fn run(cmd: Command) -> Result<String, String> {
             out.push_str(USAGE);
         }
         Command::List => {
-            out.push_str("available workloads (MSR-Cambridge-like, Table III):\n");
-            for p in paper_workloads() {
-                let _ = writeln!(
-                    out,
-                    "  {:8} read ratio {:5.1}%  mean read {:5.1} KB",
-                    p.spec.name, p.paper.read_ratio_pct, p.paper.read_kb
-                );
+            out.push_str("Table III — workload characteristics (measured vs paper)\n\n");
+            let mut header = vec!["Name"];
+            for column in ["Read Ratio %", "Read Size KB", "Read Data %"] {
+                header.extend([column, "(paper)"]);
             }
+            let mut t = TextTable::new(header);
+            for p in paper_workloads() {
+                let s = characterize(&p.generate(60_000, 20_000));
+                let mut row = vec![p.spec.name.clone()];
+                for (measured, paper) in [
+                    (s.read_ratio * 100.0, p.paper.read_ratio_pct),
+                    (s.mean_read_kb, p.paper.read_kb),
+                    (s.read_data_ratio * 100.0, p.paper.read_data_pct),
+                ] {
+                    row.extend([f(measured, 2), f(paper, 2)]);
+                }
+                t.row(row);
+            }
+            out.push_str(&t.render());
         }
         Command::Describe { workload } => {
             let p = lookup(&workload)?;
@@ -261,7 +273,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             let spec = grid_spec(&grid)?;
             let cfg = sweep_config(&opts)?;
             let outcome =
-                run_grid(&spec, &scale(&opts), &cfg).map_err(|e| format!("sweep failed: {e}"))?;
+                run_grid(&spec, &scale(&opts)?, &cfg).map_err(|e| format!("sweep failed: {e}"))?;
             if let Some(cache) = cfg.warm_cache() {
                 // stderr, like --progress: diagnostics never pollute the
                 // machine-readable aggregate on stdout.
@@ -273,6 +285,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
         Command::Serve { grid, opts } => {
             let spec = grid_spec(&grid)?;
             let cfg = sweep_config(&opts)?;
+            let scale = scale(&opts)?;
             let listen = &opts.listen;
             let listener = std::net::TcpListener::bind(listen)
                 .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
@@ -281,7 +294,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 "serving sweep {grid} on {listen}; join with: idasim worker --connect {listen}"
             );
             let backend = Backend::Distributed { listener };
-            let outcome = run_grid_on(&spec, &scale(&opts), &cfg, backend)
+            let outcome = run_grid_on(&spec, &scale, &cfg, backend)
                 .map_err(|e| format!("serve failed: {e}"))?;
             let head = format!("sweep {grid} served on {listen}");
             write_aggregate(&mut out, &outcome, opts.out.as_deref(), &head)?;
@@ -309,7 +322,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 // own config, seed and cache key), so a saved snapshot is
                 // byte-interchangeable with the sweep cache's image.
                 let spec = SweepSpec::new("fig8", vec![workload.clone()], vec![system.clone()]);
-                let scale = scale(&opts);
+                let scale = scale(&opts)?;
                 let (preset, cfg) = warm_config(&spec.cells()[0], &scale)?;
                 let key = warm_cache_key(&workload, &cfg, &scale);
                 let (sim, _) = warmed_simulator(&preset, cfg, &scale);
@@ -408,7 +421,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
         },
         Command::Soak { workload, opts } => {
             lookup(&workload)?;
-            let (level, epochs, scale) = (&opts.level, opts.epochs, scale(&opts));
+            let (level, epochs, scale) = (&opts.level, opts.epochs, scale(&opts)?);
             let cfg = sweep_config(&opts)?;
             // Two cells — Baseline and the IDA system — run through the
             // sweep engine, so parallelism, journaling, and byte-identical
@@ -467,7 +480,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
         }
         Command::Load { workload, opts } => {
             let p = lookup(&workload)?;
-            let scale = scale(&opts);
+            let scale = scale(&opts)?;
             let (arrival, slo_us) = (opts.arrival, opts.slo_us);
             let slo_ns = slo_us * 1_000;
             let nominal = nominal_iops(&p.spec);
@@ -562,7 +575,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             }
         }
         Command::Replay { msr, opts } => {
-            let scale = scale(&opts);
+            let scale = scale(&opts)?;
             let file = std::fs::File::open(&msr)
                 .map_err(|e| format!("cannot read {}: {e}", msr.display()))?;
             let trace = ida_workloads::msr::parse_msr(
@@ -648,16 +661,16 @@ fn systems(error_rate: f64) -> [SystemUnderTest; 2] {
 
 /// The experiment scale: `--smoke`, else `IDA_SCALE`/`IDA_REQUESTS`;
 /// then `--requests` wins.
-fn scale(opts: &Opts) -> ExperimentScale {
+fn scale(opts: &Opts) -> Result<ExperimentScale, String> {
     let scale = if opts.smoke {
         ExperimentScale::smoke()
     } else {
-        ExperimentScale::from_env()
+        ExperimentScale::from_env()?
     };
-    match opts.requests {
+    Ok(match opts.requests {
         Some(r) => scale.with_requests(r),
         None => scale,
-    }
+    })
 }
 
 /// The sweep engine's configuration: `IDA_JOBS`/`IDA_JOURNAL` supply
@@ -683,7 +696,6 @@ fn obs_options(opts: &Opts) -> ObsOptions {
         trace_out: opts.trace_out.clone(),
         metrics_json: opts.metrics_json.clone(),
         progress: opts.progress,
-        gauge_interval_ns: None,
         trace_filter: opts
             .trace_filter
             .clone()
@@ -798,9 +810,12 @@ means the soak passed. Output is byte-identical for any --jobs. The
   idasim sweep lifetime --smoke
 
 Sweep: runs a whole experiment grid (fig8, fig9, fig10, fig11,
-faults, load, lifetime) on the parallel orchestration engine. --jobs N (or IDA_JOBS)
-sets the worker count, default all cores; aggregated output is
-byte-identical for any worker count. --journal appends one checkpoint
+faults, load, lifetime, fig4, table4, table5, fig6, ablation, blocks)
+on the parallel orchestration engine. --jobs N (or IDA_JOBS) sets the
+worker count, default all cores; aggregated output is byte-identical
+for any worker count. Without --smoke, IDA_SCALE=smoke|full picks the
+scale and IDA_REQUESTS=N the request count (--requests wins); a value
+that does not parse is an error. --journal appends one checkpoint
 record per finished cell; re-invoking with the same journal resumes,
 re-running only incomplete cells. With --out the aggregate JSON goes
 to the file and the figure table to stdout; without it the JSON goes
@@ -857,11 +872,13 @@ open loop with the trace's own arrival times, or closed loop at
 --closed queue depth. A malformed or unsorted trace is reported as an
 error, never a panic.
 
-Figures 8-11 are the fig8..fig11 sweep grids above, e.g.:
-  idasim sweep fig11 --smoke --out fig11.json
-The single-config paper tables and figures are binaries in the
-ida-bench crate, e.g.:
-  cargo run --release -p ida-bench --bin table4_refresh_overhead
+Paper artifacts: `idasim list` prints Table III, and every figure
+and table that runs the simulator is a sweep grid, rendered with the
+paper's values alongside: fig4 (Figure 4), table4 (Table IV), table5
+(Table V, MLC), fig6 (Figure 6 and the QLC run), fig8..fig11
+(Figures 8-11), blocks (the block and GC costs of section III-C) and
+ablation (the 2-3-2 coding and the LSB placement ablations), e.g.:
+  idasim sweep table5 --smoke --out table5.json
 ";
 
 #[cfg(test)]
@@ -1230,6 +1247,11 @@ mod tests {
         for name in ["proj_1", "usr_2", "stg_1"] {
             assert!(out.contains(name), "missing {name}");
         }
+        assert!(
+            out.starts_with("Table III — workload characteristics (measured vs paper)\n"),
+            "{out}"
+        );
+        assert!(out.contains("Read Ratio %  (paper)  Read Size KB"), "{out}");
     }
 
     #[test]
@@ -1429,6 +1451,22 @@ mod tests {
         assert!(USAGE.contains("idasim serve"));
         assert!(USAGE.contains("idasim worker"));
         assert!(USAGE.contains("--connect"));
+    }
+
+    #[test]
+    fn usage_names_every_builtin_grid() {
+        // The grid list in USAGE is written by hand; it must stay the set
+        // of grids the engine runs.
+        let list = USAGE
+            .split("Sweep: runs a whole experiment grid (")
+            .nth(1)
+            .and_then(|rest| rest.split(')').next())
+            .expect("USAGE lists the sweep grids");
+        let named: BTreeSet<&str> = list
+            .split(|c: char| c == ',' || c.is_whitespace())
+            .filter(|w| !w.is_empty())
+            .collect();
+        assert_eq!(named, BUILTIN_GRIDS.into_iter().collect());
     }
 
     #[test]

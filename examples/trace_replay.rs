@@ -10,6 +10,8 @@
 //! `target/trace_replay_sample.csv` so you can inspect the format.
 
 use ida_bench::runner::{self, ExperimentScale, SystemUnderTest};
+use ida_flash::timing::FlashTiming;
+use ida_ssd::retry::RetryConfig;
 use ida_ssd::{Simulator, SsdConfig};
 use ida_workloads::msr;
 use ida_workloads::suite::paper_workload;
@@ -79,17 +81,26 @@ fn synthetic() {
         println!("wrote a sample trace to {path}\n");
     }
 
-    let base = runner::run_system(&preset, SystemUnderTest::Baseline, &scale);
-    let ida = runner::run_system(&preset, SystemUnderTest::Ida { error_rate: 0.2 }, &scale);
-    let norm = runner::normalized_read_response(&ida.report, &base.report);
+    let run = |system| {
+        let cfg = runner::system_config(
+            system,
+            scale.geometry,
+            FlashTiming::paper_tlc(),
+            RetryConfig::disabled(),
+        );
+        runner::run_config(&preset, cfg, &scale)
+    };
+    let base = run(SystemUnderTest::Baseline);
+    let ida = run(SystemUnderTest::Ida { error_rate: 0.2 });
+    let norm = runner::normalized_read_response(&ida, &base);
     println!(
         "hm_1: baseline {:.1} us, IDA-E20 {:.1} us -> normalized {:.3} ({:.1}% faster reads)",
-        base.report.reads.mean_us(),
-        ida.report.reads.mean_us(),
+        base.reads.mean_us(),
+        ida.reads.mean_us(),
         norm,
         (1.0 - norm) * 100.0
     );
-    let b = ida.report.breakdown;
+    let b = ida.breakdown;
     println!(
         "IDA-system read mix: {} LSB, {} conventional CSB/MSB, {} IDA-coded",
         b.lsb,

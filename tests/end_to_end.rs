@@ -2,15 +2,25 @@
 //! crates, asserting the paper's qualitative results hold.
 
 use ida_bench::runner::{
-    normalized_read_response, run_config, run_system, system_config, ExperimentScale,
-    SystemUnderTest,
+    normalized_read_response, run_config, system_config, ExperimentScale, SystemUnderTest,
 };
 use ida_flash::timing::FlashTiming;
 use ida_ssd::retry::RetryConfig;
+use ida_ssd::SsdConfig;
 use ida_workloads::suite::paper_workload;
 
 fn small_scale() -> ExperimentScale {
     ExperimentScale::smoke().with_requests(2_500)
+}
+
+/// The paper's TLC configuration of `system` at `scale`.
+fn tlc(system: SystemUnderTest, scale: &ExperimentScale) -> SsdConfig {
+    system_config(
+        system,
+        scale.geometry,
+        FlashTiming::paper_tlc(),
+        RetryConfig::disabled(),
+    )
 }
 
 #[test]
@@ -18,14 +28,18 @@ fn ida_improves_read_response_on_read_heavy_workloads() {
     let scale = small_scale();
     for name in ["proj_1", "hm_1"] {
         let preset = paper_workload(name).unwrap();
-        let base = run_system(&preset, SystemUnderTest::Baseline, &scale);
-        let ida = run_system(&preset, SystemUnderTest::Ida { error_rate: 0.2 }, &scale);
-        let norm = normalized_read_response(&ida.report, &base.report);
+        let base = run_config(&preset, tlc(SystemUnderTest::Baseline, &scale), &scale);
+        let ida = run_config(
+            &preset,
+            tlc(SystemUnderTest::Ida { error_rate: 0.2 }, &scale),
+            &scale,
+        );
+        let norm = normalized_read_response(&ida, &base);
         assert!(
             norm < 0.92,
             "{name}: expected a clear IDA-E20 improvement, got {norm}"
         );
-        assert!(ida.report.breakdown.ida > 0);
+        assert!(ida.breakdown.ida > 0);
     }
 }
 
@@ -33,10 +47,14 @@ fn ida_improves_read_response_on_read_heavy_workloads() {
 fn benefit_decays_with_adjustment_error_rate() {
     let scale = small_scale();
     let preset = paper_workload("proj_2").unwrap();
-    let base = run_system(&preset, SystemUnderTest::Baseline, &scale);
+    let base = run_config(&preset, tlc(SystemUnderTest::Baseline, &scale), &scale);
     let norm_at = |e: f64| {
-        let ida = run_system(&preset, SystemUnderTest::Ida { error_rate: e }, &scale);
-        normalized_read_response(&ida.report, &base.report)
+        let ida = run_config(
+            &preset,
+            tlc(SystemUnderTest::Ida { error_rate: e }, &scale),
+            &scale,
+        );
+        normalized_read_response(&ida, &base)
     };
     let e0 = norm_at(0.0);
     let e40 = norm_at(0.4);
@@ -89,9 +107,13 @@ fn wider_latency_gap_gives_bigger_benefit() {
 fn mlc_benefit_is_smaller_than_tlc_benefit() {
     let scale = small_scale();
     let preset = paper_workload("proj_1").unwrap();
-    let tlc_base = run_system(&preset, SystemUnderTest::Baseline, &scale);
-    let tlc_ida = run_system(&preset, SystemUnderTest::Ida { error_rate: 0.2 }, &scale);
-    let tlc_norm = normalized_read_response(&tlc_ida.report, &tlc_base.report);
+    let tlc_base = run_config(&preset, tlc(SystemUnderTest::Baseline, &scale), &scale);
+    let tlc_ida = run_config(
+        &preset,
+        tlc(SystemUnderTest::Ida { error_rate: 0.2 }, &scale),
+        &scale,
+    );
+    let tlc_norm = normalized_read_response(&tlc_ida, &tlc_base);
 
     let geometry = scale.geometry.with_bits_per_cell(2);
     let mlc_base = run_config(
@@ -164,27 +186,35 @@ fn ida_does_not_increase_wear_on_read_heavy_workloads() {
     // adding cycles, so erase counts stay in line with the baseline.
     let scale = small_scale();
     let preset = paper_workload("proj_3").unwrap();
-    let base = run_system(&preset, SystemUnderTest::Baseline, &scale);
-    let ida = run_system(&preset, SystemUnderTest::Ida { error_rate: 0.2 }, &scale);
-    let base_erases = base.report.ftl.erases.max(1);
-    let ida_erases = ida.report.ftl.erases;
+    let base = run_config(&preset, tlc(SystemUnderTest::Baseline, &scale), &scale);
+    let ida = run_config(
+        &preset,
+        tlc(SystemUnderTest::Ida { error_rate: 0.2 }, &scale),
+        &scale,
+    );
+    let base_erases = base.ftl.erases.max(1);
+    let ida_erases = ida.ftl.erases;
     assert!(
         (ida_erases as f64) < base_erases as f64 * 1.10,
         "IDA erases ({ida_erases}) should track baseline ({base_erases})"
     );
     // And IDA writes strictly fewer refresh pages (survivors stay put).
-    assert!(ida.report.ftl.refresh_moves < base.report.ftl.refresh_moves);
+    assert!(ida.ftl.refresh_moves < base.ftl.refresh_moves);
 }
 
 #[test]
 fn every_host_request_completes_and_data_stays_readable() {
     let scale = small_scale();
     let preset = paper_workload("stg_1").unwrap();
-    let run = run_system(&preset, SystemUnderTest::Ida { error_rate: 0.3 }, &scale);
-    let total = run.report.reads.count + run.report.writes.count;
+    let run = run_config(
+        &preset,
+        tlc(SystemUnderTest::Ida { error_rate: 0.3 }, &scale),
+        &scale,
+    );
+    let total = run.reads.count + run.writes.count;
     assert_eq!(total as usize, scale.requests, "all requests must complete");
     // No read was lost to an unmapped page *after warm-up prefill*: the
     // breakdown counts only flash-served reads; at least 95% of read pages
     // must have hit flash.
-    assert!(run.report.breakdown.total() > 0);
+    assert!(run.breakdown.total() > 0);
 }

@@ -147,7 +147,6 @@ fn trace_replays_to_byte_identical_attribution() {
         trace_out: Some(dir.join("attr_replay.jsonl")),
         metrics_json: None,
         progress: false,
-        gauge_interval_ns: None,
         trace_filter: None,
     };
     let run = run_system_obs(

@@ -47,7 +47,6 @@ fn same_seed_produces_byte_identical_jsonl() {
             trace_out: Some(dir.join(format!("det_{i}.jsonl"))),
             metrics_json: Some(dir.join(format!("det_{i}.json"))),
             progress: false,
-            gauge_interval_ns: None,
             trace_filter: None,
         };
         let run = run_system_obs(
