@@ -14,8 +14,7 @@
 //! scale) pair reproduces its payload byte for byte on any worker.
 
 use crate::runner::{
-    to_host_ops, try_system_config, warm_up, warmed_simulator_cached, ExperimentScale, ObsOptions,
-    SystemUnderTest,
+    system_config, to_host_ops, warm_up, ExperimentScale, ObsOptions, SystemUnderTest,
 };
 use ida_flash::timing::FlashTiming;
 use ida_host::{
@@ -25,7 +24,7 @@ use ida_host::{
 use ida_obs::json::{array, JsonObj};
 use ida_obs::trace::TraceEvent;
 use ida_ssd::retry::RetryConfig;
-use ida_ssd::{Report, SimError, Simulator, SsdConfig};
+use ida_ssd::{Report, SimError, Simulator};
 use ida_sweep::derive_stream_seed;
 use ida_workloads::suite::WorkloadPreset;
 use ida_workloads::synth::WorkloadSpec;
@@ -229,7 +228,9 @@ pub fn run_load_obs(
     scale: &ExperimentScale,
     obs: &ObsOptions,
 ) -> Result<LoadRun, LoadError> {
-    let cfg = load_config(spec.system, scale, spec.seed).unwrap_or_else(|e| panic!("{e}"));
+    let timing = FlashTiming::paper_tlc();
+    let mut cfg = system_config(spec.system, scale.geometry, timing, RetryConfig::disabled());
+    cfg.ftl.seed = spec.seed;
     let mut sim = Simulator::new(cfg);
     obs.attach(
         &mut sim,
@@ -246,27 +247,6 @@ pub fn run_load_obs(
     Ok(run)
 }
 
-/// The configuration a load run warms up under: `system` at the paper's
-/// TLC timing, its simulator seeded with `seed`.
-///
-/// # Errors
-///
-/// On an invalid system configuration (an out-of-range error rate).
-pub(crate) fn load_config(
-    system: SystemUnderTest,
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<SsdConfig, String> {
-    let mut cfg = try_system_config(
-        system,
-        scale.geometry,
-        FlashTiming::paper_tlc(),
-        RetryConfig::disabled(),
-    )?;
-    cfg.ftl.seed = seed;
-    Ok(cfg)
-}
-
 /// [`run_load_obs`] with observability off: a fresh warm-up seeded with
 /// `spec.seed`, no cache.
 ///
@@ -279,30 +259,7 @@ pub fn run_load(
     spec: &LoadSpec,
     scale: &ExperimentScale,
 ) -> Result<LoadRun, LoadError> {
-    run_load_cached(preset, spec, scale, spec.seed, None)
-}
-
-/// The warm-cache-aware sweep-cell load path: the simulator warms (or
-/// forks) under the shared `warm_seed`, while the arrival processes keep
-/// deriving from the cell's own `spec.seed` — warm-ups are shared across
-/// offered-rate siblings, measured randomness stays per-cell.
-///
-/// Observability stays off on this path (snapshots carry no sinks), so
-/// the only possible failure is a simulator invariant break.
-///
-/// # Errors
-///
-/// [`LoadError::Sim`] if the simulator rejects the run.
-pub fn run_load_cached(
-    preset: &WorkloadPreset,
-    spec: &LoadSpec,
-    scale: &ExperimentScale,
-    warm_seed: u64,
-    warm: Option<&ida_sweep::WarmCache>,
-) -> Result<LoadRun, LoadError> {
-    let cfg = load_config(spec.system, scale, warm_seed).unwrap_or_else(|e| panic!("{e}"));
-    let (mut sim, trace) = warmed_simulator_cached(preset, cfg, scale, warm);
-    drive_load(&mut sim, preset, spec, &trace)
+    run_load_obs(preset, spec, scale, &ObsOptions::default())
 }
 
 /// The measured half of every load run, on a warmed simulator: deal the
@@ -311,7 +268,7 @@ pub fn run_load_cached(
 /// stay on so the attribution-conservation invariant is checkable on
 /// every load trace; `SloStatus` verdicts are emitted at end of run when
 /// a trace sink is attached.
-fn drive_load(
+pub(crate) fn drive_load(
     sim: &mut Simulator,
     preset: &WorkloadPreset,
     spec: &LoadSpec,

@@ -19,6 +19,7 @@ use ida_obs::trace::{FilterSink, JsonlSink, SinkHandle, TraceEvent};
 use ida_ssd::retry::RetryConfig;
 use ida_ssd::{
     ClosedLoopSource, HostOp, HostOpKind, ListSource, Report, SimError, Simulator, SsdConfig,
+    WarmStage,
 };
 use ida_sweep::{WarmCache, WarmTier};
 use ida_workloads::suite::WorkloadPreset;
@@ -318,33 +319,27 @@ pub fn to_host_ops(trace: &Trace) -> Vec<HostOp> {
 /// measure protocol, open loop and fault-free. Returns the measured
 /// report.
 pub fn run_config(preset: &WorkloadPreset, cfg: SsdConfig, scale: &ExperimentScale) -> Report {
-    run_config_faulted_cached(preset, cfg, scale, ReplayMode::OpenLoop, None, None)
+    let (sim, trace) = warmed_simulator(preset, cfg, scale);
+    run_warmed(sim, &trace, ReplayMode::OpenLoop, None)
 }
 
-/// [`run_config`] with an explicit replay mode, an optional fault plan
-/// and an optional warm-state cache. The fault plan is armed *after*
-/// warm-up, so every injected fault lands inside the measured window
-/// (warm-up stays clean, like a device that degrades in service). On a
-/// cache hit the warm-up is skipped entirely and the simulator is
-/// restored from the captured snapshot — byte-identical state, by the
-/// snapshot layer's differential invariant, so results never depend on
-/// whether (or how often) the cache hit.
-pub fn run_config_faulted_cached(
-    preset: &WorkloadPreset,
-    cfg: SsdConfig,
-    scale: &ExperimentScale,
+/// The measured half of a replay run, on a warmed simulator: arm the
+/// optional fault plan — after warm-up, so every injected fault lands
+/// inside the measured window (warm-up stays clean, like a device that
+/// degrades in service) — and replay `trace` in `mode`. Experiment runs
+/// always carry attribution spans, so every sweep cell exports its
+/// waterfall.
+pub fn run_warmed(
+    mut sim: Simulator,
+    trace: &Trace,
     mode: ReplayMode,
     faults: Option<FaultConfig>,
-    warm: Option<&WarmCache>,
 ) -> Report {
-    let (mut sim, trace) = warmed_simulator_cached(preset, cfg, scale, warm);
     if let Some(faults) = faults {
         sim.arm_faults(faults);
     }
-    // Experiment runs always carry attribution spans, so every sweep cell
-    // exports its waterfall.
     sim.set_spans(true);
-    let ops = to_host_ops(&trace);
+    let ops = to_host_ops(trace);
     match mode {
         ReplayMode::OpenLoop => sim.run(ops),
         ReplayMode::ClosedLoop(depth) => ClosedLoopSource::new(ops, depth)
@@ -452,8 +447,9 @@ pub fn warmed_simulator(
 /// The warm-up cache key: an FNV-1a fingerprint over everything the
 /// warm-up protocol reads — the workload (which seeds every generated
 /// trace), the experiment scale (request count and refresh-period
-/// fraction shape the steady-state refresh), and the full binary-encoded
-/// [`SsdConfig`] (geometry, timing, FTL knobs, seed). Post-warm-up
+/// fraction shape the steady-state refresh), and the binary-encoded full
+/// warm view of `cfg` ([`SsdConfig::warm_view`]; a configuration at the
+/// baseline timing and retry model is its own view). Post-warm-up
 /// inputs — fault plans, aging models, arrival processes, replay mode —
 /// are deliberately *not* part of the configuration at warm time (they
 /// are armed after), so they fall out of the key and sibling cells
@@ -464,41 +460,29 @@ pub fn warm_cache_key(workload: &str, cfg: &SsdConfig, scale: &ExperimentScale) 
     ida_snap::Snap::encode(&scale.geometry, &mut w);
     ida_snap::Snap::encode(&scale.requests, &mut w);
     ida_snap::Snap::encode(&scale.refresh_period_frac, &mut w);
-    ida_snap::Snap::encode(cfg, &mut w);
+    ida_snap::Snap::encode(&cfg.warm_view(WarmStage::Full), &mut w);
     ida_snap::fnv1a(&w.into_bytes())
 }
 
-/// The configuration a warm-up prefix ([`warm_prefix`]) is built under:
-/// `cfg` with the refresh policy — `refresh_mode`, `adjust_error_rate`
-/// and the interference seed `ftl.seed`, the only fields in which the
-/// paper's system columns differ — set to fixed values. Prefill and age
-/// never read those fields, so every system column of a workload shares
-/// one prefix, and [`Simulator::arm_refresh`] turns it into the prefix
-/// the column would have built itself.
-pub fn prefix_config(cfg: &SsdConfig) -> SsdConfig {
-    let mut prefix = cfg.clone();
-    prefix.ftl.refresh_mode = RefreshMode::Baseline;
-    prefix.ftl.adjust_error_rate = 0.0;
-    prefix.ftl.seed = 0;
-    prefix
-}
-
-/// The key of a warm-up prefix in the cache's prefix tier:
-/// [`warm_cache_key`] over [`prefix_config`].
+/// The key of a warm-up prefix ([`warm_prefix`]) in the cache's prefix
+/// tier: [`warm_cache_key`] over the prefix view, which also drops the
+/// refresh policy, so every system, ΔtR and lifetime-phase column of a
+/// workload shares one prefix.
 pub fn prefix_cache_key(workload: &str, cfg: &SsdConfig, scale: &ExperimentScale) -> u64 {
-    warm_cache_key(workload, &prefix_config(cfg), scale)
+    warm_cache_key(workload, &cfg.warm_view(WarmStage::Prefix), scale)
 }
 
 /// [`warmed_simulator`] through an optional warm-state cache, built in
 /// two cached stages. The full warm state is looked up under
 /// [`warm_cache_key`]; only its first requester builds it, by taking the
 /// workload's shared prefix from the prefix tier (under
-/// [`prefix_cache_key`], building it on a miss), arming the cell's own
-/// refresh policy with [`Simulator::arm_refresh`], and running
-/// [`warm_tail`]. Every other requester forks the captured bytes. The
-/// measured trace is regenerated directly from the preset (a pure
-/// function of workload, footprint and request count), so a hit touches
-/// no simulator at all until the fork.
+/// [`prefix_cache_key`], building it under the prefix view on a miss),
+/// arming `cfg` on it with [`Simulator::arm`], and running
+/// [`warm_tail`]. Every other requester forks the captured bytes and arms
+/// `cfg` too, which sets the timing and retry model the image's builder
+/// may have had otherwise. The measured trace is regenerated directly
+/// from the preset (a pure function of workload, footprint and request
+/// count), so a hit touches no simulator at all until the fork.
 ///
 /// Each stage captures an image only when the cache says another
 /// request will fork it (see [`WarmCache::plan`]), and a builder keeps
@@ -506,9 +490,10 @@ pub fn prefix_cache_key(workload: &str, cfg: &SsdConfig, scale: &ExperimentScale
 /// snapshot: the snapshot canonical-form invariant (restore → run is
 /// byte-identical to keep running, proven by the differential tests in
 /// `ida-ssd`) makes the live simulator and the fork interchangeable, and
-/// the prefix differential test (`tests/warm_prefix.rs`) proves a forked,
-/// re-armed prefix byte-equal to one built under the cell's own config.
-/// The result is byte-identical to [`warmed_simulator`].
+/// the view differential tests (`ida-ssd`'s `tests/snapshot.rs`, this
+/// crate's `tests/warm_prefix.rs`) prove a forked, armed image byte-equal
+/// to one built under the cell's own config. The result is
+/// byte-identical to [`warmed_simulator`].
 pub fn warmed_simulator_cached(
     preset: &WorkloadPreset,
     cfg: SsdConfig,
@@ -518,51 +503,51 @@ pub fn warmed_simulator_cached(
     let Some(cache) = warm else {
         return warmed_simulator(preset, cfg, scale);
     };
-    let key = warm_cache_key(&preset.spec.name, &cfg, scale);
-    let mut live = None;
-    let image = cache.get_or_build_live(WarmTier::Full, key, |capture| {
-        let mut sim = prefix_simulator(preset, &cfg, scale, cache);
-        let policy = &cfg.ftl;
-        sim.arm_refresh(policy.refresh_mode, policy.adjust_error_rate, policy.seed);
+    let name = &preset.spec.name;
+    let key = warm_cache_key(name, &cfg, scale);
+    let (mut sim, trace) = fork_or_build(cache, WarmTier::Full, key, || {
+        let key = prefix_cache_key(name, &cfg, scale);
+        let (mut sim, _) = fork_or_build(cache, WarmTier::Prefix, key, || {
+            let mut sim = Simulator::new(cfg.warm_view(WarmStage::Prefix));
+            warm_prefix(&mut sim, preset);
+            (sim, ())
+        });
+        sim.arm(&cfg);
         let trace = warm_tail(&mut sim, preset, scale);
-        let bytes = capture.then(|| sim.snapshot());
-        live = Some((sim, trace));
-        bytes
+        (sim, trace)
     });
-    if let Some(warmed) = live {
-        return warmed;
-    }
-    let sim = fork(image.as_deref(), key);
-    let footprint = footprint(preset, cfg.ftl.exported_pages());
-    (sim, preset.generate(footprint, scale.requests))
+    sim.arm(&cfg);
+    let trace = trace.unwrap_or_else(|| {
+        let footprint = footprint(preset, cfg.ftl.exported_pages());
+        preset.generate(footprint, scale.requests)
+    });
+    (sim, trace)
 }
 
-/// The prefix `cfg`'s warm-up starts from, still under
-/// [`prefix_config`]: forked from the cache's prefix tier, or built live
-/// when this caller is the first to need it.
-fn prefix_simulator(
-    preset: &WorkloadPreset,
-    cfg: &SsdConfig,
-    scale: &ExperimentScale,
+/// The simulator of one cached warm stage: built live by `build` when
+/// this caller is the first to need `key` in `tier` (with whatever else
+/// `build` returns), or forked from the image the builder captured —
+/// `build` is only asked to capture when another request will fork it.
+fn fork_or_build<T>(
     cache: &WarmCache,
-) -> Simulator {
-    let key = prefix_cache_key(&preset.spec.name, cfg, scale);
+    tier: WarmTier,
+    key: u64,
+    build: impl FnOnce() -> (Simulator, T),
+) -> (Simulator, Option<T>) {
     let mut live = None;
-    let image = cache.get_or_build_live(WarmTier::Prefix, key, |capture| {
-        let mut sim = Simulator::new(prefix_config(cfg));
-        warm_prefix(&mut sim, preset);
+    let image = cache.get_or_build_live(tier, key, |capture| {
+        let (sim, extra) = build();
         let bytes = capture.then(|| sim.snapshot());
-        live = Some(sim);
+        live = Some((sim, extra));
         bytes
     });
-    live.unwrap_or_else(|| fork(image.as_deref(), key))
-}
-
-/// A simulator restored from the cached image for `key`.
-fn fork(image: Option<&Vec<u8>>, key: u64) -> Simulator {
+    if let Some((sim, extra)) = live {
+        return (sim, Some(extra));
+    }
     let image = image.unwrap_or_else(|| panic!("no warm image for key {key:016x}"));
-    Simulator::from_snapshot(image)
-        .unwrap_or_else(|e| panic!("warm snapshot for key {key:016x} failed to restore: {e}"))
+    let sim = Simulator::from_snapshot(&image)
+        .unwrap_or_else(|e| panic!("warm snapshot for key {key:016x} failed to restore: {e}"));
+    (sim, None)
 }
 
 /// The LPN footprint a workload's warm-up writes on a device exporting

@@ -36,8 +36,7 @@
 //! separately from violations.
 
 use crate::runner::{
-    footprint, to_host_ops, try_system_config, warmed_simulator_cached, ExperimentScale,
-    SystemUnderTest,
+    footprint, system_config, to_host_ops, warmed_simulator, ExperimentScale, SystemUnderTest,
 };
 use crate::table::{f, TextTable};
 use ida_faults::AgingConfig;
@@ -46,9 +45,10 @@ use ida_flash::timing::FlashTiming;
 use ida_ftl::{gc, FtlStats, Lpn};
 use ida_obs::json::{array, JsonObj};
 use ida_ssd::retry::RetryConfig;
-use ida_ssd::{Report, SsdConfig};
+use ida_ssd::{Report, Simulator};
 use ida_sweep::derive_stream_seed;
 use ida_workloads::suite::WorkloadPreset;
+use ida_workloads::trace::Trace;
 
 /// Accelerated-lifetime epochs in a full soak (epoch 0 is fresh, the
 /// last epoch is at rated endurance).
@@ -281,7 +281,8 @@ fn epoch_stats(epoch: usize, wear_pe: u32, report: &Report, prev: &FtlStats) -> 
     }
 }
 
-/// Soak one system through a whole accelerated lifetime.
+/// Soak one system through a whole accelerated lifetime: warm a fresh
+/// simulator under `seed`, then [`soak_warmed`].
 ///
 /// `seed` is the run's deterministic stream seed (a sweep cell passes
 /// its `stream_seed`); the aging model's ladder stream is derived from
@@ -300,65 +301,41 @@ pub fn run_soak(
     seed: u64,
     scale: &ExperimentScale,
 ) -> SoakRun {
-    // The standalone path (CLI `idasim soak`) warms under the run seed
-    // itself, exactly as it always has.
-    run_soak_cached(preset, system, level, epochs, seed, seed, scale, None)
-}
-
-/// The configuration a soak warms up under: `system` at the paper's TLC
-/// timing with [`SOAK_SPARES_PER_PLANE`] spares, its simulator seeded
-/// with `warm_seed`.
-///
-/// # Errors
-///
-/// On an invalid system configuration (an out-of-range error rate).
-pub(crate) fn soak_config(
-    system: SystemUnderTest,
-    scale: &ExperimentScale,
-    warm_seed: u64,
-) -> Result<SsdConfig, String> {
-    let mut cfg = try_system_config(
-        system,
-        scale.geometry,
-        FlashTiming::paper_tlc(),
-        RetryConfig::disabled(),
-    )?;
-    cfg.ftl.seed = warm_seed;
+    let timing = FlashTiming::paper_tlc();
+    let mut cfg = system_config(system, scale.geometry, timing, RetryConfig::disabled());
+    cfg.ftl.seed = seed;
     cfg.ftl.spare_blocks_per_plane = SOAK_SPARES_PER_PLANE;
-    Ok(cfg)
+    let (sim, trace) = warmed_simulator(preset, cfg, scale);
+    soak_warmed(sim, &trace, preset, system, level, epochs, seed)
 }
 
-/// [`run_soak`] with a split warm seed and an optional warm-state cache
-/// — the sweep-cell path. The simulator warms (or forks) under the
-/// shared `warm_seed`; the aging model keeps deriving from the cell's
-/// own `seed`, so aging-level siblings share a warm-up yet age through
-/// independent streams.
+/// The soak epochs on a warmed simulator: arm the aging model of `level`
+/// only now, so the warm-up stays byte-identical to every other
+/// experiment, like a device that ages in service; then walk wear from
+/// fresh to rated across `epochs` measured replays of `trace`, checking
+/// the invariants after each. The model's ladder stream derives from
+/// `seed`: a sweep cell warms under its shared warm seed and ages under
+/// its own stream seed, so aging-level siblings share a warm-up yet age
+/// through independent streams.
 ///
 /// # Panics
 ///
-/// Panics on an unknown aging `level`, like [`run_soak`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_soak_cached(
+/// On an unknown aging `level`.
+pub(crate) fn soak_warmed(
+    mut sim: Simulator,
+    trace: &Trace,
     preset: &WorkloadPreset,
     system: SystemUnderTest,
     level: &str,
     epochs: usize,
     seed: u64,
-    warm_seed: u64,
-    scale: &ExperimentScale,
-    warm: Option<&ida_sweep::WarmCache>,
 ) -> SoakRun {
     let aging = AgingConfig::preset(level, derive_stream_seed(seed, "aging"))
         .unwrap_or_else(|| panic!("unknown aging level {level:?}"));
-    let cfg = soak_config(system, scale, warm_seed).unwrap_or_else(|e| panic!("{e}"));
-    let footprint = footprint(preset, cfg.ftl.exported_pages());
-
-    let (mut sim, trace) = warmed_simulator_cached(preset, cfg, scale, warm);
-    // Arm aging only now: warm-up stays byte-identical to every other
-    // experiment, like a device that ages in service.
+    let footprint = footprint(preset, sim.ftl().exported_pages());
     sim.arm_aging(aging.clone());
     sim.set_spans(true);
-    let ops = to_host_ops(&trace);
+    let ops = to_host_ops(trace);
 
     // Walk wear 0 → rated across the epochs (all before the last one).
     let epochs = epochs.max(1);

@@ -16,14 +16,12 @@
 //! whole sweep.
 
 use crate::blocks::run_blocks;
-use crate::load::{
-    load_config, load_metrics_json, nominal_iops, run_load_cached, LoadSpec, LOAD_PCTS,
-};
+use crate::load::{drive_load, load_metrics_json, nominal_iops, LoadSpec, LOAD_PCTS};
 use crate::runner::{
-    prefix_cache_key, run_config_faulted_cached, try_system_config, warm_cache_key,
+    prefix_cache_key, run_warmed, try_system_config, warm_cache_key, warmed_simulator_cached,
     ExperimentScale, ReplayMode, SystemUnderTest, WARM_SEED_BASE,
 };
-use crate::soak::{run_soak_cached, soak_config, soak_metrics_json, SOAK_EPOCHS};
+use crate::soak::{soak_metrics_json, soak_warmed, SOAK_EPOCHS, SOAK_SPARES_PER_PLANE};
 use crate::table::{f, TextTable};
 use ida_core::{MergePlan, RefreshOverhead};
 use ida_faults::FaultConfig;
@@ -259,12 +257,14 @@ pub fn variant_metrics_json(report: &Report) -> String {
     format!("{fields},\"breakdown\":{breakdown},\"refresh_overhead\":{overhead}}}")
 }
 
-/// The axes excluded from a cell's warm identity: everything on this
-/// list is armed or applied *after* warm-up, so cells differing only
-/// here share a bit-identical warm-up (and one snapshot). `dtr_us` and
-/// `phase` stay in the identity — timing and retry configuration ride
-/// inside the [`ida_ssd::SsdConfig`] the cache key fingerprints, so
-/// excluding them would not widen sharing anyway.
+/// The axes excluded from a cell's warm identity, and so from its warm
+/// seed ([`warm_seed_for`]): everything on this list is armed or applied
+/// *after* warm-up, so cells differing only here share a bit-identical
+/// warm-up (and one snapshot). `dtr_us` and `phase` stay in the
+/// identity, so their columns warm under seeds of their own; the warm-up
+/// reads neither the timing nor the retry model they set (see
+/// [`ida_ssd::SsdConfig::warm_view`]), so those columns share only their
+/// workload's prefix.
 pub const WARM_EXCLUDED_AXES: [&str; 4] = ["faults", "aging", "load", "replay"];
 
 /// A cell's warm identity: its ID with the [`WARM_EXCLUDED_AXES`]
@@ -290,9 +290,13 @@ pub fn warm_seed_for(cell: &Cell) -> u64 {
     derive_stream_seed(WARM_SEED_BASE, &warm_id(cell))
 }
 
-/// Execute one cell: look up the workload, configure the system under
-/// test with the cell's warm-phase seed, run the warm-up → measure
-/// protocol, and render the metrics payload.
+/// Execute one cell: warm its configuration ([`cell_config`]) once,
+/// through the optional warm-state cache, then run the cell's
+/// measurement on the warm simulator — the soak epochs of an `aging`
+/// cell, the host frontend at the offered rate of a `load` cell, and
+/// otherwise a replay of the measured trace (closed loop on the `replay`
+/// axis, with the `faults` plan armed first) — and render its metrics
+/// payload. `blocks` cells warm up outside the cache.
 ///
 /// The optional warm-state cache only changes *when* warm-ups execute,
 /// never what any cell computes: the warm-phase seed is applied
@@ -304,36 +308,35 @@ pub fn warm_seed_for(cell: &Cell) -> u64 {
 /// Panics on unknown workloads, system labels, or malformed parameters —
 /// the engine catches these as per-cell failures.
 pub fn run_cell_cached(cell: &Cell, scale: &ExperimentScale, warm: Option<&WarmCache>) -> String {
-    let preset = cell_preset(cell).unwrap_or_else(|e| panic!("{e}"));
-    let system = parse_system(&cell.system).unwrap_or_else(|e| panic!("{e}"));
-    let warm_seed = warm_seed_for(cell);
     if let Some(part) = cell.param("blocks") {
+        let preset = cell_preset(cell).unwrap_or_else(|e| panic!("{e}"));
+        let system = parse_system(&cell.system).unwrap_or_else(|e| panic!("{e}"));
         return run_blocks(&preset, system, part, scale).unwrap_or_else(|e| panic!("{e}"));
     }
+    let (preset, cfg) = cell_config(cell, scale).unwrap_or_else(|e| panic!("{e}"));
+    let system = parse_system(&cell.system).expect("cell_config parsed the system label");
+    let (mut sim, trace) = warmed_simulator_cached(&preset, cfg, scale, warm);
     if let Some(pct) = cell.param("load") {
         let pct: u64 = pct
             .parse()
             .unwrap_or_else(|_| panic!("bad load parameter {pct:?} (expected a percentage)"));
         let offered = (nominal_iops(&preset.spec) * pct / 100).max(1);
         let spec = LoadSpec::new(system, ArrivalSpec::Poisson, offered, cell.stream_seed);
-        let run = run_load_cached(&preset, &spec, scale, warm_seed, warm)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let run = drive_load(&mut sim, &preset, &spec, &trace).unwrap_or_else(|e| panic!("{e}"));
         return load_metrics_json(&run);
     }
     if let Some(level) = cell.param("aging") {
-        let run = run_soak_cached(
+        let run = soak_warmed(
+            sim,
+            &trace,
             &preset,
             system,
             level,
             SOAK_EPOCHS,
             cell.stream_seed,
-            warm_seed,
-            scale,
-            warm,
         );
         return soak_metrics_json(&run);
     }
-    let cfg = grid_config(cell, system, scale).unwrap_or_else(|e| panic!("{e}"));
     let mode = match cell.param("replay") {
         None | Some("open") => ReplayMode::OpenLoop,
         Some(qd) => match qd.strip_prefix("qd").and_then(|n| n.parse().ok()) {
@@ -345,7 +348,7 @@ pub fn run_cell_cached(cell: &Cell, scale: &ExperimentScale, warm: Option<&WarmC
         FaultConfig::preset(level, derive_stream_seed(cell.stream_seed, "faults"))
             .unwrap_or_else(|| panic!("unknown fault level {level:?}"))
     });
-    let report = run_config_faulted_cached(&preset, cfg, scale, mode, faults, warm);
+    let report = run_warmed(sim, &trace, mode, faults);
     match cell.param("variant") {
         Some(_) => variant_metrics_json(&report),
         None => metrics_json(&report),
@@ -361,16 +364,25 @@ fn cell_preset(cell: &Cell) -> Result<WorkloadPreset, String> {
         .ok_or_else(|| format!("unknown workload {}", cell.workload))
 }
 
-/// The warm-up configuration of a cell measured by replaying its trace
-/// (every grid but `load`, `lifetime` and `blocks`): its device variant
-/// (the paper's TLC when it has none), the cell's ΔtR, its lifetime
-/// phase's retry model, fault spares when a fault plan will be armed, and
-/// the warm-phase seed.
-fn grid_config(
+/// The workload of a cell and the configuration it warms up under —
+/// what [`run_cell_cached`] warms, [`plan_warm_cache`] keys and `idasim
+/// snapshot save` saves: the cell's device variant (the paper's TLC when
+/// it has none), its ΔtR, its lifetime phase's retry model, spares when a
+/// fault plan or an aging model will be armed, and the warm-phase seed.
+///
+/// # Errors
+///
+/// An unknown workload, system label or variant, a malformed `dtr_us` or
+/// `phase`, or a `blocks` cell, which warms up outside the warm cache.
+pub fn cell_config(
     cell: &Cell,
-    system: SystemUnderTest,
     scale: &ExperimentScale,
-) -> Result<SsdConfig, String> {
+) -> Result<(WorkloadPreset, SsdConfig), String> {
+    let preset = cell_preset(cell)?;
+    let system = parse_system(&cell.system)?;
+    if cell.param("blocks").is_some() {
+        return Err("blocks cells warm up outside the warm cache".into());
+    }
     let variant = cell.param("variant").unwrap_or("tlc");
     let (bits, mut timing) = match variant {
         "tlc" | "tlc232" | "noplace" => (3, FlashTiming::paper_tlc()),
@@ -401,33 +413,9 @@ fn grid_config(
     if cell.param("faults").is_some() {
         cfg.ftl.spare_blocks_per_plane = FAULT_SPARES_PER_PLANE;
     }
-    Ok(cfg)
-}
-
-/// The configuration `cell` warms up under — exactly what
-/// [`run_cell_cached`] hands the warm cache — with its workload, or why
-/// the cell cannot run.
-///
-/// # Errors
-///
-/// An unknown workload or system label, a malformed parameter, or a
-/// `blocks` cell, which warms up outside the cache.
-pub fn warm_config(
-    cell: &Cell,
-    scale: &ExperimentScale,
-) -> Result<(WorkloadPreset, SsdConfig), String> {
-    let preset = cell_preset(cell)?;
-    let system = parse_system(&cell.system)?;
-    if cell.param("blocks").is_some() {
-        return Err("blocks cells warm up outside the warm cache".into());
+    if cell.param("aging").is_some() {
+        cfg.ftl.spare_blocks_per_plane = SOAK_SPARES_PER_PLANE;
     }
-    let cfg = if cell.param("load").is_some() {
-        load_config(system, scale, warm_seed_for(cell))?
-    } else if cell.param("aging").is_some() {
-        soak_config(system, scale, warm_seed_for(cell))?
-    } else {
-        grid_config(cell, system, scale)?
-    };
     Ok((preset, cfg))
 }
 
@@ -445,7 +433,7 @@ fn plan_warm_cache<'a>(
     let mut full: BTreeMap<u64, u64> = BTreeMap::new();
     let mut prefixes: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
     for cell in cells {
-        let Ok((preset, cfg)) = warm_config(cell, scale) else {
+        let Ok((preset, cfg)) = cell_config(cell, scale) else {
             continue;
         };
         let key = warm_cache_key(&preset.spec.name, &cfg, scale);
@@ -465,7 +453,8 @@ fn plan_warm_cache<'a>(
 
 /// Run a grid on the engine: expand the spec, execute every cell at
 /// `scale` on `cfg.jobs` workers (with checkpoint/resume when a journal
-/// is configured), and collect the outcome.
+/// is configured), and collect the outcome. The run's setup is
+/// [`setup_json`] of `scale`, so a journal resumes only at the same scale.
 ///
 /// # Errors
 ///
@@ -505,6 +494,10 @@ pub fn run_grid_on(
     backend: Backend,
 ) -> std::io::Result<SweepOutcome> {
     let cells = spec.cells();
+    let cfg = &SweepConfig {
+        setup: setup_json(scale),
+        ..cfg.clone()
+    };
     let outcomes = match backend {
         Backend::Local => {
             if let Some(cache) = cfg.warm_cache() {
@@ -515,14 +508,11 @@ pub fn run_grid_on(
                 run_cell_cached(cell, scale, cfg.warm_cache())
             })?
         }
-        Backend::Distributed { listener } => ida_sweep::net::serve(
-            &spec.name,
-            &cells,
-            cfg,
-            &setup_json(scale),
-            listener,
-            |ev| eprintln!("{}", ev.to_json_line()),
-        )?,
+        Backend::Distributed { listener } => {
+            ida_sweep::net::serve(&spec.name, &cells, cfg, listener, |ev| {
+                eprintln!("{}", ev.to_json_line())
+            })?
+        }
     };
     Ok(SweepOutcome {
         sweep: spec.name.clone(),
@@ -530,10 +520,11 @@ pub fn run_grid_on(
     })
 }
 
-/// The coordinator→worker experiment-setup payload: the scale knobs a
-/// worker needs to execute cells byte-identically to a local run. The
-/// geometry never travels — every built-in scale uses the workspace's
-/// scaled-8GB device, so only the trace knobs vary.
+/// The experiment-setup payload of a grid run ([`SweepConfig::setup`]):
+/// the scale knobs a worker needs to execute cells byte-identically to a
+/// local run, and that a journaled cell must have run under to be
+/// reused. The geometry never travels — every built-in scale uses the
+/// workspace's scaled-8GB device, so only the trace knobs vary.
 pub fn setup_json(scale: &ExperimentScale) -> String {
     JsonObj::new()
         .u64("requests", scale.requests as u64)
@@ -1189,7 +1180,7 @@ pub fn render_ablation(outcome: &SweepOutcome) -> String {
          merge that creates one buys proportionally more — an effect the paper's\n\
          qualitative discussion does not capture.\n\n\
          Ablation — LSB-slot placement of evicted pages (normalized read response)\n\n{}\n\
-         Averages: with placement {:.3}, without {:.3} — placement contributes {:.1} points\n\
+         Averages: with placement {:.3}, without {:.3} — placement contributes {} points\n\
          of the improvement.\n{}",
         coding.render(),
         means[0],
@@ -1199,7 +1190,7 @@ pub fn render_ablation(outcome: &SweepOutcome) -> String {
         placement.render(),
         on_sum / n,
         off_sum / n,
-        (off_sum - on_sum) / n * 100.0,
+        f((off_sum - on_sum) / n * 100.0, 1),
         failed_note(outcome)
     )
 }
@@ -1336,7 +1327,7 @@ mod tests {
                 SystemUnderTest::Ida { error_rate: 0.2 },
             ] {
                 let cell = variant_cell(&system.label(), variant);
-                let (preset, cfg) = warm_config(&cell, &scale).unwrap();
+                let (preset, cfg) = cell_config(&cell, &scale).unwrap();
                 assert_eq!(preset.spec.name, "proj_3");
                 let (geometry, timing) = match variant {
                     "mlc" => (
@@ -1369,14 +1360,45 @@ mod tests {
         // A cell without the axis (every older grid) runs `tlc`, byte for
         // byte.
         let fig8 = SweepSpec::new("fig8", vec!["proj_3".into()], vec!["Baseline".into()]);
-        let (_, plain) = warm_config(&fig8.cells()[0], &scale).unwrap();
-        let (_, mut tlc) = warm_config(&variant_cell("Baseline", "tlc"), &scale).unwrap();
+        let (_, plain) = cell_config(&fig8.cells()[0], &scale).unwrap();
+        let (_, mut tlc) = cell_config(&variant_cell("Baseline", "tlc"), &scale).unwrap();
         tlc.ftl.seed = plain.ftl.seed;
         assert!(encode(&plain) == encode(&tlc));
-        let err = warm_config(&variant_cell("Baseline", "slc"), &scale).unwrap_err();
-        assert!(err.contains("unknown variant \"slc\""), "{err}");
+        // A load cell warms as a standalone load run, and an aging cell as
+        // a standalone soak, under the cell's warm seed.
+        let axis_cell = |axis: &str, value: &str| {
+            SweepSpec::new("cells", vec!["proj_3".into()], vec!["IDA-E20".into()])
+                .with_axis(axis, vec![value.into()])
+                .cells()
+                .remove(0)
+        };
+        let system = SystemUnderTest::Ida { error_rate: 0.2 };
+        for (axis, value, spares) in [("load", "140", 0), ("aging", "high", SOAK_SPARES_PER_PLANE)]
+        {
+            let cell = axis_cell(axis, value);
+            let mut reference = crate::runner::system_config(
+                system,
+                scale.geometry,
+                FlashTiming::paper_tlc(),
+                RetryConfig::disabled(),
+            );
+            reference.ftl.seed = warm_seed_for(&cell);
+            reference.ftl.spare_blocks_per_plane = spares;
+            let (_, cfg) = cell_config(&cell, &scale).unwrap();
+            assert!(encode(&cfg) == encode(&reference), "{}", cell.id());
+        }
+        // A malformed parameter is an error that names it.
+        for (axis, value, named) in [
+            ("variant", "slc", "unknown variant \"slc\""),
+            ("dtr_us", "fast", "bad dtr_us parameter \"fast\""),
+            ("phase", "midlife", "unknown phase \"midlife\""),
+            ("phase", "lateX", "in phase \"lateX\""),
+        ] {
+            let err = cell_config(&axis_cell(axis, value), &scale).unwrap_err();
+            assert!(err.contains(named), "{err}");
+        }
         let blocks = builtin_grid("blocks").unwrap().cells();
-        assert!(warm_config(&blocks[0], &scale).is_err());
+        assert!(cell_config(&blocks[0], &scale).is_err());
     }
 
     #[test]

@@ -69,9 +69,14 @@ impl TextTable {
     }
 }
 
-/// Format a float with `digits` decimals.
+/// Format a float with `digits` decimals. A negative value that rounds
+/// to zero prints unsigned: `0.0`, never `-0.0`.
 pub fn f(v: f64, digits: usize) -> String {
-    format!("{v:.digits$}")
+    let s = format!("{v:.digits$}");
+    match s.strip_prefix('-') {
+        Some(zero) if zero.bytes().all(|b| matches!(b, b'0' | b'.')) => zero.to_string(),
+        _ => s,
+    }
 }
 
 /// Format a ratio as a percentage with one decimal.
@@ -106,6 +111,9 @@ mod tests {
     #[test]
     fn format_helpers() {
         assert_eq!(f(1.23456, 2), "1.23");
+        assert_eq!(f(-0.04, 1), "0.0");
+        assert_eq!(f(-0.06, 1), "-0.1");
+        assert_eq!(f(-0.0, 0), "0");
         assert_eq!(pct(0.285), "28.5%");
     }
 }

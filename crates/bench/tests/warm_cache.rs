@@ -184,8 +184,8 @@ fn warm_identity_strips_exactly_the_post_warmup_axes() {
             .unwrap();
         assert_eq!(warm_seed_for(cell), warm_seed_for(sibling));
     }
-    // Axes that *do* shape the warm-up (dtr_us via timing, phase via
-    // retry config) stay in the identity.
+    // The sensitivity axes (dtr_us, phase) stay in the identity: their
+    // cells share a warm-up prefix, not a warm seed.
     let fig9 = SweepSpec::new("fig9", vec!["proj_3".into()], vec!["Baseline".into()])
         .with_axis("dtr_us", vec!["30".into(), "70".into()]);
     let ids: HashSet<String> = fig9.cells().iter().map(warm_id).collect();

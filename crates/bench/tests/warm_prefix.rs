@@ -1,17 +1,19 @@
 //! The soundness condition of the staged warm cache: a warm-up prefix
-//! (prefill + age) built under the normalised `prefix_config`, forked
-//! and re-armed with a system's refresh policy, is byte-identical to the
-//! prefix that system builds under its own configuration. Every fig8
-//! system column can then fork one prefix per workload.
+//! (prefill + age) built under the prefix view of one column's config
+//! (`SsdConfig::warm_view`), forked and armed with another column's
+//! (`Simulator::arm`), is byte-identical to the prefix that column builds
+//! under its own configuration. Every fig8 system column, and every ΔtR
+//! and lifetime-phase column of fig9 and fig11, can then fork one prefix
+//! per workload.
 
 use ida_bench::runner::{
-    prefix_cache_key, prefix_config, system_config, warm_prefix, ExperimentScale, SystemUnderTest,
+    prefix_cache_key, system_config, warm_prefix, ExperimentScale, SystemUnderTest,
 };
 use ida_bench::soak::SOAK_SPARES_PER_PLANE;
-use ida_bench::sweep::{warm_config, FAULT_SPARES_PER_PLANE};
+use ida_bench::sweep::{builtin_grid, cell_config, FAULT_SPARES_PER_PLANE};
 use ida_flash::timing::FlashTiming;
 use ida_ssd::retry::RetryConfig;
-use ida_ssd::{Simulator, SsdConfig};
+use ida_ssd::{Simulator, SsdConfig, WarmStage};
 use ida_sweep::{derive_stream_seed, SweepSpec};
 use ida_workloads::suite::paper_workload;
 
@@ -23,7 +25,7 @@ const E80: SystemUnderTest = SystemUnderTest::Ida { error_rate: 0.8 };
 /// A cell's warm-up configuration: `system` with ΔtR `dtr_us` (the
 /// paper's TLC timing when `None`), `spares` spare blocks per plane, and
 /// a per-system seed, as the sweep's warm seeds differ per column.
-fn cell_config(system: SystemUnderTest, dtr_us: Option<u64>, spares: u32) -> SsdConfig {
+fn column(system: SystemUnderTest, dtr_us: Option<u64>, spares: u32) -> SsdConfig {
     let mut timing = FlashTiming::paper_tlc();
     if let Some(d) = dtr_us {
         timing = timing.with_delta_tr_us(d);
@@ -44,19 +46,19 @@ fn cell_config(system: SystemUnderTest, dtr_us: Option<u64>, spares: u32) -> Ssd
 fn assert_forks_equal_own_prefixes(dtr_us: Option<u64>, spares: u32, systems: &[SystemUnderTest]) {
     let columns: Vec<(String, SsdConfig)> = systems
         .iter()
-        .map(|&s| (s.label(), cell_config(s, dtr_us, spares)))
+        .map(|&s| (s.label(), column(s, dtr_us, spares)))
         .collect();
     assert_columns_fork_one_prefix(&format!("dtr {dtr_us:?}, {spares} spares"), &columns);
 }
 
-/// Build one shared prefix under the first column's `prefix_config`,
-/// fork it into every `(label, config)` column, and compare each fork
-/// with the prefix the column builds under its own config, byte for byte.
+/// Build one shared prefix under the first column's prefix view, fork
+/// it into every `(label, config)` column, and compare each fork with the
+/// prefix the column builds under its own config, byte for byte.
 fn assert_columns_fork_one_prefix(what: &str, columns: &[(String, SsdConfig)]) {
     let preset = paper_workload("proj_3").unwrap();
     let scale = ExperimentScale::smoke();
     let first = &columns[0].1;
-    let mut shared = Simulator::new(prefix_config(first));
+    let mut shared = Simulator::new(first.warm_view(WarmStage::Prefix));
     warm_prefix(&mut shared, &preset);
     let image = shared.snapshot();
     for (label, cfg) in columns {
@@ -68,8 +70,7 @@ fn assert_columns_fork_one_prefix(what: &str, columns: &[(String, SsdConfig)]) {
         let mut own = Simulator::new(cfg.clone());
         warm_prefix(&mut own, &preset);
         let mut fork = Simulator::from_snapshot(&image).unwrap();
-        let f = &cfg.ftl;
-        fork.arm_refresh(f.refresh_mode, f.adjust_error_rate, f.seed);
+        fork.arm(cfg);
         assert!(
             fork.snapshot() == own.snapshot(),
             "{label} ({what}): forked prefix differs from its own"
@@ -98,11 +99,20 @@ fn dtr_variants_fork_one_prefix_each() {
     assert_forks_equal_own_prefixes(Some(70), 0, &[BASELINE, E20]);
 }
 
+/// The columns of `cells`, labelled by cell ID, with the warm configs
+/// and seeds the sweep gives them.
+fn cell_columns(cells: &[ida_sweep::Cell]) -> Vec<(String, SsdConfig)> {
+    let scale = ExperimentScale::smoke();
+    cells
+        .iter()
+        .map(|c| (c.id(), cell_config(c, &scale).unwrap().1))
+        .collect()
+}
+
 #[test]
 fn device_variants_fork_one_prefix_each() {
     // The `variant` axis of the table5, fig6 and ablation grids, with the
     // warm configs and seeds their Baseline and IDA-E20 cells use.
-    let scale = ExperimentScale::smoke();
     for variant in ["mlc", "qlc", "tlc232", "noplace"] {
         let cells = SweepSpec::new(
             "variants",
@@ -111,20 +121,37 @@ fn device_variants_fork_one_prefix_each() {
         )
         .with_axis("variant", vec![variant.into()])
         .cells();
-        let columns: Vec<(String, SsdConfig)> = cells
-            .iter()
-            .map(|c| (c.system.clone(), warm_config(c, &scale).unwrap().1))
-            .collect();
-        assert_columns_fork_one_prefix(variant, &columns);
+        assert_columns_fork_one_prefix(variant, &cell_columns(&cells));
+    }
+}
+
+#[test]
+fn fig9_and_fig11_columns_fork_one_prefix_per_workload() {
+    // Every ΔtR column of fig9 and every lifetime-phase column of fig11
+    // (each with its own warm seed, timing or retry model) forks the one
+    // prefix of its workload.
+    for grid in ["fig9", "fig11"] {
+        let mut cells = builtin_grid(grid).unwrap().cells();
+        cells.retain(|c| c.workload == "proj_3");
+        assert_eq!(cells.len(), if grid == "fig9" { 10 } else { 4 });
+        assert_columns_fork_one_prefix(grid, &cell_columns(&cells));
     }
 }
 
 #[test]
 fn warm_relevant_fields_split_the_prefix_key() {
     let scale = ExperimentScale::smoke();
-    let key = |dtr, spares| prefix_cache_key("proj_3", &cell_config(E20, dtr, spares), &scale);
+    let key = |dtr, spares| prefix_cache_key("proj_3", &column(E20, dtr, spares), &scale);
     let plain = key(None, 0);
-    assert_ne!(plain, key(Some(30), 0), "timing shapes the prefix");
+    // Prefill and age read neither the timing nor the retry model.
+    assert_eq!(plain, key(Some(30), 0), "timing does not shape the prefix");
+    let mut late = column(E20, None, 0);
+    late.retry = RetryConfig::late_lifetime(0.4, 7);
+    assert_eq!(
+        plain,
+        prefix_cache_key("proj_3", &late, &scale),
+        "the retry model does not shape the prefix"
+    );
     assert_ne!(
         plain,
         key(None, FAULT_SPARES_PER_PLANE),
@@ -132,7 +159,7 @@ fn warm_relevant_fields_split_the_prefix_key() {
     );
     assert_ne!(
         plain,
-        prefix_cache_key("hm_1", &cell_config(E20, None, 0), &scale),
+        prefix_cache_key("hm_1", &column(E20, None, 0), &scale),
         "the workload shapes the prefix"
     );
 }

@@ -15,8 +15,8 @@ use ida_bench::runner::{
 };
 use ida_bench::soak::{run_soak, soak_metrics_json, soak_run_from_json};
 use ida_bench::sweep::{
-    builtin_grid, parse_system, render, run_grid, run_grid_on, run_grid_worker, warm_config,
-    Backend, BUILTIN_GRIDS,
+    builtin_grid, cell_config, parse_system, render, run_grid, run_grid_on, run_grid_worker,
+    setup_json, Backend, BUILTIN_GRIDS,
 };
 use ida_bench::table::{f, TextTable};
 use ida_obs::json::JsonObj;
@@ -323,7 +323,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 // byte-interchangeable with the sweep cache's image.
                 let spec = SweepSpec::new("fig8", vec![workload.clone()], vec![system.clone()]);
                 let scale = scale(&opts)?;
-                let (preset, cfg) = warm_config(&spec.cells()[0], &scale)?;
+                let (preset, cfg) = cell_config(&spec.cells()[0], &scale)?;
                 let key = warm_cache_key(&workload, &cfg, &scale);
                 let (sim, _) = warmed_simulator(&preset, cfg, &scale);
                 let mut w = ida_snap::Writer::new();
@@ -422,7 +422,12 @@ pub fn run(cmd: Command) -> Result<String, String> {
         Command::Soak { workload, opts } => {
             lookup(&workload)?;
             let (level, epochs, scale) = (&opts.level, opts.epochs, scale(&opts)?);
-            let cfg = sweep_config(&opts)?;
+            let mut cfg = sweep_config(&opts)?;
+            // A journaled soak is reused only at the same scale and length.
+            cfg.setup = JsonObj::new()
+                .raw("scale", &setup_json(&scale))
+                .u64("epochs", epochs as u64)
+                .finish();
             // Two cells — Baseline and the IDA system — run through the
             // sweep engine, so parallelism, journaling, and byte-identical
             // aggregation come from the same machinery as `sweep`.
@@ -1189,7 +1194,7 @@ mod tests {
             .into_iter()
             .find(|c| c.workload == "proj_3" && c.system == "IDA-E20")
             .expect("fig8 has a proj_3/IDA-E20 cell");
-        let (_, cfg) = warm_config(&cell, &scale).unwrap();
+        let (_, cfg) = cell_config(&cell, &scale).unwrap();
         let key = format!("cache key {:016x}", warm_cache_key("proj_3", &cfg, &scale));
         for system in ["IDA-E20", "IDA-E20.0"] {
             let saved = snapshot(

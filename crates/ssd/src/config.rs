@@ -87,6 +87,16 @@ pub struct SsdConfig {
 
 ida_snap::snap_struct!(SsdConfig { ftl, timing, retry });
 
+/// A stage of the untimed warm-up (prefill, age, steady-state refresh),
+/// for [`SsdConfig::warm_view`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarmStage {
+    /// Prefill and age: no block has been refreshed yet.
+    Prefix,
+    /// The whole warm-up, through the steady-state refresh.
+    Full,
+}
+
 /// Validating constructor for [`SsdConfig`]: starts from
 /// [`SsdConfig::paper_baseline`], lets callers override the pieces they
 /// care about, and [`build`](Self::build) rejects configurations no real
@@ -236,6 +246,26 @@ impl SsdConfig {
         cfg.ftl.refresh_mode = mode;
         cfg.ftl.adjust_error_rate = error_rate;
         cfg
+    }
+
+    /// The fields the untimed warm-up up to `stage` reads: `self` with
+    /// `timing` and `retry` at the paper baseline's values (no warm-up
+    /// read is timed or retried) and, for a prefix, which refreshes no
+    /// block, the refresh policy too (`refresh_mode` Baseline,
+    /// `adjust_error_rate` 0, `ftl.seed` 0). Configurations with equal
+    /// views warm up alike but for those fields, which
+    /// [`crate::Simulator::arm`] sets afterwards.
+    pub fn warm_view(&self, stage: WarmStage) -> SsdConfig {
+        let mut view = SsdConfig {
+            ftl: self.ftl.clone(),
+            ..Self::paper_baseline()
+        };
+        if stage == WarmStage::Prefix {
+            view.ftl.refresh_mode = RefreshMode::Baseline;
+            view.ftl.adjust_error_rate = 0.0;
+            view.ftl.seed = 0;
+        }
+        view
     }
 
     /// A tiny configuration for unit tests: tiny geometry, paper timing.

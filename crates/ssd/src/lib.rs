@@ -46,7 +46,7 @@ pub mod retry;
 pub mod sim;
 pub mod source;
 
-pub use config::{ConfigError, SsdConfig, SsdConfigBuilder};
+pub use config::{ConfigError, SsdConfig, SsdConfigBuilder, WarmStage};
 pub use metrics::{LatencyStats, ReadBreakdown, Report};
 pub use request::{HostOp, HostOpKind};
 pub use retry::RetryModel;

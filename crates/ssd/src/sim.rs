@@ -6,7 +6,6 @@ use crate::metrics::Report;
 use crate::request::{HostOp, HostOpKind, PendingRequest};
 use crate::retry::{ReadLadder, RetryModel};
 use crate::source::{ArrivalSource, Pull};
-use ida_core::refresh::RefreshMode;
 use ida_faults::{AgingConfig, FaultConfig};
 use ida_flash::addr::BlockAddr;
 use ida_flash::timing::SimTime;
@@ -483,20 +482,35 @@ impl Simulator {
         self.ftl.arm_faults(faults);
     }
 
-    /// Re-arm the refresh policy (mode, voltage-adjustment error rate,
-    /// interference seed) on a device that has not refreshed yet — see
-    /// [`Ftl::arm_refresh`]. The result is byte-identical to a simulator
-    /// built under the new policy and driven the same way, which lets one
-    /// prefill + age fork into every system column of a sweep.
+    /// Arm every field of `cfg` outside its warm view
+    /// ([`SsdConfig::warm_view`]) on a simulator warmed under the same
+    /// view: the timing, a freshly seeded retry model and, where it
+    /// differs, the refresh policy ([`Ftl::arm_refresh`]). The warm-up
+    /// reads none of them, so the result byte-equals a simulator built
+    /// under `cfg` and driven the same way, and one warm image forks into
+    /// every cell whose view it matches.
     ///
     /// # Panics
     ///
-    /// Once any block has been refreshed.
-    pub fn arm_refresh(&mut self, mode: RefreshMode, adjust_error_rate: f64, seed: u64) {
-        self.ftl.arm_refresh(mode, adjust_error_rate, seed);
-        self.cfg.ftl.refresh_mode = mode;
-        self.cfg.ftl.adjust_error_rate = adjust_error_rate;
-        self.cfg.ftl.seed = seed;
+    /// After a timed run (its reads drew retries under the old model), or
+    /// on another refresh policy once any block has been refreshed.
+    pub fn arm(&mut self, cfg: &SsdConfig) {
+        assert_eq!(
+            self.flash_ops, 0,
+            "arm after a timed run: the timing and retry model in force already shaped the device"
+        );
+        let f = &cfg.ftl;
+        let policy = |c: &ida_ftl::FtlConfig| (c.refresh_mode, c.adjust_error_rate, c.seed);
+        if policy(&self.cfg.ftl) != policy(f) {
+            self.ftl
+                .arm_refresh(f.refresh_mode, f.adjust_error_rate, f.seed);
+            self.cfg.ftl.refresh_mode = f.refresh_mode;
+            self.cfg.ftl.adjust_error_rate = f.adjust_error_rate;
+            self.cfg.ftl.seed = f.seed;
+        }
+        self.cfg.timing = cfg.timing;
+        self.cfg.retry = cfg.retry;
+        self.retry = RetryModel::new(cfg.retry);
     }
 
     /// Arm (or replace) the device-aging model: the FTL starts charging
@@ -1667,7 +1681,11 @@ mod tests {
         sim.prefill(0..g.pages_per_block() as u64 * g.total_planes() as u64);
         sim.force_refresh_all(0);
         assert!(sim.ftl().stats().refreshes > 0, "no block was refreshed");
-        sim.arm_refresh(RefreshMode::Ida, 0.2, 7);
+        let mut ida = SsdConfig::tiny_test();
+        ida.ftl.refresh_mode = ida_core::refresh::RefreshMode::Ida;
+        // The refresh policy in force re-arms as a no-op; another panics.
+        sim.arm(&SsdConfig::tiny_test());
+        sim.arm(&ida);
     }
 
     #[test]

@@ -9,8 +9,9 @@ use ida_flash::geometry::Geometry;
 use ida_ftl::config::FtlConfig;
 use ida_obs::rng::Rng64;
 use ida_obs::trace::{SinkHandle, TraceSink, VecSink};
-use ida_ssd::config::SsdConfig;
+use ida_ssd::config::{SsdConfig, WarmStage};
 use ida_ssd::request::{HostOp, HostOpKind};
+use ida_ssd::retry::RetryConfig;
 use ida_ssd::sim::Simulator;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -186,43 +187,76 @@ fn snapshot_mid_crash_schedule_resumes_pending_losses() {
 
 #[test]
 fn rearmed_prefix_continues_like_one_built_under_the_policy() {
-    // The staged warm cache's soundness condition on random configs: a
-    // prefill + age prefix built under one refresh policy, forked and
-    // re-armed with another, equals the prefix built under the second —
-    // and keeps running identically through refresh and a measured run.
+    // The staged warm cache's soundness condition on random configs. The
+    // prefix view drops the refresh policy, ΔtR and the retry model; the
+    // full view only ΔtR and the retry model. A prefill + age prefix built
+    // under a config differing in all of them, forked and armed, equals
+    // the prefix built under the cell's own config; a warm state (prefix +
+    // refresh tail) built under one differing in timing and retry, forked
+    // and armed, equals the cell's own; both keep running identically.
     let mut rng = Rng64::seed_from_u64(0x5AAF_0005);
     for iter in 0..6 {
         let cfg = random_cfg(&mut rng);
-        let mut other = cfg.clone();
+        let mut full = cfg.clone();
+        full.timing = cfg.timing.with_delta_tr_us(rng.gen_range_u64(30, 71));
+        full.retry = RetryConfig::late_lifetime(rng.gen_range_f64(0.0, 0.5), rng.next_u64());
+        let mut other = full.clone();
         other.ftl.refresh_mode = match cfg.ftl.refresh_mode {
             ida_core::refresh::RefreshMode::Ida => ida_core::refresh::RefreshMode::Baseline,
             ida_core::refresh::RefreshMode::Baseline => ida_core::refresh::RefreshMode::Ida,
         };
         other.ftl.adjust_error_rate = rng.gen_range_f64(0.0, 0.4);
         other.ftl.seed = rng.next_u64();
+        assert_eq!(
+            other.warm_view(WarmStage::Prefix),
+            cfg.warm_view(WarmStage::Prefix)
+        );
+        assert_eq!(
+            full.warm_view(WarmStage::Full),
+            cfg.warm_view(WarmStage::Full)
+        );
+        assert_ne!(
+            other.warm_view(WarmStage::Full),
+            cfg.warm_view(WarmStage::Full)
+        );
+
         let exported = cfg.ftl.exported_pages();
         let aging = random_trace(&mut rng, &cfg.ftl, 300, 0.8);
+        let span = aging.last().map_or(1, |op| op.at).max(1);
         let prefix = |c: &SsdConfig| {
             let mut sim = Simulator::new(c.clone());
             sim.prefill(0..exported / 2);
             sim.age(&aging);
             sim
         };
-        let mut own = prefix(&cfg);
-        let mut fork = Simulator::from_snapshot(&prefix(&other).snapshot()).unwrap();
-        let f = &cfg.ftl;
-        fork.arm_refresh(f.refresh_mode, f.adjust_error_rate, f.seed);
-        assert!(
-            fork.snapshot() == own.snapshot(),
-            "iteration {iter}: re-armed prefix differs"
-        );
-        let span = aging.last().map_or(1, |op| op.at).max(1);
-        for sim in [&mut own, &mut fork] {
+        let tail = |sim: &mut Simulator| {
             sim.set_refresh_period(span * 4);
             sim.force_refresh_all(span / 2);
-        }
+        };
+        let fork = |sim: &Simulator| {
+            let mut fork = Simulator::from_snapshot(&sim.snapshot()).unwrap();
+            fork.arm(&cfg);
+            fork
+        };
+        let mut own = prefix(&cfg);
+        let mut prefix_fork = fork(&prefix(&other));
+        assert!(
+            prefix_fork.snapshot() == own.snapshot(),
+            "iteration {iter}: armed prefix differs"
+        );
+        tail(&mut own);
+        tail(&mut prefix_fork);
+        let mut warm = prefix(&full);
+        tail(&mut warm);
+        let warm_fork = fork(&warm);
+        assert!(
+            warm_fork.snapshot() == own.snapshot(),
+            "iteration {iter}: armed warm state differs"
+        );
         let measured = random_trace(&mut rng, &cfg.ftl, 400, 0.5);
-        assert_identical_continuation(own, fork, measured, iter % 2 == 0);
+        let own_copy = Simulator::from_snapshot(&own.snapshot()).unwrap();
+        assert_identical_continuation(own, prefix_fork, measured.clone(), iter % 2 == 0);
+        assert_identical_continuation(own_copy, warm_fork, measured, iter % 2 == 1);
     }
 }
 

@@ -302,10 +302,9 @@ impl<E: Fn(FabricEvent) + Sync> Coordinator<'_, E> {
 /// [`crate::pool::run_cells`] on the same inputs, whose lease queue it
 /// shares.
 ///
-/// `setup` is an opaque experiment-setup payload (JSON by convention)
-/// handed to every worker in the `Welcome` message. `on_event` receives
-/// fabric diagnostics (connects, disconnects, requeues); it must never
-/// influence results.
+/// `cfg.setup` (opaque to the fabric) is handed to every worker in the
+/// `Welcome` message. `on_event` receives fabric diagnostics (connects,
+/// disconnects, requeues); it must never influence results.
 ///
 /// Returns immediately (without accepting a single connection) when the
 /// journal already covers every cell. Otherwise blocks until every cell
@@ -320,7 +319,6 @@ pub fn serve<E>(
     sweep: &str,
     cells: &[Cell],
     cfg: &SweepConfig,
-    setup: &str,
     listener: TcpListener,
     on_event: E,
 ) -> io::Result<Vec<CellOutcome>>
@@ -333,7 +331,7 @@ where
     }
     let coord = Coordinator {
         sweep,
-        setup,
+        setup: &cfg.setup,
         leases,
         on_event,
     };
@@ -552,14 +550,9 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || {
-            serve(
-                "net-t",
-                &cells,
-                &cfg,
-                r#"{"kind":"test"}"#,
-                listener,
-                |ev| events.lock().unwrap().push(ev),
-            )
+            serve("net-t", &cells, &cfg, listener, |ev| {
+                events.lock().unwrap().push(ev)
+            })
         });
         (addr, handle)
     }
@@ -637,7 +630,11 @@ mod tests {
         let serial = run_cells("net-t", &cells, &SweepConfig::serial(), payload_of).unwrap();
         for workers in [1usize, 2] {
             let events = Arc::new(Mutex::new(Vec::new()));
-            let (addr, handle) = spawn_serve(cells.clone(), SweepConfig::serial(), events);
+            let cfg = SweepConfig {
+                setup: r#"{"kind":"test"}"#.into(),
+                ..SweepConfig::serial()
+            };
+            let (addr, handle) = spawn_serve(cells.clone(), cfg, events);
             let groups = Mutex::new(Vec::new());
             let plan = |group: &[Cell], _: &str| {
                 let ids = group.iter().map(Cell::id).collect::<Vec<_>>();
@@ -770,7 +767,7 @@ mod tests {
         // Second serve: every cell is journaled, so it returns without
         // a listener interaction (no worker is even started).
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let resumed = serve("net-t", &cells, &cfg, "{}", listener, |_| ()).unwrap();
+        let resumed = serve("net-t", &cells, &cfg, listener, |_| ()).unwrap();
         assert!(resumed.iter().all(|o| o.cached), "cells were recomputed");
         assert_eq!(aggregate(first), aggregate(resumed));
         let _ = std::fs::remove_dir_all(&dir);
@@ -820,7 +817,7 @@ mod tests {
 
         // Every journal holds the same final record per cell: the flaky
         // cell succeeded on its retry, both w1 cells spent the budget.
-        let load = |name: &str| journal::load(&dir.join(name), "net-t").unwrap();
+        let load = |name: &str| journal::load(&dir.join(name), "net-t", "{}").unwrap();
         let reference = load("j1.jsonl");
         assert_eq!(reference.len(), cells.len());
         assert_eq!(reference["w0/b/r1"].attempts, 2);

@@ -37,6 +37,10 @@ pub struct SweepConfig {
     pub journal: Option<PathBuf>,
     /// Report progress (with ETA) on stderr.
     pub progress: bool,
+    /// The experiment setup every cell runs under (JSON by convention,
+    /// opaque to the engine): the fabric hands it to each worker, and a
+    /// journaled cell is reused only under the same setup.
+    pub setup: String,
     /// Shared warm-state snapshot cache (`None` = every cell runs its
     /// own warm-up). Job closures that support forking consult it via
     /// [`SweepConfig::warm_cache`]; because a cache hit restores
@@ -52,6 +56,7 @@ impl Default for SweepConfig {
             max_attempts: 2,
             journal: None,
             progress: false,
+            setup: "{}".into(),
             warm: None,
         }
     }
@@ -212,7 +217,7 @@ where
 /// are restored, failed and missing ones (to be run) are `None`.
 fn restore(sweep: &str, cells: &[Cell], cfg: &SweepConfig) -> io::Result<Vec<Option<CellOutcome>>> {
     let cached = match &cfg.journal {
-        Some(path) => journal::load(path, sweep)?,
+        Some(path) => journal::load(path, sweep, &cfg.setup)?,
         None => Default::default(),
     };
     Ok(cells
@@ -309,7 +314,7 @@ impl<'a> Leases<'a> {
             .filter(|&i| outcomes[i].is_none())
             .collect();
         let journal = match &cfg.journal {
-            Some(path) => Some(JournalWriter::open(path, sweep)?),
+            Some(path) => Some(JournalWriter::open(path, sweep, &cfg.setup)?),
             None => None,
         };
         let progress = if cfg.progress {

@@ -8,6 +8,8 @@
 //!     connections leasing one workload and planning its warm cache;
 //! (b) resuming a journaled distributed run returns every cell cached,
 //!     without needing a single worker, and still emits the same bytes;
+//!     a local sweep resumes the serve journal and the other way round,
+//!     but only at the scale the journal ran at;
 //! (c) the coordinator→worker setup payload reconstructs the
 //!     experiment scale exactly.
 
@@ -81,6 +83,29 @@ fn distributed_run_matches_local_serial_bytes_and_resumes_cached() {
         "resume recomputed completed cells"
     );
     assert_eq!(local, resumed.aggregate_json());
+
+    // A local sweep resumes the serve journal at the same scale...
+    let local_resumed = run_grid(&spec, &scale, &cfg).unwrap();
+    assert!(local_resumed.outcomes.iter().all(|o| o.cached));
+    assert_eq!(local, local_resumed.aggregate_json());
+    // ...but at another request count every cell runs again, equal to a
+    // fresh run there, and is journaled under its own scale...
+    let other = ExperimentScale::smoke().with_requests(300);
+    let fresh = run_grid(&spec, &other, &SweepConfig::serial())
+        .unwrap()
+        .aggregate_json();
+    assert_ne!(fresh, local);
+    let rerun = run_grid(&spec, &other, &cfg).unwrap();
+    assert!(
+        rerun.outcomes.iter().all(|o| !o.cached),
+        "stale cells reused"
+    );
+    assert_eq!(fresh, rerun.aggregate_json());
+    // ...which a coordinator then resumes with no worker.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let served = run_grid_on(&spec, &other, &cfg, Backend::Distributed { listener }).unwrap();
+    assert!(served.outcomes.iter().all(|o| o.cached));
+    assert_eq!(fresh, served.aggregate_json());
     let _ = std::fs::remove_file(&journal);
 }
 

@@ -15,7 +15,7 @@
 
 use ida_bench::analyze;
 use ida_bench::runner::{
-    run_config_faulted_cached, run_system_obs, system_config, ExperimentScale, ObsOptions,
+    run_system_obs, run_warmed, system_config, warmed_simulator, ExperimentScale, ObsOptions,
     ReplayMode, SystemUnderTest,
 };
 use ida_faults::FaultConfig;
@@ -106,14 +106,8 @@ fn conservation_holds_under_mid_level_faults() {
         RetryConfig::disabled(),
     );
     let faults = FaultConfig::preset("mid", 41).expect("mid preset");
-    let report = run_config_faulted_cached(
-        &preset,
-        cfg,
-        &scale,
-        ReplayMode::OpenLoop,
-        Some(faults),
-        None,
-    );
+    let (sim, trace) = warmed_simulator(&preset, cfg, &scale);
+    let report = run_warmed(sim, &trace, ReplayMode::OpenLoop, Some(faults));
 
     assert!(report.reads.count > 0 && report.writes.count > 0);
     assert!(
