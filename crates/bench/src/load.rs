@@ -14,7 +14,8 @@
 //! scale) pair reproduces its payload byte for byte on any worker.
 
 use crate::runner::{
-    system_config, to_host_ops, warm_up, ExperimentScale, ObsOptions, SystemUnderTest,
+    system_config, to_host_ops, warm_up, warmed_simulator_cached, ExperimentScale, ObsOptions,
+    SystemUnderTest,
 };
 use ida_flash::timing::FlashTiming;
 use ida_host::{
@@ -24,8 +25,8 @@ use ida_host::{
 use ida_obs::json::{array, JsonObj};
 use ida_obs::trace::TraceEvent;
 use ida_ssd::retry::RetryConfig;
-use ida_ssd::{Report, SimError, Simulator};
-use ida_sweep::derive_stream_seed;
+use ida_ssd::{Report, SimError, Simulator, SsdConfig};
+use ida_sweep::{derive_stream_seed, WarmCache};
 use ida_workloads::suite::WorkloadPreset;
 use ida_workloads::synth::WorkloadSpec;
 use ida_workloads::trace::Trace;
@@ -228,10 +229,7 @@ pub fn run_load_obs(
     scale: &ExperimentScale,
     obs: &ObsOptions,
 ) -> Result<LoadRun, LoadError> {
-    let timing = FlashTiming::paper_tlc();
-    let mut cfg = system_config(spec.system, scale.geometry, timing, RetryConfig::disabled());
-    cfg.ftl.seed = spec.seed;
-    let mut sim = Simulator::new(cfg);
+    let mut sim = Simulator::new(load_config(spec, scale));
     obs.attach(
         &mut sim,
         &format!(
@@ -245,6 +243,15 @@ pub fn run_load_obs(
     let run = drive_load(&mut sim, preset, spec, &trace)?;
     obs.finish(&sim, &run.report)?;
     Ok(run)
+}
+
+/// The configuration a load run warms up under: the paper's TLC device
+/// for `spec.system`, seeded with `spec.seed`.
+fn load_config(spec: &LoadSpec, scale: &ExperimentScale) -> SsdConfig {
+    let timing = FlashTiming::paper_tlc();
+    let mut cfg = system_config(spec.system, scale.geometry, timing, RetryConfig::disabled());
+    cfg.ftl.seed = spec.seed;
+    cfg
 }
 
 /// [`run_load_obs`] with observability off: a fresh warm-up seeded with
@@ -335,10 +342,11 @@ pub fn load_metrics_json(run: &LoadRun) -> String {
         .finish()
 }
 
-/// Bisect the offered rate for (preset, system) at the grid SLO: each
-/// probe builds a fresh warmed simulator from seeds derived off
-/// `seed` and the probed rate, so the whole search is a pure function of
-/// its arguments.
+/// Bisect the offered rate for (preset, system) at the grid SLO. Every
+/// probe runs [`run_load`] at its rate with a seed derived off `seed`;
+/// the warm-up depends on neither, so the search warms one device and
+/// forks it for each probe through a cache of its own. The whole search
+/// is a pure function of its arguments.
 ///
 /// # Errors
 ///
@@ -358,10 +366,13 @@ pub fn run_capacity(
     seed: u64,
 ) -> Result<CapacityResult, LoadError> {
     let mut failure: Option<LoadError> = None;
+    let warm = WarmCache::new();
     let result = capacity_search(lo_iops, hi_iops, max_iters, |iops| {
         let mut spec = LoadSpec::new(system, arrival, iops, derive_stream_seed(seed, "probe"));
         spec.slo_p99_ns = slo_p99_ns;
-        match run_load(preset, &spec, scale) {
+        let cfg = load_config(&spec, scale);
+        let (mut sim, trace) = warmed_simulator_cached(preset, cfg, scale, Some(&warm));
+        match drive_load(&mut sim, preset, &spec, &trace) {
             Ok(run) => run.probe_outcome(),
             Err(e) => {
                 if failure.is_none() {

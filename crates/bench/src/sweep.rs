@@ -298,10 +298,11 @@ pub fn warm_seed_for(cell: &Cell) -> u64 {
 /// axis, with the `faults` plan armed first) — and render its metrics
 /// payload. `blocks` cells warm up outside the cache.
 ///
-/// The optional warm-state cache only changes *when* warm-ups execute,
-/// never what any cell computes: the warm-phase seed is applied
-/// unconditionally (cache on or off), and a hit restores byte-identical
-/// simulator state.
+/// The warm-state cache only changes *when* warm-ups execute, never what
+/// any cell computes: the warm-phase seed is applied unconditionally, and
+/// a hit restores byte-identical simulator state. Without one (`None`)
+/// the cell warms up on its own — the unshared reference grid runs are
+/// tested against.
 ///
 /// # Panics
 ///
@@ -453,8 +454,11 @@ fn plan_warm_cache<'a>(
 
 /// Run a grid on the engine: expand the spec, execute every cell at
 /// `scale` on `cfg.jobs` workers (with checkpoint/resume when a journal
-/// is configured), and collect the outcome. The run's setup is
-/// [`setup_json`] of `scale`, so a journal resumes only at the same scale.
+/// is configured), and collect the outcome. The cells the journal does
+/// not settle share their warm-ups through a planned [`WarmCache`]:
+/// `cfg`'s when one is attached (so the caller can read its counters),
+/// otherwise a fresh one. The run's setup is [`setup_json`] of `scale`,
+/// so a journal resumes only at the same scale.
 ///
 /// # Errors
 ///
@@ -500,12 +504,11 @@ pub fn run_grid_on(
     };
     let outcomes = match backend {
         Backend::Local => {
-            if let Some(cache) = cfg.warm_cache() {
-                let pending = ida_sweep::pending_cells(&spec.name, &cells, cfg)?;
-                plan_warm_cache(cache, pending, scale);
-            }
+            let warm = cfg.warm.clone().unwrap_or_default();
+            let pending = ida_sweep::pending_cells(&spec.name, &cells, cfg)?;
+            plan_warm_cache(&warm, pending, scale);
             ida_sweep::run_cells(&spec.name, &cells, cfg, |cell| {
-                run_cell_cached(cell, scale, cfg.warm_cache())
+                run_cell_cached(cell, scale, Some(&warm))
             })?
         }
         Backend::Distributed { listener } => {
@@ -566,7 +569,7 @@ pub fn run_grid_worker(
     threads: usize,
     wait: std::time::Duration,
 ) -> std::io::Result<ida_sweep::WorkerReport> {
-    let warm = WarmCache::new(None);
+    let warm = WarmCache::new();
     let report = ida_sweep::net::run_worker(
         addr,
         threads,

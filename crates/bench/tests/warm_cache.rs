@@ -1,11 +1,12 @@
-//! The warm-cache sweep invariant: running a grid with the warm-state
-//! cache on must produce byte-identical aggregated output to running it
-//! cache-off — at any worker count — while executing strictly fewer
-//! warm-ups than cells, and fewer prefixes than warm-ups.
+//! The warm-cache sweep invariant: a grid run, which shares warm-ups
+//! through the warm-state cache, must produce byte-identical aggregated
+//! output to running every cell unshared — at any worker count — while
+//! executing strictly fewer warm-ups than cells, and fewer prefixes than
+//! warm-ups.
 
 use ida_bench::runner::ExperimentScale;
-use ida_bench::sweep::{run_grid, warm_id, warm_seed_for};
-use ida_sweep::{SweepConfig, SweepSpec, WarmCache};
+use ida_bench::sweep::{builtin_grid, run_cell_cached, run_grid, warm_id, warm_seed_for};
+use ida_sweep::{SweepConfig, SweepOutcome, SweepSpec, WarmCache};
 use std::collections::HashSet;
 
 /// A faults grid small enough for a test: one workload, both systems,
@@ -42,13 +43,27 @@ fn tiny_scale() -> ExperimentScale {
     ExperimentScale::smoke().with_requests(400)
 }
 
+/// The reference a grid run must match: every cell warmed up on its own,
+/// serially, with no cache.
+fn unshared(spec: &SweepSpec, scale: &ExperimentScale) -> SweepOutcome {
+    let outcomes =
+        ida_sweep::run_cells(&spec.name, &spec.cells(), &SweepConfig::serial(), |cell| {
+            run_cell_cached(cell, scale, None)
+        })
+        .expect("a sweep without a journal does no I/O");
+    SweepOutcome {
+        sweep: spec.name.clone(),
+        outcomes,
+    }
+}
+
 #[test]
 fn warm_cache_is_invisible_in_the_aggregate_and_skips_warmups() {
     let spec = mini_faults_grid();
     let scale = tiny_scale();
 
-    let off = run_grid(&spec, &scale, &SweepConfig::serial()).expect("cache-off run");
-    assert_eq!(off.failed_count(), 0, "cache-off cells failed");
+    let off = unshared(&spec, &scale);
+    assert_eq!(off.failed_count(), 0, "unshared cells failed");
 
     let on_cfg = SweepConfig::serial().with_warm_cache();
     let on = run_grid(&spec, &scale, &on_cfg).expect("cache-on run");
@@ -114,8 +129,8 @@ fn assert_fig8_cache_shape(cache: &WarmCache) {
 fn fig8_columns_fork_one_prefix_and_capture_no_full_image() {
     let spec = mini_fig8_grid();
     let scale = tiny_scale();
-    let off = run_grid(&spec, &scale, &SweepConfig::serial()).expect("cache-off run");
-    assert_eq!(off.failed_count(), 0, "cache-off cells failed");
+    let off = unshared(&spec, &scale);
+    assert_eq!(off.failed_count(), 0, "unshared cells failed");
     for jobs in [1, 4] {
         let cfg = SweepConfig::serial().with_jobs(jobs).with_warm_cache();
         let on = run_grid(&spec, &scale, &cfg).expect("cache-on run");
@@ -126,42 +141,6 @@ fn fig8_columns_fork_one_prefix_and_capture_no_full_image() {
         );
         assert_fig8_cache_shape(cfg.warm_cache().unwrap());
     }
-}
-
-#[test]
-fn warm_cache_spills_into_the_journal_directory_for_resume() {
-    let dir = std::env::temp_dir().join(format!("ida-warm-sweep-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let journal = dir.join("journal.jsonl");
-    let spec = mini_faults_grid();
-    let scale = tiny_scale();
-
-    let cfg = SweepConfig::serial()
-        .with_journal(journal.clone())
-        .with_warm_cache();
-    let first = run_grid(&spec, &scale, &cfg).expect("journaled run");
-    assert_eq!(cfg.warm_cache().unwrap().stats().misses, 2);
-    let spilled = std::fs::read_dir(dir.join("warm")).unwrap().count();
-    assert_eq!(
-        spilled, 3,
-        "each unique warm-up spills one snapshot, plus their shared prefix"
-    );
-
-    // A resumed run reloads the journal for cells — and if any cell *did*
-    // re-run, it would hit the spilled snapshots instead of re-warming.
-    let resumed_cfg = SweepConfig::serial()
-        .with_journal(journal)
-        .with_warm_cache();
-    let resumed = run_grid(&spec, &scale, &resumed_cfg).expect("resumed run");
-    assert_eq!(first.aggregate_json(), resumed.aggregate_json());
-    assert_eq!(
-        resumed.cached_count(),
-        8,
-        "journal should satisfy every cell"
-    );
-    assert_eq!(resumed_cfg.warm_cache().unwrap().stats().misses, 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -190,4 +169,25 @@ fn warm_identity_strips_exactly_the_post_warmup_axes() {
         .with_axis("dtr_us", vec!["30".into(), "70".into()]);
     let ids: HashSet<String> = fig9.cells().iter().map(warm_id).collect();
     assert_eq!(ids.len(), 2, "dtr_us must stay in the warm identity");
+}
+
+/// The full `faults` and `fig8` smoke grids at 800 requests, run unshared
+/// and through `run_grid` on two workers, aggregate to the same bytes.
+/// Slow in a debug build: run it with
+/// `cargo test --release -p ida-bench --test warm_cache -- --ignored`.
+#[test]
+#[ignore = "full smoke grids; run in release with --ignored"]
+fn full_smoke_grids_match_their_unshared_runs() {
+    let scale = ExperimentScale::smoke().with_requests(800);
+    for name in ["faults", "fig8"] {
+        let spec = builtin_grid(name).expect("built-in grid");
+        let off = unshared(&spec, &scale);
+        assert_eq!(off.failed_count(), 0, "{name}: unshared cells failed");
+        let on = run_grid(&spec, &scale, &SweepConfig::serial().with_jobs(2)).expect("grid run");
+        assert_eq!(
+            off.aggregate_json(),
+            on.aggregate_json(),
+            "{name}: the shared run differs from the unshared one"
+        );
+    }
 }

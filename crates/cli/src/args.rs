@@ -44,8 +44,6 @@ pub struct Opts {
     pub metrics_json: Option<PathBuf>,
     /// `--trace-filter`: comma-separated event classes to keep.
     pub trace_filter: Option<String>,
-    /// `--warm-cache`: run each unique warm-up once and fork the rest.
-    pub warm_cache: bool,
     /// `--listen`: the coordinator's listen address.
     pub listen: String,
     /// `--connect`: the coordinator a worker joins.
@@ -100,7 +98,6 @@ impl Default for Opts {
             trace_out: None,
             metrics_json: None,
             trace_filter: None,
-            warm_cache: false,
             listen: DEFAULT_FABRIC_ADDR.into(),
             connect: DEFAULT_FABRIC_ADDR.into(),
             workload: None,
@@ -175,7 +172,6 @@ pub const FLAGS: &[(&str, Shape)] = &[
             put(&mut o.trace_filter, trace_filter(v))
         }),
     ),
-    ("--warm-cache", Switch(|o| o.warm_cache = true)),
     (
         "--listen",
         One("an address", |o, v| put(&mut o.listen, Ok(v.into()))),
@@ -365,7 +361,7 @@ pub const SUBCOMMANDS: &[Row] = &[
     Row {
         name: "sweep",
         positionals: "grid",
-        flags: "--jobs --journal --out --smoke --requests --progress --warm-cache",
+        flags: "--jobs --journal --out --smoke --requests --progress",
     },
     Row {
         name: "serve",

@@ -271,7 +271,9 @@ pub fn run(cmd: Command) -> Result<String, String> {
         }
         Command::Sweep { grid, opts } => {
             let spec = grid_spec(&grid)?;
-            let cfg = sweep_config(&opts)?;
+            // Attached here, not left to run_grid, so its counters can be
+            // printed.
+            let cfg = sweep_config(&opts)?.with_warm_cache();
             let outcome =
                 run_grid(&spec, &scale(&opts)?, &cfg).map_err(|e| format!("sweep failed: {e}"))?;
             if let Some(cache) = cfg.warm_cache() {
@@ -595,12 +597,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 None => ReplayMode::OpenLoop,
                 Some(depth) => ReplayMode::ClosedLoop(depth),
             };
-            // Replay keeps every event class: IDA_TRACE_FILTER is compare's
-            // and load's.
-            let obs = ObsOptions {
-                trace_filter: None,
-                ..obs_options(&opts)
-            };
+            let obs = obs_options(&opts);
             let _ = writeln!(
                 out,
                 "replaying {} ({} records, {})",
@@ -678,33 +675,23 @@ fn scale(opts: &Opts) -> Result<ExperimentScale, String> {
     })
 }
 
-/// The sweep engine's configuration: `IDA_JOBS`/`IDA_JOURNAL` supply
-/// defaults, explicit flags win.
+/// The sweep engine's configuration: `IDA_JOBS` supplies the worker
+/// count, explicit flags win.
 fn sweep_config(opts: &Opts) -> Result<SweepConfig, String> {
     let mut cfg = SweepConfig::from_env()?;
     cfg.jobs = opts.jobs.unwrap_or(cfg.jobs);
-    if opts.journal.is_some() {
-        cfg.journal = opts.journal.clone();
-    }
+    cfg.journal = opts.journal.clone();
     cfg.progress = opts.progress;
-    Ok(if opts.warm_cache {
-        cfg.with_warm_cache()
-    } else {
-        cfg
-    })
+    Ok(cfg)
 }
 
-/// The observability flags; `IDA_TRACE_FILTER` fills in an absent
-/// `--trace-filter` (validated again when the sink is attached).
+/// The observability flags.
 fn obs_options(opts: &Opts) -> ObsOptions {
     ObsOptions {
         trace_out: opts.trace_out.clone(),
         metrics_json: opts.metrics_json.clone(),
         progress: opts.progress,
-        trace_filter: opts
-            .trace_filter
-            .clone()
-            .or_else(|| std::env::var("IDA_TRACE_FILTER").ok()),
+        trace_filter: opts.trace_filter.clone(),
     }
 }
 
@@ -718,9 +705,11 @@ fn grid_spec(grid: &str) -> Result<SweepSpec, String> {
     })
 }
 
-/// Emit a grid's aggregate. With `--out` the JSON goes to the file and
-/// stdout gets the rendered figure table, a `{head}: {summary}` line and
-/// the path; without it the machine-readable JSON goes to stdout.
+/// Emit a grid's aggregate. With `--out` the JSON goes to the file,
+/// stdout gets the rendered figure table alone (a function of the
+/// aggregate, whatever the worker count or journal history) and stderr
+/// a `{head}: {summary}` line and the path; without it the
+/// machine-readable JSON goes to stdout.
 fn write_aggregate(
     out: &mut String,
     outcome: &SweepOutcome,
@@ -732,9 +721,8 @@ fn write_aggregate(
         Some(path) => {
             write_file(path, json + "\n")?;
             out.push_str(&render(outcome)?);
-            let _ = writeln!(
-                out,
-                "\n{head}: {}\nwrote aggregate to {}",
+            eprintln!(
+                "{head}: {}\nwrote aggregate to {}",
                 outcome.summary(),
                 path.display()
             );
@@ -763,7 +751,6 @@ USAGE:
                  [--trace-filter <class,...>] [--progress]
   idasim sweep <grid> [--jobs N] [--journal <path.jsonl>]
                [--out <path.json>] [--smoke] [--requests N] [--progress]
-               [--warm-cache]
   idasim serve <grid> [--listen 127.0.0.1:7141] [--journal <path.jsonl>]
                [--out <path.json>] [--smoke] [--requests N]
   idasim worker [--connect 127.0.0.1:7141] [--jobs N]
@@ -788,8 +775,8 @@ Observability (compare): --trace-out writes the run's event stream as
 JSONL and --metrics-json writes the full report (latency histograms,
 counters, gauges) as JSON; both get a per-system suffix, e.g.
 trace.jsonl -> trace.Baseline.jsonl. --trace-filter keeps only the
-listed event classes (host, ftl, gc, refresh, fault, span; also the
-IDA_TRACE_FILTER variable). --progress reports on stderr.
+listed event classes (host, ftl, gc, refresh, fault, span).
+--progress reports on stderr.
 
 Trace: analyzes a JSONL trace written by --trace-out. The default
 report validates the stream (schema, timestamp monotonicity, span
@@ -823,15 +810,14 @@ scale and IDA_REQUESTS=N the request count (--requests wins); a value
 that does not parse is an error. --journal appends one checkpoint
 record per finished cell; re-invoking with the same journal resumes,
 re-running only incomplete cells. With --out the aggregate JSON goes
-to the file and the figure table to stdout; without it the JSON goes
-to stdout. The faults grid injects program/erase failures, transient
-read faults and power losses (levels off/low/mid/high) and reports
-IDA's read benefit alongside the recovery counters; fig11 compares
-the early and late (retry-heavy) lifetime phases. --warm-cache runs
-each unique warm-up once and forks every sibling cell from its
-snapshot (single-flight across workers, spilled next to --journal for
-resume); it is output-invisible — the aggregate stays byte-identical
-to a cache-off run — and prints a hit/miss line on stderr.
+to the file, the figure table to stdout and the run summary to stderr;
+without it the JSON goes to stdout. The faults grid injects
+program/erase failures, transient read faults and power losses (levels
+off/low/mid/high) and reports IDA's read benefit alongside the
+recovery counters; fig11 compares the early and late (retry-heavy)
+lifetime phases. Each unique warm-up runs once and every sibling cell
+forks its in-memory snapshot (single-flight across workers); this
+never changes the aggregate, and a hit/miss line goes to stderr.
 
 Serve/worker: the distributed sweep fabric. `serve` coordinates a grid
 without executing any cell itself: it owns the queue, the --journal,
@@ -1021,6 +1007,7 @@ mod tests {
             &["list", "--bogus"][..],
             &["describe", "hm_1", "--bogus"],
             &["list", "hm_1"],
+            &["sweep", "fig8", "--warm-cache"],
         ] {
             let err = parse_args(&s(args)).unwrap_err();
             assert!(err.starts_with("unknown option: "), "{args:?}: {err}");
@@ -1046,7 +1033,6 @@ mod tests {
             "results/fig8.json",
             "--smoke",
             "--progress",
-            "--warm-cache",
         ]))
         .unwrap();
         assert_eq!(
@@ -1059,7 +1045,6 @@ mod tests {
                     out: Some(PathBuf::from("results/fig8.json")),
                     smoke: true,
                     progress: true,
-                    warm_cache: true,
                     ..Opts::default()
                 },
             }

@@ -185,11 +185,6 @@ impl Block {
         Ok(self.wordlines[wl as usize].adjust_voltage(state_map, merged)?)
     }
 
-    /// The coding currently governing wordline `wl`.
-    pub fn wordline_coding(&self, wl: u32) -> &Arc<CodingScheme> {
-        self.wordlines[wl as usize].coding()
-    }
-
     /// Erase the block: all cells to the erased state, conventional coding
     /// restored, wear incremented.
     pub fn erase(&mut self) {

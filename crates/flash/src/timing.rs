@@ -114,11 +114,6 @@ impl FlashTiming {
     pub fn read_service(&self, senses: u32) -> SimTime {
         self.read_latency(senses) + self.transfer + self.ecc_decode
     }
-
-    /// End-to-end service time of one page program (transfer + ISPP).
-    pub fn program_service(&self) -> SimTime {
-        self.transfer + self.program
-    }
 }
 
 impl Default for FlashTiming {

@@ -1070,15 +1070,6 @@ impl Ftl {
 
     /// Garbage-collect `plane`-local space until the high watermark is
     /// restored (or no victims remain). Returns whether anything happened.
-    pub fn collect_plane(
-        &mut self,
-        plane: PlaneAddr,
-        now: SimTime,
-        ops: &mut Vec<FlashOp>,
-    ) -> bool {
-        self.collect(plane, now, &mut Some(ops))
-    }
-
     fn collect(&mut self, plane: PlaneAddr, now: SimTime, ops: &mut OpSink<'_>) -> bool {
         let mut progressed = false;
         // Power loss and read-only degradation both stop GC cold: a

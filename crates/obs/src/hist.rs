@@ -169,19 +169,6 @@ impl LogHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Non-empty buckets as `(lower_edge, width, count)` triples, for
-    /// serialization.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let lo = Self::bucket_lo(i);
-                (lo, Self::width_of(lo), c)
-            })
-    }
 }
 
 #[cfg(test)]

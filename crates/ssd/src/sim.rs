@@ -420,11 +420,6 @@ impl Simulator {
         self.spans = on;
     }
 
-    /// Whether attribution spans are being recorded.
-    pub fn spans_enabled(&self) -> bool {
-        self.spans
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &SsdConfig {
         &self.cfg

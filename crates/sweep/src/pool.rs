@@ -41,11 +41,12 @@ pub struct SweepConfig {
     /// opaque to the engine): the fabric hands it to each worker, and a
     /// journaled cell is reused only under the same setup.
     pub setup: String,
-    /// Shared warm-state snapshot cache (`None` = every cell runs its
-    /// own warm-up). Job closures that support forking consult it via
-    /// [`SweepConfig::warm_cache`]; because a cache hit restores
-    /// byte-identical simulator state, enabling it never changes sweep
-    /// output — only how often the warm-up work is repeated.
+    /// The warm-state snapshot cache a grid runner plans and forks
+    /// through, when the caller wants to read its counters afterwards
+    /// (`None` = the runner brings a fresh one). Job closures consult it
+    /// via [`SweepConfig::warm_cache`]; because a cache hit restores
+    /// byte-identical simulator state, it never changes sweep output —
+    /// only how often the warm-up work is repeated.
     pub warm: Option<Arc<WarmCache>>,
 }
 
@@ -83,14 +84,9 @@ impl SweepConfig {
         self
     }
 
-    /// Attach a warm-state snapshot cache, spilling under the journal
-    /// directory when checkpointing is on (memory-only otherwise).
+    /// Attach a fresh warm-state snapshot cache.
     pub fn with_warm_cache(mut self) -> Self {
-        let spill = self
-            .journal
-            .as_deref()
-            .map(crate::warm::spill_dir_for_journal);
-        self.warm = Some(Arc::new(WarmCache::new(spill)));
+        self.warm = Some(Arc::new(WarmCache::new()));
         self
     }
 
@@ -99,9 +95,8 @@ impl SweepConfig {
         self.warm.as_deref()
     }
 
-    /// The configuration selected by environment variables: `IDA_JOBS`
-    /// for the worker count (validated — see [`parse_jobs`]) and
-    /// `IDA_JOURNAL` for the checkpoint path.
+    /// The configuration selected by `IDA_JOBS`, the worker count
+    /// (validated — see [`parse_jobs`]).
     ///
     /// # Errors
     ///
@@ -110,9 +105,6 @@ impl SweepConfig {
         let mut cfg = Self::default();
         if let Ok(v) = std::env::var("IDA_JOBS") {
             cfg.jobs = parse_jobs(&v)?;
-        }
-        if let Some(path) = std::env::var_os("IDA_JOURNAL") {
-            cfg.journal = Some(PathBuf::from(path));
         }
         Ok(cfg)
     }

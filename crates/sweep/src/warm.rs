@@ -29,19 +29,15 @@
 //!   of a key nobody else will fork is told not to capture an image, and
 //!   a planned image leaves memory after its last planned fork. Unplanned
 //!   keys are always captured and never evicted.
-//! - **Spill/resume**: with a spill directory (the journal directory, in
-//!   practice), snapshots are persisted as `{key:016x}.snap` (prefixes as
-//!   `{key:016x}.prefix.snap`) and revalidated by their
-//!   [`ida_snap::frame`] header on reload, so a killed-and-resumed sweep
-//!   skips even the first warm-up per key. Corrupt or truncated spill
-//!   files are ignored and rebuilt; eviction never deletes a spill file.
+//! - **In memory only**: images never leave the process. A resumed sweep
+//!   reads finished cells from its journal, so only the warm-ups of cells
+//!   that were in flight when it was killed run again.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Which stage of a staged warm-up an image holds. The tiers have
-/// separate key spaces, counters and spill file names.
+/// separate key spaces and counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WarmTier {
     /// A complete warm state, ready to measure.
@@ -53,13 +49,6 @@ pub enum WarmTier {
 impl WarmTier {
     fn index(self) -> usize {
         self as usize
-    }
-
-    fn spill_name(self, key: u64) -> String {
-        match self {
-            WarmTier::Full => format!("{key:016x}.snap"),
-            WarmTier::Prefix => format!("{key:016x}.prefix.snap"),
-        }
     }
 }
 
@@ -78,11 +67,10 @@ enum Slot {
 pub struct WarmStats {
     /// Served from memory (includes waits on an in-flight build).
     pub hits: u64,
-    /// Served by revalidating a spill file from a previous run.
+    /// Always 0, like `remote_hits`: no image is ever read from disk.
     pub disk_hits: u64,
-    /// Always 0, and not part of [`WarmStats::total_hits`]: no image is
-    /// ever served by another process. Kept so existing `WarmStats`
-    /// literals still build.
+    /// Always 0: no image is ever served by another process. Both fields
+    /// are kept so existing `WarmStats` literals still build.
     pub remote_hits: u64,
     /// The build closure ran.
     pub misses: u64,
@@ -91,7 +79,7 @@ pub struct WarmStats {
 impl WarmStats {
     /// Total snapshots served without running a warm-up.
     pub fn total_hits(&self) -> u64 {
-        self.hits + self.disk_hits
+        self.hits
     }
 }
 
@@ -156,13 +144,11 @@ impl Table {
 pub struct WarmCache {
     table: Mutex<Table>,
     ready: Condvar,
-    spill: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for WarmCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WarmCache")
-            .field("spill", &self.spill)
             .field("stats", &self.stats())
             .field("prefix_stats", &self.prefix_stats())
             .field("memory", &self.memory())
@@ -235,15 +221,12 @@ fn retain_freed_memory() {
 }
 
 impl WarmCache {
-    /// A cache, optionally spilling snapshots under `spill` (created if
-    /// absent; spill failures degrade to memory-only, never to errors).
-    pub fn new(spill: Option<PathBuf>) -> Self {
+    /// An empty cache.
+    pub fn new() -> Self {
         retain_freed_memory();
-        let spill = spill.filter(|dir| std::fs::create_dir_all(dir).is_ok());
         WarmCache {
             table: Mutex::new(Table::default()),
             ready: Condvar::new(),
-            spill,
         }
     }
 
@@ -303,15 +286,6 @@ impl WarmCache {
             }
         }
         let (spent, last) = table.spend(id);
-        if let Some(bytes) = self.load_spill(tier, key) {
-            let bytes = Arc::new(bytes);
-            table.stats(tier).disk_hits += 1;
-            if !last {
-                table.hold(id, bytes.clone());
-                self.ready.notify_all();
-            }
-            return Some(bytes);
-        }
         table.slots.insert(id, Slot::Building);
         drop(table);
         // We hold the (lock-free) build claim; the guard releases it if
@@ -323,9 +297,6 @@ impl WarmCache {
             armed: true,
         };
         let bytes = build(!last).map(Arc::new);
-        if let Some(bytes) = &bytes {
-            self.store_spill(tier, key, bytes);
-        }
         let mut table = self.lock();
         table.stats(tier).misses += 1;
         if bytes.is_some() {
@@ -362,15 +333,14 @@ impl WarmCache {
     }
 
     /// A one-line human/CI-greppable summary, e.g.
-    /// `warm-cache: 66 hits (0 from disk), 22 misses (22 warm-ups for 88 cells); prefixes: 11 built, 11 forked; peak 45.0 MiB held`.
+    /// `warm-cache: 66 hits, 22 misses (22 warm-ups for 88 cells); prefixes: 11 built, 11 forked; peak 45.0 MiB held`.
     pub fn stats_line(&self, cells: usize) -> String {
         let s = self.stats();
         let p = self.prefix_stats();
         format!(
-            "warm-cache: {} hits ({} from disk), {} misses ({} warm-ups for {} cells); \
+            "warm-cache: {} hits, {} misses ({} warm-ups for {} cells); \
              prefixes: {} built, {} forked; peak {:.1} MiB held",
             s.total_hits(),
-            s.disk_hits,
             s.misses,
             s.misses,
             cells,
@@ -379,41 +349,12 @@ impl WarmCache {
             self.memory().peak_bytes as f64 / f64::from(1 << 20)
         )
     }
-
-    fn spill_path(&self, tier: WarmTier, key: u64) -> Option<PathBuf> {
-        self.spill.as_ref().map(|d| d.join(tier.spill_name(key)))
-    }
-
-    /// A spilled snapshot, if present and frame-valid (magic, version,
-    /// length and content hash all check out). Anything else — missing,
-    /// torn write, corruption — means "rebuild".
-    fn load_spill(&self, tier: WarmTier, key: u64) -> Option<Vec<u8>> {
-        let path = self.spill_path(tier, key)?;
-        let bytes = std::fs::read(&path).ok()?;
-        ida_snap::frame::open(&bytes).ok()?;
-        Some(bytes)
-    }
-
-    /// Persist via temp-file + rename so resumed runs never see a torn
-    /// spill file. Failures are silently tolerated (memory still works).
-    fn store_spill(&self, tier: WarmTier, key: u64, bytes: &[u8]) {
-        let Some(path) = self.spill_path(tier, key) else {
-            return;
-        };
-        let tmp = path.with_extension("snap.tmp");
-        if std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, &path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-    }
 }
 
-/// Spill directory for a sweep journal at `journal`: a `warm/` sibling
-/// next to the journal file, so `--resume` runs find their snapshots.
-pub fn spill_dir_for_journal(journal: &Path) -> PathBuf {
-    journal
-        .parent()
-        .unwrap_or_else(|| Path::new("."))
-        .join("warm")
+impl Default for WarmCache {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 #[cfg(test)]
@@ -425,15 +366,9 @@ mod tests {
         ida_snap::frame::seal(&[tag; 64])
     }
 
-    fn scratch_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ida-warm-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn second_lookup_hits() {
-        let cache = WarmCache::new(None);
+        let cache = WarmCache::new();
         let built = AtomicU32::new(0);
         let make = || {
             built.fetch_add(1, Ordering::SeqCst);
@@ -456,7 +391,7 @@ mod tests {
 
     #[test]
     fn concurrent_same_key_builds_once() {
-        let cache = Arc::new(WarmCache::new(None));
+        let cache = Arc::new(WarmCache::new());
         let built = Arc::new(AtomicU32::new(0));
         let mut handles = Vec::new();
         for _ in 0..8 {
@@ -481,7 +416,7 @@ mod tests {
 
     #[test]
     fn panicking_build_releases_the_key() {
-        let cache = Arc::new(WarmCache::new(None));
+        let cache = Arc::new(WarmCache::new());
         let crash = {
             let cache = cache.clone();
             std::thread::spawn(move || {
@@ -498,82 +433,8 @@ mod tests {
     }
 
     #[test]
-    fn spill_survives_a_new_cache_and_rejects_corruption() {
-        let dir = scratch_dir("spill");
-
-        let first = WarmCache::new(Some(dir.clone()));
-        let bytes = first.get_or_build(0xAB, || payload(1));
-        assert_eq!(first.stats().misses, 1);
-
-        // A fresh cache (resumed run) finds the spill file.
-        let resumed = WarmCache::new(Some(dir.clone()));
-        let reloaded = resumed.get_or_build(0xAB, || unreachable!("spill must hit"));
-        assert_eq!(bytes, reloaded);
-        assert_eq!(
-            resumed.stats(),
-            WarmStats {
-                hits: 0,
-                disk_hits: 1,
-                remote_hits: 0,
-                misses: 0
-            }
-        );
-
-        // Corrupt the spill file: the next fresh cache rebuilds.
-        let path = dir.join(format!("{:016x}.snap", 0xAB_u64));
-        let mut raw = std::fs::read(&path).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0xFF;
-        std::fs::write(&path, &raw).unwrap();
-        let rebuilt = WarmCache::new(Some(dir.clone()));
-        let again = rebuilt.get_or_build(0xAB, || payload(2));
-        assert_eq!(*again, payload(2));
-        assert_eq!(rebuilt.stats().misses, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_version_1_spill_file_is_rebuilt_and_overwritten() {
-        let dir = scratch_dir("v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A frame as the previous layout wrote it: intact, hash-valid
-        // under its own FNV-1a, but version 1.
-        let body = [0x5A; 64];
-        let mut v1 = ida_snap::frame::MAGIC.to_vec();
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        v1.extend_from_slice(&ida_snap::fnv1a(&body).to_le_bytes());
-        v1.extend_from_slice(&body);
-        let path = dir.join(WarmTier::Full.spill_name(0xC1));
-        std::fs::write(&path, &v1).unwrap();
-
-        let cache = WarmCache::new(Some(dir.clone()));
-        let built = AtomicU32::new(0);
-        let bytes = cache.get_or_build(0xC1, || {
-            built.fetch_add(1, Ordering::SeqCst);
-            payload(3)
-        });
-        assert_eq!(*bytes, payload(3));
-        assert_eq!(built.load(Ordering::SeqCst), 1, "the old image is rebuilt");
-        assert_eq!(
-            cache.stats(),
-            WarmStats {
-                hits: 0,
-                disk_hits: 0,
-                remote_hits: 0,
-                misses: 1
-            }
-        );
-        let rewritten = std::fs::read(&path).unwrap();
-        assert_eq!(rewritten, payload(3));
-        let (meta, _) = ida_snap::frame::open(&rewritten).unwrap();
-        assert_eq!(meta.version, 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn stats_line_is_greppable() {
-        let cache = WarmCache::new(None);
+        let cache = WarmCache::new();
         cache.get_or_build(1, || payload(1));
         cache.get_or_build(1, || unreachable!());
         cache.get_or_build(2, || payload(2));
@@ -583,7 +444,7 @@ mod tests {
         assert_eq!(
             cache.stats_line(3),
             format!(
-                "warm-cache: 1 hits (0 from disk), 2 misses (2 warm-ups for 3 cells); \
+                "warm-cache: 1 hits, 2 misses (2 warm-ups for 3 cells); \
                  prefixes: 1 built, 1 forked; peak {:.1} MiB held",
                 held as f64 / f64::from(1 << 20)
             )
@@ -592,7 +453,7 @@ mod tests {
 
     #[test]
     fn an_unplanned_key_is_captured_and_kept() {
-        let cache = WarmCache::new(None);
+        let cache = WarmCache::new();
         let first = cache.get_or_build_live(WarmTier::Full, 3, |capture| {
             assert!(capture, "an unplanned build always captures");
             Some(payload(3))
@@ -609,7 +470,7 @@ mod tests {
 
     #[test]
     fn a_key_planned_once_is_never_captured() {
-        let cache = WarmCache::new(None);
+        let cache = WarmCache::new();
         cache.plan(WarmTier::Full, 4, 1);
         let image = cache.get_or_build_live(WarmTier::Full, 4, |capture| {
             assert!(!capture, "nobody else will fork this key");
@@ -622,8 +483,7 @@ mod tests {
 
     #[test]
     fn a_planned_image_is_evicted_after_its_last_fork_and_its_spill_survives() {
-        let dir = scratch_dir("evict");
-        let cache = WarmCache::new(Some(dir.clone()));
+        let cache = WarmCache::new();
         cache.plan(WarmTier::Prefix, 7, 3);
         let built = cache.get_or_build_live(WarmTier::Prefix, 7, |capture| {
             assert!(capture, "two planned forks follow");
@@ -638,18 +498,11 @@ mod tests {
         let memory = cache.memory();
         assert_eq!((memory.held_bytes, memory.peak_bytes), (0, size));
         assert_eq!(memory.prefix_captures, 1);
-        assert!(dir.join(format!("{:016x}.prefix.snap", 7)).exists());
-        // A request beyond the plan reloads the spill file, holding nothing.
-        let again = cache.get_or_build_live(WarmTier::Prefix, 7, |_| unreachable!("spill hit"));
-        assert_eq!(again, built);
-        assert_eq!(cache.prefix_stats().disk_hits, 1);
-        assert_eq!(cache.memory().held_bytes, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_panicking_planned_build_keeps_claim_and_count_consistent() {
-        let cache = Arc::new(WarmCache::new(None));
+        let cache = Arc::new(WarmCache::new());
         cache.plan(WarmTier::Full, 5, 2);
         let crash = {
             let cache = cache.clone();
@@ -675,7 +528,7 @@ mod tests {
 
     #[test]
     fn a_planned_key_still_builds_once_across_threads() {
-        let cache = Arc::new(WarmCache::new(None));
+        let cache = Arc::new(WarmCache::new());
         cache.plan(WarmTier::Full, 9, 8);
         let built = Arc::new(AtomicU32::new(0));
         let handles: Vec<_> = (0..8)
@@ -696,17 +549,5 @@ mod tests {
         assert!(results.iter().all(|r| r.as_deref() == Some(&payload(9))));
         assert_eq!(cache.stats().hits, 7);
         assert_eq!(cache.memory().held_bytes, 0, "the last fork evicts");
-    }
-
-    #[test]
-    fn journal_spill_dir_is_a_sibling() {
-        assert_eq!(
-            spill_dir_for_journal(Path::new("/tmp/run/journal.jsonl")),
-            PathBuf::from("/tmp/run/warm")
-        );
-        assert_eq!(
-            spill_dir_for_journal(Path::new("j.jsonl")),
-            PathBuf::from("warm")
-        );
     }
 }

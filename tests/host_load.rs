@@ -12,6 +12,7 @@ use ida_flash::timing::FlashTiming;
 use ida_host::ArrivalSpec;
 use ida_ssd::retry::RetryConfig;
 use ida_ssd::ListSource;
+use ida_sweep::derive_stream_seed;
 use ida_workloads::suite::paper_workload;
 
 fn smoke_scale(requests: usize) -> ExperimentScale {
@@ -128,6 +129,30 @@ fn capacity_search_is_deterministic_and_ida_sustains_more() {
         base_again.to_json(),
         "capacity search must reproduce byte for byte"
     );
+    // The search forks one warm device per system; each probe must still
+    // see exactly what a standalone load run at its rate sees.
+    for (system, result) in [
+        (SystemUnderTest::Baseline, &base),
+        (SystemUnderTest::Ida { error_rate: 0.2 }, &ida),
+    ] {
+        for probe in &result.probes {
+            let mut spec = LoadSpec::new(
+                system,
+                ArrivalSpec::Poisson,
+                probe.iops,
+                derive_stream_seed(seed, "probe"),
+            );
+            spec.slo_p99_ns = slo_ns;
+            let alone = run_load(&preset, &spec, &scale).expect("load run");
+            assert_eq!(
+                alone.probe_outcome(),
+                probe.outcome,
+                "{} probe at {} IOPS",
+                system.label(),
+                probe.iops
+            );
+        }
+    }
     assert!(
         ida.max_iops > base.max_iops,
         "IDA-E20 must sustain strictly more load: ida {} vs baseline {} \
