@@ -1,9 +1,16 @@
 //! Integration tests for the observability layer: trace determinism,
 //! timestamp monotonicity, and the trace ↔ report replay contract.
 
-use ida_bench::runner::{run_system_obs, ExperimentScale, ObsOptions, SystemUnderTest};
+use ida_bench::load::{run_load_obs, LoadSpec};
+use ida_bench::runner::{
+    run_system_obs, system_config, to_host_ops, warmed_simulator, ExperimentScale, ObsOptions,
+    SystemUnderTest,
+};
 use ida_core::refresh::RefreshMode;
-use ida_obs::trace::{SinkHandle, TraceEvent, VecSink};
+use ida_flash::timing::FlashTiming;
+use ida_host::ArrivalSpec;
+use ida_obs::trace::{HostClass, SinkHandle, TraceEvent, VecSink};
+use ida_ssd::retry::RetryConfig;
 use ida_ssd::{HostOp, HostOpKind, Simulator, SsdConfig};
 use ida_workloads::suite::paper_workload;
 use std::cell::RefCell;
@@ -177,4 +184,89 @@ fn null_sink_records_nothing_and_vec_sink_everything() {
     // Tracing must not change simulation results.
     assert_eq!(r_plain, r_traced);
     assert!(sink.borrow().events.len() as u64 >= 2 * 128);
+}
+
+/// The JSONL event stream of an open-loop hm_1 replay with spans on and a
+/// retry model that re-senses 30 % of attempts, traced from the start of
+/// the measured run. Returns the stream and the number of retried reads
+/// and multi-page reads in it.
+fn replay_stream(system: SystemUnderTest) -> (String, usize, usize) {
+    let preset = paper_workload("hm_1").expect("workload");
+    let scale = ExperimentScale::smoke().with_requests(600);
+    let retry = RetryConfig::late_lifetime(0.3, 0x5EED);
+    let cfg = system_config(system, scale.geometry, FlashTiming::paper_tlc(), retry);
+    let (mut sim, trace) = warmed_simulator(&preset, cfg, &scale);
+    let sink = Rc::new(RefCell::new(VecSink::new()));
+    sim.set_trace(SinkHandle::from_shared(sink.clone()));
+    sim.set_spans(true);
+    sim.run(to_host_ops(&trace));
+    let sink = sink.borrow();
+    let retried = sink
+        .events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::ReadRetry { .. }))
+        .count();
+    let multi_page = sink
+        .events
+        .iter()
+        .filter(|e| {
+            matches!(e, TraceEvent::HostArrival { class: HostClass::Read, pages, .. } if *pages > 1)
+        })
+        .count();
+    (sink.to_jsonl(), retried, multi_page)
+}
+
+/// Request bookkeeping must not move a byte of the event stream: the
+/// `req` of every arrival, completion, span and retry event is the
+/// request's issue index, whatever table holds it in flight.
+#[test]
+fn replay_event_streams_are_pinned() {
+    for (system, want) in [
+        (SystemUnderTest::Baseline, 7_163_780_628_788_636_347),
+        (
+            SystemUnderTest::Ida { error_rate: 0.2 },
+            3_493_160_269_040_864_225,
+        ),
+    ] {
+        let (jsonl, retried, multi_page) = replay_stream(system);
+        assert!(retried > 0, "{}: no read_retry events", system.label());
+        assert!(multi_page > 0, "{}: no multi-page reads", system.label());
+        assert_eq!(
+            ida_snap::fnv1a(jsonl.as_bytes()),
+            want,
+            "{}: the replay event stream moved",
+            system.label()
+        );
+    }
+}
+
+/// The same pin through the host frontend: three Poisson tenants
+/// overloading proj_3, so requests queue, shed and complete out of
+/// dispatch order, with the frontend's trace bound.
+#[test]
+fn load_event_stream_is_pinned() {
+    let preset = paper_workload("proj_3").expect("workload");
+    let scale = ExperimentScale::smoke().with_requests(1_500);
+    let spec = LoadSpec {
+        tenants: 3,
+        ..LoadSpec::new(
+            SystemUnderTest::Ida { error_rate: 0.2 },
+            ArrivalSpec::Poisson,
+            120_000,
+            11,
+        )
+    };
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("pin_load.jsonl");
+    let obs = ObsOptions {
+        trace_out: Some(path.clone()),
+        ..ObsOptions::default()
+    };
+    let run = run_load_obs(&preset, &spec, &scale, &obs).expect("load run");
+    assert!(run.shed() > 0, "the load must overload the frontend");
+    let jsonl = std::fs::read(&path).expect("trace file");
+    assert_eq!(
+        ida_snap::fnv1a(&jsonl),
+        1_541_620_060_616_976_141,
+        "the load event stream moved"
+    );
 }
