@@ -23,7 +23,7 @@ use ida_ssd::{
 };
 use ida_sweep::{WarmCache, WarmTier};
 use ida_workloads::suite::WorkloadPreset;
-use ida_workloads::trace::{OpKind, Trace};
+use ida_workloads::trace::{OpKind, Trace, TraceRecord};
 use std::path::{Path, PathBuf};
 
 /// Base seed of the warm-phase RNG stream. Cells that differ only in
@@ -300,19 +300,20 @@ pub(crate) fn try_system_config(
 
 /// Convert a workload trace to simulator host ops.
 pub fn to_host_ops(trace: &Trace) -> Vec<HostOp> {
-    trace
-        .records
-        .iter()
-        .map(|r| HostOp {
-            at: r.at,
-            kind: match r.kind {
-                OpKind::Read => HostOpKind::Read,
-                OpKind::Write => HostOpKind::Write,
-            },
-            lpn: r.page,
-            pages: r.pages,
-        })
-        .collect()
+    trace.records.iter().copied().map(host_op).collect()
+}
+
+/// One trace record as a simulator host op.
+fn host_op(r: TraceRecord) -> HostOp {
+    HostOp {
+        at: r.at,
+        kind: match r.kind {
+            OpKind::Read => HostOpKind::Read,
+            OpKind::Write => HostOpKind::Write,
+        },
+        lpn: r.page,
+        pages: r.pages,
+    }
 }
 
 /// Run one workload on one pre-built config, following the warm-up →
@@ -422,7 +423,10 @@ pub fn replay_trace(
     sim.set_refresh_period(period.max(1));
     sim.force_refresh_all(span / 2);
     sim.set_spans(true);
-    let ops = to_host_ops(&folded);
+    // The folded records become the ops: a record and an op have one
+    // layout, so the collect reuses the records' buffer, and the run
+    // holds two copies of the trace (the caller's and the ops), not three.
+    let ops: Vec<HostOp> = folded.records.into_iter().map(host_op).collect();
     let report = match mode {
         ReplayMode::OpenLoop => sim.run_source(&mut ListSource::new(ops)?)?,
         ReplayMode::ClosedLoop(depth) => sim.run_source(&mut ClosedLoopSource::new(ops, depth)?)?,

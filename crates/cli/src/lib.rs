@@ -468,8 +468,10 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     }
                 }
             }
-            let _ = writeln!(
-                out,
+            // The run summary depends on `--jobs` and on the journal it
+            // resumed, so it goes to stderr: stdout is a function of the
+            // aggregate alone.
+            eprintln!(
                 "soak {workload} level {level}, {epochs} epoch(s) on {} worker(s): {}",
                 cfg.jobs,
                 outcome.summary()
@@ -482,7 +484,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             }
             if let Some(path) = &opts.out {
                 write_file(path, outcome.aggregate_json() + "\n")?;
-                let _ = writeln!(out, "wrote aggregate to {}", path.display());
+                eprintln!("wrote aggregate to {}", path.display());
             }
         }
         Command::Load { workload, opts } => {
@@ -1644,6 +1646,8 @@ mod tests {
             "invariants not clean: {out}"
         );
         assert!(!out.contains("SOAK UNHEALTHY"), "unhealthy soak: {out}");
+        // The run summary names the worker count, so it goes to stderr.
+        assert!(!out.contains("worker(s)"), "summary on stdout: {out}");
         // Unknown workloads fail before any soaking.
         assert!(soak("nope", 100).is_err());
     }

@@ -22,7 +22,7 @@ use ida_obs::json::JsonObj;
 use ida_obs::trace::{SinkHandle, TraceEvent};
 use ida_ssd::metrics::LatencyStats;
 use ida_ssd::source::{ArrivalSource, Pull, SourcedOp};
-use ida_ssd::{HostOp, HostOpKind};
+use ida_ssd::{HostOp, HostOpKind, SlotTable};
 use std::collections::VecDeque;
 
 /// What to do with an arrival that finds its tenant's queue full.
@@ -174,9 +174,9 @@ pub struct MultiTenantSource {
     /// Whether the cursor's tenant already got its quantum this visit
     /// (one refill per round, not per dispatch).
     visit_refilled: bool,
-    in_flight: usize,
-    /// One record per dispatched request; the index is the pull token.
-    meta: Vec<InFlight>,
+    /// One record per request in flight; its slot is the pull token, and
+    /// is reused once the request completes.
+    meta: SlotTable<InFlight>,
     /// Trace sink + absolute base for shed events (null by default).
     trace: SinkHandle,
     trace_base: SimTime,
@@ -218,8 +218,7 @@ impl MultiTenantSource {
             cfg,
             cursor: 0,
             visit_refilled: false,
-            in_flight: 0,
-            meta: Vec::new(),
+            meta: SlotTable::new(),
             trace: SinkHandle::null(),
             trace_base: 0,
         }
@@ -390,7 +389,7 @@ impl ArrivalSource for MultiTenantSource {
     fn next(&mut self, now: SimTime) -> Pull {
         self.drain_arrivals(now, now);
         loop {
-            if self.in_flight >= self.cfg.window {
+            if self.meta.len() >= self.cfg.window {
                 return if self.work_remains() {
                     Pull::Blocked
                 } else {
@@ -400,12 +399,10 @@ impl ArrivalSource for MultiTenantSource {
             if let Some((idx, q)) = self.drr_pick() {
                 let t = &mut self.tenants[idx];
                 t.counters.dispatched += 1;
-                self.in_flight += 1;
-                let token = self.meta.len() as u64;
-                self.meta.push(InFlight {
+                let token = self.meta.insert(InFlight {
                     tenant: idx,
                     arrived_at: q.arrived_at,
-                });
+                }) as u64;
                 // Dispatch at the frontend's current instant; the
                 // simulator clamps a past `at` to its own now.
                 let mut op = q.op;
@@ -432,8 +429,7 @@ impl ArrivalSource for MultiTenantSource {
     }
 
     fn on_complete(&mut self, now: SimTime, token: u64, kind: HostOpKind, _latency_ns: SimTime) {
-        let m = self.meta[token as usize];
-        self.in_flight -= 1;
+        let m = self.meta.remove(token as usize);
         let t = &mut self.tenants[m.tenant];
         t.counters.completed += 1;
         // End-to-end latency from the intended arrival: host queueing
@@ -536,7 +532,9 @@ mod tests {
     /// Pull everything out of the source, completing each request
     /// `svc_ns` after dispatch — a degenerate single-server device model
     /// sufficient to exercise admission and DRR deterministically.
-    fn run_to_completion(src: &mut MultiTenantSource, svc_ns: u64) -> Vec<(u64, SimTime)> {
+    /// Returns each dispatch's tenant (read from its token while the
+    /// request is in flight) and instant.
+    fn run_to_completion(src: &mut MultiTenantSource, svc_ns: u64) -> Vec<(usize, SimTime)> {
         let mut dispatched = Vec::new();
         let mut now = 0;
         let mut in_flight: VecDeque<(u64, HostOpKind, SimTime)> = VecDeque::new();
@@ -544,7 +542,7 @@ mod tests {
             match src.next(now) {
                 Pull::Op(sop) => {
                     now = now.max(sop.op.at);
-                    dispatched.push((sop.token, now));
+                    dispatched.push((src.meta[sop.token as usize].tenant, now));
                     in_flight.push_back((sop.token, sop.op.kind, now + svc_ns));
                 }
                 Pull::Blocked => {
@@ -597,6 +595,8 @@ mod tests {
         assert!(c.shed > 0, "overload must shed: {c:?}");
         assert_eq!(c.admitted + c.shed, 64);
         assert_eq!(c.completed, c.admitted);
+        // Tokens are recycled: a window of one needs one slot.
+        assert_eq!(src.meta.slots(), 1);
     }
 
     #[test]
@@ -635,10 +635,10 @@ mod tests {
             cfg,
         );
         let dispatched = run_to_completion(&mut src, 10_000);
-        // Count the first 200 dispatches by tenant via the meta tokens.
+        // Count the first 200 dispatches by tenant.
         let mut by_tenant = [0u64; 2];
-        for &(tok, _) in dispatched.iter().take(200) {
-            by_tenant[src.meta[tok as usize].tenant] += 1;
+        for &(tenant, _) in dispatched.iter().take(200) {
+            by_tenant[tenant] += 1;
         }
         let ratio = by_tenant[0] as f64 / by_tenant[1].max(1) as f64;
         assert!(

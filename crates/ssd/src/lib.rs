@@ -48,7 +48,7 @@ pub mod source;
 
 pub use config::{ConfigError, SsdConfig, SsdConfigBuilder, WarmStage};
 pub use metrics::{LatencyStats, ReadBreakdown, Report};
-pub use request::{HostOp, HostOpKind};
+pub use request::{HostOp, HostOpKind, SlotTable};
 pub use retry::RetryModel;
 pub use sim::{SimError, Simulator};
 pub use source::{ArrivalSource, ClosedLoopSource, ListSource, Pull, SourcedOp};

@@ -3,9 +3,9 @@
 use crate::config::SsdConfig;
 use crate::event::EventQueue;
 use crate::metrics::Report;
-use crate::request::{HostOp, HostOpKind, PendingRequest};
+use crate::request::{HostOp, HostOpKind, PendingRequest, SlotTable};
 use crate::retry::{ReadLadder, RetryModel};
-use crate::source::{ArrivalSource, Pull};
+use crate::source::{ArrivalSource, Pull, SourcedOp};
 use ida_faults::{AgingConfig, FaultConfig};
 use ida_flash::addr::BlockAddr;
 use ida_flash::timing::SimTime;
@@ -88,6 +88,7 @@ impl std::error::Error for SimError {}
 #[derive(Debug, Clone, Copy)]
 struct SimOp {
     op: FlashOp,
+    /// The slot of the host request the op serves, if any.
     req: Option<usize>,
     retries: u32,
     /// Injected transient-fault retries (reads only): each one re-senses
@@ -194,15 +195,53 @@ ida_snap::snap_struct!(DieState {
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// The `i`-th trace entry arrives.
-    Arrival(usize),
+    /// The op in [`Arrivals::next`] arrives.
+    Arrival,
     /// A die's array/register became free; try to start its next op.
     DieFree(u32),
-    /// A host-linked flash op completed end-to-end. `span` indexes the
-    /// run-local attribution waterfalls (`u32::MAX` when spans are off).
-    OpDone { req: usize, span: u32 },
+    /// A host-linked flash op completed end-to-end: the slot of its
+    /// request in the run's request table.
+    OpDone(usize),
     /// Wake up to run due refreshes.
     RefreshWake,
+}
+
+/// The arrival side of one run: the op pulled one ahead, whose
+/// [`Ev::Arrival`] is queued, and whether the source is drained. At most
+/// one arrival is queued at a time, so the source sees every completion
+/// before it is asked for the op after next.
+struct Arrivals {
+    /// The run's base clock: source times are offsets from it.
+    base: SimTime,
+    next: Option<SourcedOp>,
+    done: bool,
+}
+
+impl Arrivals {
+    /// Pull the source's next op and queue its arrival (a past one clamps
+    /// to `now`), unless an op already waits or the source is done.
+    /// `Blocked` is a stall unless a request in flight can unblock it.
+    fn pull(
+        &mut self,
+        source: &mut dyn ArrivalSource,
+        events: &mut EventQueue<Ev>,
+        now: SimTime,
+        in_flight: bool,
+    ) -> Result<(), SimError> {
+        if self.next.is_some() || self.done {
+            return Ok(());
+        }
+        match source.next(now - self.base) {
+            Pull::Op(sop) => {
+                events.push((self.base + sop.op.at).max(now), Ev::Arrival);
+                self.next = Some(sop);
+            }
+            Pull::Blocked if !in_flight => return Err(SimError::StalledSource),
+            Pull::Blocked => {}
+            Pull::Done => self.done = true,
+        }
+        Ok(())
+    }
 }
 
 /// The SSD simulator. Owns the FTL; state (mapping, wear, IDA blocks)
@@ -677,54 +716,33 @@ impl Simulator {
             ..Report::default()
         };
         let mut events: EventQueue<Ev> = EventQueue::new();
-        // Ops pulled so far, indexed by `Ev::Arrival`; `tokens` rides
-        // along for completion callbacks.
-        let mut pending_ops: Vec<HostOp> = Vec::new();
-        let mut tokens: Vec<u64> = Vec::new();
-        let mut requests: Vec<PendingRequest> = Vec::new();
+        // Every table here follows the requests in flight, not the
+        // requests run: one pulled op, and the requests from arrival to
+        // completion by slot, a slot reused once its request completes.
+        let mut arrivals = Arrivals {
+            base,
+            next: None,
+            done: false,
+        };
+        let mut requests: SlotTable<PendingRequest> = SlotTable::new();
+        // Requests issued so far: the next one's id.
+        let mut issued = 0u64;
         let mut completed = 0usize;
         let mut events_processed = 0u64;
         let flash_ops_before = self.flash_ops;
         let die_busy_before = self.die_busy.clone();
         let channel_busy_before = self.channel_busy.clone();
-        let mut span_ns: Vec<PhaseNs> = Vec::new();
         let mut wake_at: Option<SimTime> = None;
-        let mut source_done = false;
-        // Whether an Arrival event is scheduled but not yet processed; at
-        // most one is in flight so the source sees completions in between.
-        let mut arrival_pending = false;
         let mut progress = if self.progress {
             Progress::new("sim", source.size_hint().unwrap_or(0))
         } else {
             Progress::disabled()
         };
 
-        // Schedule a pulled op's arrival. Past arrivals clamp to `now`.
-        fn schedule(
-            sop: crate::source::SourcedOp,
-            now: SimTime,
-            base: SimTime,
-            events: &mut EventQueue<Ev>,
-            pending_ops: &mut Vec<HostOp>,
-            tokens: &mut Vec<u64>,
-        ) -> SimTime {
-            let at = (base + sop.op.at).max(now);
-            events.push(at, Ev::Arrival(pending_ops.len()));
-            pending_ops.push(sop.op);
-            tokens.push(sop.token);
-            at
-        }
-
-        // Prime the queue (mirrors run()'s initial Arrival push, so event
-        // sequence numbers — and hence tie-breaking — stay identical).
-        match source.next(0) {
-            Pull::Op(sop) => {
-                report.first_arrival =
-                    schedule(sop, base, base, &mut events, &mut pending_ops, &mut tokens);
-                arrival_pending = true;
-            }
-            Pull::Blocked => return Err(SimError::StalledSource),
-            Pull::Done => source_done = true,
+        // Prime the queue with the first arrival.
+        arrivals.pull(source, &mut events, base, false)?;
+        if let Some(sop) = &arrivals.next {
+            report.first_arrival = base + sop.op.at;
         }
 
         while let Some((now, ev)) = events.pop() {
@@ -752,120 +770,64 @@ impl Simulator {
                 }
             }
             match ev {
-                Ev::Arrival(i) => {
-                    arrival_pending = false;
-                    let host = pending_ops[i];
-                    // Pull the next op *before* serving this one — the
-                    // push-then-serve order of run_inner.
-                    if !source_done {
-                        match source.next(now - base) {
-                            Pull::Op(sop) => {
-                                schedule(
-                                    sop,
-                                    now,
-                                    base,
-                                    &mut events,
-                                    &mut pending_ops,
-                                    &mut tokens,
-                                );
-                                arrival_pending = true;
-                            }
-                            // The request served below will complete and
-                            // re-pull, so this is never a stall.
-                            Pull::Blocked => {}
-                            Pull::Done => source_done = true,
-                        }
-                    }
-                    self.serve_host(now, host, &mut requests, &mut report, &mut completed);
-                    // Instant completion (nothing mapped): report it so a
-                    // window-limited source frees the slot now.
-                    if requests.last().is_some_and(|r| r.outstanding == 0) {
-                        source.on_complete(now - base, tokens[requests.len() - 1], host.kind, 0);
-                        if !arrival_pending && !source_done {
-                            match source.next(now - base) {
-                                Pull::Op(sop) => {
-                                    schedule(
-                                        sop,
-                                        now,
-                                        base,
-                                        &mut events,
-                                        &mut pending_ops,
-                                        &mut tokens,
-                                    );
-                                    arrival_pending = true;
-                                }
-                                Pull::Blocked => {
-                                    if completed == requests.len() {
-                                        return Err(SimError::StalledSource);
-                                    }
-                                }
-                                Pull::Done => source_done = true,
-                            }
+                // An Arrival is queued only with its op in the slot.
+                Ev::Arrival => {
+                    if let Some(sop) = arrivals.next.take() {
+                        // Pull the next op *before* serving this one; the
+                        // request served below will complete and re-pull,
+                        // so a block here is never a stall.
+                        arrivals.pull(source, &mut events, now, true)?;
+                        let id = issued;
+                        issued += 1;
+                        // Instant completion (nothing mapped): report it
+                        // so a window-limited source frees the slot now.
+                        if self.serve_host(now, sop, id, &mut requests, &mut report) {
+                            completed += 1;
+                            source.on_complete(now - base, sop.token, sop.op.kind, 0);
+                            arrivals.pull(source, &mut events, now, !requests.is_empty())?;
                         }
                     }
                 }
-                Ev::DieFree(die) => self.try_start(die, now, &mut events, &mut span_ns),
-                Ev::OpDone { req, span } => {
-                    let r = &mut requests[req];
-                    r.outstanding -= 1;
-                    if r.outstanding == 0 {
+                Ev::DieFree(die) => self.try_start(die, now, &mut events, &mut requests),
+                Ev::OpDone(slot) => {
+                    requests[slot].outstanding -= 1;
+                    if requests[slot].outstanding == 0 {
+                        let r = requests.remove(slot);
                         let resp = now - r.arrival;
-                        let kind = r.kind;
-                        match kind {
+                        match r.kind {
                             HostOpKind::Read => report.reads.record(resp),
                             HostOpKind::Write => report.writes.record(resp),
                         }
                         self.trace.emit_with(|| TraceEvent::HostComplete {
                             t: now,
-                            req: req as u64,
-                            class: host_class(kind),
+                            req: r.id,
+                            class: host_class(r.kind),
                             latency_ns: resp,
                         });
                         if self.spans {
-                            let phases = span_ns.get(span as usize).copied().unwrap_or_default();
                             debug_assert_eq!(
-                                phases.total(),
+                                r.span.total(),
                                 resp,
                                 "attribution must partition the response time"
                             );
-                            match kind {
-                                HostOpKind::Read => report.read_attribution.record(&phases),
-                                HostOpKind::Write => report.write_attribution.record(&phases),
+                            match r.kind {
+                                HostOpKind::Read => report.read_attribution.record(&r.span),
+                                HostOpKind::Write => report.write_attribution.record(&r.span),
                             }
                             self.trace.emit_with(|| TraceEvent::Span {
                                 t: now,
-                                req: req as u64,
-                                class: host_class(kind),
+                                req: r.id,
+                                class: host_class(r.kind),
                                 total_ns: resp,
-                                phases,
+                                phases: r.span,
                             });
                         }
                         report.last_completion = report.last_completion.max(now);
                         completed += 1;
-                        source.on_complete(now - base, tokens[req], kind, resp);
+                        source.on_complete(now - base, r.token, r.kind, resp);
                         // A completion may unblock a window-limited
                         // source; re-pull if nothing is scheduled.
-                        if !arrival_pending && !source_done {
-                            match source.next(now - base) {
-                                Pull::Op(sop) => {
-                                    schedule(
-                                        sop,
-                                        now,
-                                        base,
-                                        &mut events,
-                                        &mut pending_ops,
-                                        &mut tokens,
-                                    );
-                                    arrival_pending = true;
-                                }
-                                Pull::Blocked => {
-                                    if completed == requests.len() {
-                                        return Err(SimError::StalledSource);
-                                    }
-                                }
-                                Pull::Done => source_done = true,
-                            }
-                        }
+                        arrivals.pull(source, &mut events, now, !requests.is_empty())?;
                     }
                 }
                 Ev::RefreshWake => {
@@ -877,9 +839,9 @@ impl Simulator {
             }
             // Start any dies made runnable by newly enqueued work or a
             // wake-up that came due at this instant.
-            self.kick_dirty_dies(now, &mut events, &mut span_ns);
+            self.kick_dirty_dies(now, &mut events, &mut requests);
             // Stop once the source is drained and every request completed.
-            if source_done && !arrival_pending && completed == requests.len() {
+            if arrivals.done && arrivals.next.is_none() && requests.is_empty() {
                 break;
             }
             // Keep a wake event pending for the next refresh/scrub so idle
@@ -931,24 +893,32 @@ impl Simulator {
         );
     }
 
+    /// Issue the arriving request `id`: take a slot in `requests` and
+    /// enqueue its flash ops, linked to the slot. Returns whether it
+    /// completed at once (no linked op), in which case its slot is
+    /// already free again.
     fn serve_host(
         &mut self,
         now: SimTime,
-        host: HostOp,
-        requests: &mut Vec<PendingRequest>,
+        sop: SourcedOp,
+        id: u64,
+        requests: &mut SlotTable<PendingRequest>,
         report: &mut Report,
-        completed: &mut usize,
-    ) {
+    ) -> bool {
         let page_bytes = self.cfg.ftl.geometry.page_size_bytes as u64;
-        let req_idx = requests.len();
-        requests.push(PendingRequest {
+        let host = sop.op;
+        let slot = requests.insert(PendingRequest {
+            id,
+            token: sop.token,
             arrival: now,
             kind: host.kind,
             outstanding: 0,
+            span_end: 0,
+            span: PhaseNs::zero(),
         });
         self.trace.emit_with(|| TraceEvent::HostArrival {
             t: now,
-            req: req_idx as u64,
+            req: id,
             class: host_class(host.kind),
             lpn: host.lpn,
             pages: host.pages,
@@ -1023,7 +993,7 @@ impl Simulator {
                         }
                     }
                 }
-                requests[req_idx].outstanding = self.enqueue_faulted(now, ops, Some(req_idx));
+                requests[slot].outstanding = self.enqueue_faulted(now, ops, Some(slot));
             }
             HostOpKind::Write => {
                 report.bytes_written += host.pages as u64 * page_bytes;
@@ -1046,44 +1016,47 @@ impl Simulator {
                         Err(FtlError::ReadOnly { .. } | FtlError::OutOfSpace) => {}
                     }
                 }
-                requests[req_idx].outstanding = self.enqueue_all(now, all_ops, Some(req_idx));
+                requests[slot].outstanding = self.enqueue_all(now, all_ops, Some(slot));
             }
         }
         // A write whose program ops were all background (cannot happen) or
         // a request with zero linked ops completes immediately.
-        if requests[req_idx].outstanding == 0 {
-            match requests[req_idx].kind {
-                HostOpKind::Read => report.reads.record(0),
-                HostOpKind::Write => report.writes.record(0),
-            }
-            self.trace.emit_with(|| TraceEvent::HostComplete {
-                t: now,
-                req: req_idx as u64,
-                class: host_class(host.kind),
-                latency_ns: 0,
-            });
-            if self.spans {
-                // Instant completions still record a (zero) waterfall so
-                // attribution counts match the latency statistics.
-                let phases = PhaseNs::zero();
-                match host.kind {
-                    HostOpKind::Read => report.read_attribution.record(&phases),
-                    HostOpKind::Write => report.write_attribution.record(&phases),
-                }
-                self.trace.emit_with(|| TraceEvent::Span {
-                    t: now,
-                    req: req_idx as u64,
-                    class: host_class(host.kind),
-                    total_ns: 0,
-                    phases,
-                });
-            }
-            report.last_completion = report.last_completion.max(now);
-            *completed += 1;
+        if requests[slot].outstanding > 0 {
+            return false;
         }
+        requests.remove(slot);
+        match host.kind {
+            HostOpKind::Read => report.reads.record(0),
+            HostOpKind::Write => report.writes.record(0),
+        }
+        self.trace.emit_with(|| TraceEvent::HostComplete {
+            t: now,
+            req: id,
+            class: host_class(host.kind),
+            latency_ns: 0,
+        });
+        if self.spans {
+            // Instant completions still record a (zero) waterfall so
+            // attribution counts match the latency statistics.
+            let phases = PhaseNs::zero();
+            match host.kind {
+                HostOpKind::Read => report.read_attribution.record(&phases),
+                HostOpKind::Write => report.write_attribution.record(&phases),
+            }
+            self.trace.emit_with(|| TraceEvent::Span {
+                t: now,
+                req: id,
+                class: host_class(host.kind),
+                total_ns: 0,
+                phases,
+            });
+        }
+        report.last_completion = report.last_completion.max(now);
+        true
     }
 
-    /// Enqueue ops to their dies; host-priority ops link to `req`.
+    /// Enqueue ops to their dies; host-priority ops link to the request
+    /// slot `req`.
     /// Returns how many ops were linked to the request.
     fn enqueue_all(
         &mut self,
@@ -1177,7 +1150,7 @@ impl Simulator {
         &mut self,
         now: SimTime,
         events: &mut EventQueue<Ev>,
-        span_ns: &mut Vec<PhaseNs>,
+        requests: &mut SlotTable<PendingRequest>,
     ) {
         let mut due = std::mem::take(&mut self.dirty_dies);
         for &die in &due {
@@ -1198,7 +1171,7 @@ impl Simulator {
         due.dedup();
         for die in due.drain(..) {
             if self.dies[die as usize].pending() > 0 {
-                self.try_start(die, now, events, span_ns);
+                self.try_start(die, now, events, requests);
             }
         }
         // Hand the (drained) buffer back to reuse its allocation.
@@ -1212,7 +1185,7 @@ impl Simulator {
         die: u32,
         now: SimTime,
         events: &mut EventQueue<Ev>,
-        span_ns: &mut Vec<PhaseNs>,
+        requests: &mut SlotTable<PendingRequest>,
     ) {
         let Simulator {
             cfg,
@@ -1404,11 +1377,10 @@ impl Simulator {
                 // Only host reads carry retries/fault attempts, so a
                 // request linkage always exists here.
                 debug_assert!(sim_op.req.is_some(), "retried read must be host-linked");
-                let req = sim_op.req.map_or(0, |r| r as u64);
                 trace.emit_with(|| TraceEvent::ReadRetry {
                     t: now,
                     die,
-                    req,
+                    req: sim_op.req.map_or(0, |slot| requests[slot].id),
                     extra,
                     attempt_ns: read_attempt_ns,
                 });
@@ -1417,18 +1389,20 @@ impl Simulator {
             // current instant, so anything past the mark is newly busy.
             die_busy[die as usize] += die_held_until.saturating_sub(now.max(d.busy_until)) as u128;
             d.busy_until = d.busy_until.max(die_held_until);
-            if let Some(req) = sim_op.req {
+            if let Some(slot) = sim_op.req {
                 debug_assert!(
                     !want_span || ph.total() == completion - sim_op.enqueued_at,
                     "span must partition [enqueue, completion]"
                 );
-                let span = if want_span {
-                    span_ns.push(ph);
-                    (span_ns.len() - 1) as u32
-                } else {
-                    u32::MAX
-                };
-                events.push(completion, Ev::OpDone { req, span });
+                // The request reports the waterfall of the op whose
+                // OpDone pops last: the latest completion, a tie going to
+                // the later push — this one, as pushes follow starts.
+                let r = &mut requests[slot];
+                if want_span && completion >= r.span_end {
+                    r.span_end = completion;
+                    r.span = ph;
+                }
+                events.push(completion, Ev::OpDone(slot));
             }
         }
     }
@@ -1620,6 +1594,66 @@ mod tests {
             assert_eq!(report.reads.count, 264, "depth {depth}");
             assert!(report.throughput_mbps() > 0.0);
         }
+    }
+
+    #[test]
+    fn closed_loop_ids_follow_arrival_order_while_slots_recycle() {
+        // Reads of one to three pages at depth 4 complete out of issue
+        // order and re-sense half their attempts: every trace event must
+        // still name its request by issue index.
+        let mut cfg = SsdConfig::tiny_test();
+        cfg.retry = crate::retry::RetryConfig {
+            failure_prob: 0.5,
+            max_retries: 3,
+            seed: 11,
+        };
+        let mut sim = Simulator::new(cfg);
+        sim.prefill(0..64);
+        let sink = std::rc::Rc::new(std::cell::RefCell::new(ida_obs::trace::VecSink::new()));
+        sim.set_trace(SinkHandle::from_shared(sink.clone()));
+        sim.set_spans(true);
+        let n = 200u64;
+        let trace: Vec<HostOp> = (0..n)
+            .map(|i| HostOp {
+                at: 0,
+                kind: HostOpKind::Read,
+                lpn: i * 7 % 62,
+                pages: 1 + (i % 3) as u32,
+            })
+            .collect();
+        let mut src = ClosedLoopSource::new(trace, 4).expect("positive depth");
+        let report = sim.run_source(&mut src).expect("closed loop never stalls");
+        assert_eq!(report.reads.count, n);
+        let (mut arrivals, mut completions, mut retries) = (Vec::new(), Vec::new(), 0);
+        let mut live = std::collections::BTreeSet::new();
+        for e in &sink.borrow().events {
+            match *e {
+                TraceEvent::HostArrival { req, .. } => {
+                    assert!(live.insert(req), "req {req} issued twice");
+                    assert!(live.len() <= 4, "more than the depth in flight");
+                    arrivals.push(req);
+                }
+                TraceEvent::ReadRetry { req, .. } => {
+                    assert!(live.contains(&req), "retry of req {req}, not in flight");
+                    retries += 1;
+                }
+                TraceEvent::HostComplete { req, .. } => {
+                    assert!(live.remove(&req), "req {req} completed, not in flight");
+                    completions.push(req);
+                }
+                TraceEvent::Span { req, .. } => {
+                    assert_eq!(Some(&req), completions.last(), "span of another req");
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(arrivals, (0..n).collect::<Vec<_>>());
+        assert!(live.is_empty());
+        assert_ne!(
+            completions, arrivals,
+            "every request completed in issue order"
+        );
+        assert!(retries > 0, "no read retried");
     }
 
     #[test]
