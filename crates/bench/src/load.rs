@@ -215,7 +215,7 @@ fn tenant_configs(
 /// Run one load point: warm up a fresh simulator for (preset, system,
 /// scale) with `obs` attached, so the trace sees the warm-up too, then
 /// drive the measured ops through the host frontend at the offered rate
-/// (see [`drive_load`]).
+/// (see `drive_load`).
 ///
 /// # Errors
 ///

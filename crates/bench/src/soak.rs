@@ -282,7 +282,7 @@ fn epoch_stats(epoch: usize, wear_pe: u32, report: &Report, prev: &FtlStats) -> 
 }
 
 /// Soak one system through a whole accelerated lifetime: warm a fresh
-/// simulator under `seed`, then [`soak_warmed`].
+/// simulator under `seed`, then `soak_warmed`.
 ///
 /// `seed` is the run's deterministic stream seed (a sweep cell passes
 /// its `stream_seed`); the aging model's ladder stream is derived from

@@ -366,7 +366,7 @@ fn cell_preset(cell: &Cell) -> Result<WorkloadPreset, String> {
 }
 
 /// The workload of a cell and the configuration it warms up under —
-/// what [`run_cell_cached`] warms, [`plan_warm_cache`] keys and `idasim
+/// what [`run_cell_cached`] warms, `plan_warm_cache` keys and `idasim
 /// snapshot save` saves: the cell's device variant (the paper's TLC when
 /// it has none), its ΔtR, its lifetime phase's retry model, spares when a
 /// fault plan or an aging model will be armed, and the warm-phase seed.

@@ -7,13 +7,14 @@
 //! per workload.
 
 use ida_bench::runner::{
-    prefix_cache_key, system_config, warm_prefix, ExperimentScale, SystemUnderTest,
+    prefix_cache_key, system_config, to_host_ops, warm_prefix, warm_tail, ExperimentScale,
+    SystemUnderTest,
 };
 use ida_bench::soak::SOAK_SPARES_PER_PLANE;
-use ida_bench::sweep::{builtin_grid, cell_config, FAULT_SPARES_PER_PLANE};
+use ida_bench::sweep::{builtin_grid, cell_config, metrics_json, FAULT_SPARES_PER_PLANE};
 use ida_flash::timing::FlashTiming;
 use ida_ssd::retry::RetryConfig;
-use ida_ssd::{Simulator, SsdConfig, WarmStage};
+use ida_ssd::{HostOp, Simulator, SsdConfig, WarmStage};
 use ida_sweep::{derive_stream_seed, SweepSpec};
 use ida_workloads::suite::paper_workload;
 
@@ -162,4 +163,74 @@ fn warm_relevant_fields_split_the_prefix_key() {
         prefix_cache_key("hm_1", &column(E20, None, 0), &scale),
         "the workload shapes the prefix"
     );
+}
+
+/// Replay `trace` on `sim` with spans on and return the sweep cell's
+/// payload.
+fn replay(mut sim: Simulator, trace: &[HostOp]) -> String {
+    sim.set_spans(true);
+    metrics_json(&sim.run(trace.to_vec()))
+}
+
+/// The simulator's timing-derived state (its sense-latency table) is set
+/// wherever the timing is: `Simulator::new`, snapshot decode and
+/// `Simulator::arm`. `cfg` built under its own config, `cfg` forked from
+/// the prefix of `shared` and armed, and each of those restored from its
+/// own snapshot must replay a short trace to one payload. Returns it.
+fn assert_derived_state_replays_alike(what: &str, shared: &SsdConfig, cfg: &SsdConfig) -> String {
+    let preset = paper_workload("proj_3").unwrap();
+    let scale = ExperimentScale::smoke().with_requests(1_500);
+    let mut prefix = Simulator::new(shared.warm_view(WarmStage::Prefix));
+    warm_prefix(&mut prefix, &preset);
+    let mut fork = Simulator::from_snapshot(&prefix.snapshot()).unwrap();
+    fork.arm(cfg);
+    let trace = to_host_ops(&warm_tail(&mut fork, &preset, &scale));
+    let mut own = Simulator::new(cfg.clone());
+    warm_prefix(&mut own, &preset);
+    warm_tail(&mut own, &preset, &scale);
+    let restored = |sim: &Simulator| Simulator::from_snapshot(&sim.snapshot()).unwrap();
+    let (own_copy, fork_copy) = (restored(&own), restored(&fork));
+    let expected = replay(own, &trace);
+    for (path, sim) in [
+        ("forked and armed", fork),
+        ("restored", own_copy),
+        ("forked, armed and restored", fork_copy),
+    ] {
+        assert_eq!(
+            replay(sim, &trace),
+            expected,
+            "{what}: {path} replays differently from a simulator built under its config"
+        );
+    }
+    expected
+}
+
+#[test]
+fn timing_derived_state_follows_arm_restore_and_device() {
+    // A ΔtR 50 µs prefix armed to 30 and to 70 µs: the fork's sense
+    // latencies must follow the armed timing.
+    let at_30 = assert_derived_state_replays_alike(
+        "ΔtR 30",
+        &column(BASELINE, None, 0),
+        &column(E20, Some(30), 0),
+    );
+    let at_70 = assert_derived_state_replays_alike(
+        "ΔtR 70",
+        &column(BASELINE, None, 0),
+        &column(E20, Some(70), 0),
+    );
+    assert_ne!(at_30, at_70, "the replay must see the armed ΔtR");
+    // The 2-3-2 TLC coding's 3-sense CSB and QLC's 8-sense top pages,
+    // forked from the variant's Baseline prefix into its IDA-E20 column.
+    for variant in ["tlc232", "qlc"] {
+        let cells = SweepSpec::new(
+            "variants",
+            vec!["proj_3".into()],
+            vec![BASELINE.label(), E20.label()],
+        )
+        .with_axis("variant", vec![variant.into()])
+        .cells();
+        let columns = cell_columns(&cells);
+        assert_derived_state_replays_alike(variant, &columns[0].1, &columns[1].1);
+    }
 }

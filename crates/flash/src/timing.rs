@@ -11,11 +11,13 @@
 //! sensitivity analysis does, through the per-step gap `ΔtR`:
 //!
 //! ```text
-//! tR(n senses) = tR_base + ΔtR · step(n),   step(1,2,4,8) = 0,1,2,3
+//! tR(n senses) = tR_base + round(ΔtR · log2 n)
 //! ```
 //!
 //! which reproduces 50/100/150 µs for `tR_base = 50 µs, ΔtR = 50 µs` and the
-//! MLC device's 65/115 µs for `tR_base = 65 µs, ΔtR = 50 µs`.
+//! MLC device's 65/115 µs for `tR_base = 65 µs, ΔtR = 50 µs`; a count
+//! between two powers of two (the 3-sense CSB of the 2-3-2 TLC coding)
+//! falls between their latencies on the same log2 curve.
 
 /// Simulation time in nanoseconds.
 pub type SimTime = u64;
@@ -31,8 +33,9 @@ pub const NS_PER_MS: SimTime = 1_000_000;
 pub struct FlashTiming {
     /// Sensing latency of a 1-sense page read (the LSB read), ns.
     pub read_base: SimTime,
-    /// Additional latency per sensing *step* (`ΔtR`), ns. A read with `n`
-    /// senses costs `read_base + delta_tr * (ceil(log2(n)))`.
+    /// Additional latency per doubling of the sense count (`ΔtR`), ns. A
+    /// read with `n` senses costs `read_base + round(delta_tr · log2 n)`
+    /// ([`FlashTiming::read_latency`]).
     pub delta_tr: SimTime,
     /// Page program (ISPP) latency, ns.
     pub program: SimTime,
@@ -92,27 +95,21 @@ impl FlashTiming {
     }
 
     /// Memory-access (sensing) latency of a page read that performs
-    /// `senses` wordline sensing operations.
+    /// `senses` wordline sensing operations: `read_base + ΔtR · log2
+    /// senses`, rounded to the nearest nanosecond.
     ///
-    /// The step function is `floor(log2(senses))`: 1 sense → base,
-    /// 2 → base+Δ, 4 → base+2Δ, 8 → base+3Δ, matching the device anchors.
-    /// 3 senses (TLC 2-3-2 CSB) costs base+1.5Δ by linear interpolation
-    /// between the 2- and 4-sense anchors.
+    /// At powers of two this is the device's step ladder: 1 sense → base,
+    /// 2 → base+Δ, 4 → base+2Δ, 8 → base+3Δ. Other counts sit on the same
+    /// log2 curve: 3 senses (the TLC 2-3-2 CSB) cost base+1.585Δ, which is
+    /// 129,248 ns at the paper's TLC timing.
     ///
     /// # Panics
     ///
     /// Panics if `senses == 0`.
     pub fn read_latency(&self, senses: u32) -> SimTime {
         assert!(senses > 0, "a page read needs at least one sense");
-        // Interpolate log2 for non-power-of-two sense counts.
         let log2 = (senses as f64).log2();
         self.read_base + (self.delta_tr as f64 * log2).round() as SimTime
-    }
-
-    /// End-to-end service time of one page read through all three stages
-    /// (sense + transfer + ECC), ignoring queueing.
-    pub fn read_service(&self, senses: u32) -> SimTime {
-        self.read_latency(senses) + self.transfer + self.ecc_decode
     }
 }
 
@@ -126,12 +123,19 @@ impl Default for FlashTiming {
 mod tests {
     use super::*;
 
+    /// `t.read_latency(n)` for n = 1..=8.
+    fn ladder(t: FlashTiming) -> Vec<SimTime> {
+        (1..=8).map(|n| t.read_latency(n)).collect()
+    }
+
     #[test]
     fn tlc_read_latencies_match_table_ii() {
-        let t = FlashTiming::paper_tlc();
-        assert_eq!(t.read_latency(1), 50 * NS_PER_US);
-        assert_eq!(t.read_latency(2), 100 * NS_PER_US);
-        assert_eq!(t.read_latency(4), 150 * NS_PER_US);
+        // Table II's 50/100/150 µs at 1/2/4 senses; the other counts on
+        // the same log2 curve.
+        assert_eq!(
+            ladder(FlashTiming::paper_tlc()),
+            [50_000, 100_000, 129_248, 150_000, 166_096, 179_248, 190_368, 200_000]
+        );
     }
 
     #[test]
@@ -142,17 +146,18 @@ mod tests {
 
     #[test]
     fn mlc_read_latencies_match_section_v_g() {
-        let t = FlashTiming::paper_mlc();
-        assert_eq!(t.read_latency(1), 65 * NS_PER_US);
-        assert_eq!(t.read_latency(2), 115 * NS_PER_US);
+        assert_eq!(
+            ladder(FlashTiming::paper_mlc()),
+            [65_000, 115_000, 144_248, 165_000, 181_096, 194_248, 205_368, 215_000]
+        );
     }
 
     #[test]
     fn delta_tr_sweep_changes_gap_only() {
-        let t = FlashTiming::paper_tlc().with_delta_tr_us(30);
-        assert_eq!(t.read_latency(1), 50 * NS_PER_US);
-        assert_eq!(t.read_latency(2), 80 * NS_PER_US);
-        assert_eq!(t.read_latency(4), 110 * NS_PER_US);
+        assert_eq!(
+            ladder(FlashTiming::paper_tlc().with_delta_tr_us(30)),
+            [50_000, 80_000, 97_549, 110_000, 119_658, 127_549, 134_221, 140_000]
+        );
     }
 
     #[test]
@@ -160,13 +165,6 @@ mod tests {
         let t = FlashTiming::paper_tlc();
         let l3 = t.read_latency(3);
         assert!(l3 > t.read_latency(2) && l3 < t.read_latency(4));
-    }
-
-    #[test]
-    fn read_service_sums_three_stages() {
-        let t = FlashTiming::paper_tlc();
-        assert_eq!(t.read_service(1), (50 + 48 + 20) * NS_PER_US);
-        assert_eq!(t.read_service(4), (150 + 48 + 20) * NS_PER_US);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use ida_flash::addr::{BlockAddr, PlaneAddr};
 use ida_flash::geometry::Geometry;
 use ida_flash::timing::SimTime;
 use std::cell::OnceCell;
-use std::collections::BTreeSet;
 
 /// Lifecycle state of a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,11 +66,17 @@ pub struct WearSummary {
 /// `(erase_count, block)` tie-break — together the exact
 /// `(valid, erases, BlockAddr)` ordering of a linear scan over
 /// [`BlockTable::reclaimable_blocks`].
+///
+/// A bucket is a sorted `Vec`, not a `BTreeSet`: every page invalidation
+/// moves one entry between neighbouring buckets, and a binary search plus
+/// a short shift within one contiguous bucket beats two tree updates. Both
+/// encode as a length followed by the elements in order, so the image
+/// bytes do not depend on the choice.
 #[derive(Debug, Clone)]
 struct PlaneIndex {
     /// `buckets[valid]` holds the plane's reclaimable blocks with that
-    /// many valid pages, as `(erase_count, block index)` pairs.
-    buckets: Vec<BTreeSet<(u32, u32)>>,
+    /// many valid pages, as sorted `(erase_count, block index)` pairs.
+    buckets: Vec<Vec<(u32, u32)>>,
     /// Index of the lowest non-empty bucket (== `buckets.len()` when the
     /// plane has no reclaimable blocks). Lowered directly on insert,
     /// advanced past drained buckets on remove — each advance is paid for
@@ -99,7 +104,7 @@ impl PlaneIndex {
     fn new(pages_per_block: u32) -> Self {
         let depth = pages_per_block as usize + 1;
         PlaneIndex {
-            buckets: vec![BTreeSet::new(); depth],
+            buckets: vec![Vec::new(); depth],
             min_valid: depth,
             len: 0,
         }
@@ -107,20 +112,22 @@ impl PlaneIndex {
 
     fn insert(&mut self, valid: u32, erases: u32, block: u32) {
         let v = valid as usize;
-        assert!(
-            self.buckets[v].insert((erases, block)),
-            "duplicate index entry"
-        );
+        let bucket = &mut self.buckets[v];
+        match bucket.binary_search(&(erases, block)) {
+            Ok(_) => panic!("duplicate index entry"),
+            Err(at) => bucket.insert(at, (erases, block)),
+        }
         self.len += 1;
         self.min_valid = self.min_valid.min(v);
     }
 
     fn remove(&mut self, valid: u32, erases: u32, block: u32) {
         let v = valid as usize;
-        assert!(
-            self.buckets[v].remove(&(erases, block)),
-            "missing index entry"
-        );
+        let bucket = &mut self.buckets[v];
+        match bucket.binary_search(&(erases, block)) {
+            Ok(at) => bucket.remove(at),
+            Err(_) => panic!("missing index entry"),
+        };
         self.len -= 1;
         if self.len == 0 {
             self.min_valid = self.buckets.len();

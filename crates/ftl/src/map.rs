@@ -24,7 +24,7 @@ const UNMAPPED: u32 = u32::MAX;
 
 /// Bidirectional page map: L2P for host reads, P2L for GC/refresh
 /// relocation and validity queries. Both directions are dense `u32`
-/// arrays with [`UNMAPPED`] as the empty slot, so a snapshot moves each as
+/// arrays with `u32::MAX` as the empty slot, so a snapshot moves each as
 /// one bulk copy.
 ///
 /// Invariant: `l2p[l] == p` ⇔ `p2l[p] == l`.

@@ -58,7 +58,7 @@ struct BlockOob {
 ///
 /// Page records and wordline merge state live in dense arrays (one slot
 /// per page or per `block × wordline`), so a snapshot moves each as one
-/// bulk copy. A page's record is its `lpn` slot ([`ERASED`], [`FAILED`]
+/// bulk copy. A page's record is its `lpn` slot (`ERASED`, `FAILED`
 /// or the stamped LPN) plus its `seq` slot, which is 0 unless the page
 /// holds data — one canonical form per record.
 #[derive(Debug, Clone)]

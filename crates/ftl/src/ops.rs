@@ -7,7 +7,6 @@
 //! later remapping cannot retroactively change an in-flight operation.
 
 use ida_flash::addr::{BlockAddr, DieAddr, PageAddr, PageType};
-use ida_flash::timing::{FlashTiming, SimTime};
 
 /// Scheduling class of an operation ("read-first scheduling", Table II):
 /// host reads go ahead of everything else queued on a die.
@@ -129,35 +128,6 @@ ida_snap::snap_struct!(FlashOp {
     origin,
 });
 
-impl FlashOp {
-    /// Time the die's array is busy executing this op.
-    pub fn array_time(&self, t: &FlashTiming) -> SimTime {
-        match self.kind {
-            FlashOpKind::Read { senses } => t.read_latency(senses),
-            FlashOpKind::Program => t.program,
-            FlashOpKind::Erase => t.erase,
-            FlashOpKind::VoltageAdjust => t.voltage_adjust,
-        }
-    }
-
-    /// Time the channel is busy moving this op's data (zero for erase and
-    /// voltage adjustment, which move no page data).
-    pub fn channel_time(&self, t: &FlashTiming) -> SimTime {
-        match self.kind {
-            FlashOpKind::Read { .. } | FlashOpKind::Program => t.transfer,
-            FlashOpKind::Erase | FlashOpKind::VoltageAdjust => 0,
-        }
-    }
-
-    /// Post-transfer controller time (ECC decode; reads only).
-    pub fn controller_time(&self, t: &FlashTiming) -> SimTime {
-        match self.kind {
-            FlashOpKind::Read { .. } => t.ecc_decode,
-            _ => 0,
-        }
-    }
-}
-
 /// The validity scenario a host read falls into — the categories of the
 /// paper's Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -219,52 +189,6 @@ pub struct ReadOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ida_flash::timing::NS_PER_US;
-
-    fn op(kind: FlashOpKind) -> FlashOp {
-        FlashOp {
-            kind,
-            die: DieAddr(0),
-            channel: 0,
-            block: BlockAddr(0),
-            page: None,
-            priority: Priority::Background,
-            origin: OpOrigin::Host,
-        }
-    }
-
-    #[test]
-    fn read_times_follow_sense_count() {
-        let t = FlashTiming::paper_tlc();
-        assert_eq!(
-            op(FlashOpKind::Read { senses: 1 }).array_time(&t),
-            50 * NS_PER_US
-        );
-        assert_eq!(
-            op(FlashOpKind::Read { senses: 4 }).array_time(&t),
-            150 * NS_PER_US
-        );
-        assert_eq!(
-            op(FlashOpKind::Read { senses: 1 }).channel_time(&t),
-            48 * NS_PER_US
-        );
-        assert_eq!(
-            op(FlashOpKind::Read { senses: 1 }).controller_time(&t),
-            20 * NS_PER_US
-        );
-    }
-
-    #[test]
-    fn erase_and_adjust_use_no_channel() {
-        let t = FlashTiming::paper_tlc();
-        assert_eq!(op(FlashOpKind::Erase).channel_time(&t), 0);
-        assert_eq!(op(FlashOpKind::VoltageAdjust).channel_time(&t), 0);
-        assert_eq!(op(FlashOpKind::Erase).array_time(&t), 3_000 * NS_PER_US);
-        assert_eq!(
-            op(FlashOpKind::VoltageAdjust).array_time(&t),
-            2_300 * NS_PER_US
-        );
-    }
 
     #[test]
     fn priority_orders_reads_first() {

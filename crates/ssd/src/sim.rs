@@ -8,7 +8,7 @@ use crate::retry::{ReadLadder, RetryModel};
 use crate::source::{ArrivalSource, Pull, SourcedOp};
 use ida_faults::{AgingConfig, FaultConfig};
 use ida_flash::addr::BlockAddr;
-use ida_flash::timing::SimTime;
+use ida_flash::timing::{FlashTiming, SimTime};
 use ida_ftl::block::BlockState;
 use ida_ftl::{FlashOp, FlashOpKind, Ftl, FtlError, Lpn, OpOrigin, Priority};
 use ida_obs::gauge::GaugeSet;
@@ -193,9 +193,38 @@ ida_snap::snap_struct!(DieState {
     queues,
 });
 
+/// Sense latency by sense count: [`FlashTiming::read_latency`] of every
+/// count a page of up to four bits per cell can need (1..=15), computed
+/// once per timing so a read start costs a table load, not an `f64`
+/// log2. Derived from the timing in force, it stays out of the image and
+/// is rebuilt wherever the timing is set.
+#[derive(Debug, Clone, Copy)]
+struct SenseTable([SimTime; 16]);
+
+impl SenseTable {
+    fn new(t: &FlashTiming) -> Self {
+        SenseTable(std::array::from_fn(|n| match n {
+            0 => 0,
+            n => t.read_latency(n as u32),
+        }))
+    }
+
+    /// `t.read_latency(senses)`, for the `t` the table was built from. A
+    /// count outside the table, or 0, takes the computed path (and its
+    /// panic).
+    fn get(&self, t: &FlashTiming, senses: u32) -> SimTime {
+        match self.0.get(senses as usize) {
+            Some(&ns) if senses > 0 => ns,
+            _ => t.read_latency(senses),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// The op in [`Arrivals::next`] arrives.
+    /// The op in [`Arrivals::next`] arrives. At most one is pending, so
+    /// it waits in the queue's slot ([`EventQueue::push_slot`]), not on
+    /// the heap.
     Arrival,
     /// A die's array/register became free; try to start its next op.
     DieFree(u32),
@@ -233,7 +262,7 @@ impl Arrivals {
         }
         match source.next(now - self.base) {
             Pull::Op(sop) => {
-                events.push((self.base + sop.op.at).max(now), Ev::Arrival);
+                events.push_slot((self.base + sop.op.at).max(now), Ev::Arrival);
                 self.next = Some(sop);
             }
             Pull::Blocked if !in_flight => return Err(SimError::StalledSource),
@@ -256,6 +285,8 @@ pub struct Simulator {
     /// (`None` while aging is off — reads take the flat [`RetryModel`]
     /// draw only).
     ladder: Option<ReadLadder>,
+    /// Sense latencies of `cfg.timing` (derived; not in the image).
+    sense: SenseTable,
     dies: Vec<DieState>,
     channels: Vec<SimTime>,
     /// Base simulation time: measured runs start where warmup ended.
@@ -287,6 +318,9 @@ pub struct Simulator {
     die_busy: Vec<u128>,
     /// Cumulative busy nanoseconds per channel; runs report the delta.
     channel_busy: Vec<u128>,
+    /// The read ops of the request being issued, reused across requests
+    /// (always empty between requests; not in the image).
+    read_ops: Vec<(FlashOp, u32, u32)>,
 }
 
 // Snapshot payload: every field that influences future simulation,
@@ -294,7 +328,9 @@ pub struct Simulator {
 // leftover queued work. Excluded as process-local observers: the trace
 // sink (restored null), the gauge sampler (restored disabled) and the
 // stderr progress flag (restored off); callers re-attach observability
-// after restore exactly as they would after `Simulator::new`.
+// after restore exactly as they would after `Simulator::new`. Excluded as
+// process-local working state: the sense table (rebuilt from the timing) and
+// the read-op buffer (empty between requests).
 impl ida_snap::Snap for Simulator {
     fn encode(&self, w: &mut ida_snap::Writer) {
         self.cfg.encode(w);
@@ -334,6 +370,7 @@ impl ida_snap::Snap for Simulator {
         let die_busy = Vec::decode(r)?;
         let channel_busy = Vec::decode(r)?;
         Ok(Simulator {
+            sense: SenseTable::new(&cfg.timing),
             cfg,
             ftl,
             retry,
@@ -351,6 +388,7 @@ impl ida_snap::Snap for Simulator {
             spans,
             die_busy,
             channel_busy,
+            read_ops: Vec::new(),
         })
     }
 }
@@ -369,6 +407,7 @@ impl Simulator {
                     cfg.ftl.aging.seed,
                 )
             }),
+            sense: SenseTable::new(&cfg.timing),
             dies: (0..g.total_dies()).map(|_| DieState::default()).collect(),
             channels: vec![0; g.channels as usize],
             cfg,
@@ -383,6 +422,7 @@ impl Simulator {
             spans: false,
             die_busy: vec![0; g.total_dies() as usize],
             channel_busy: vec![0; g.channels as usize],
+            read_ops: Vec::new(),
         }
     }
 
@@ -543,6 +583,7 @@ impl Simulator {
             self.cfg.ftl.seed = f.seed;
         }
         self.cfg.timing = cfg.timing;
+        self.sense = SenseTable::new(&cfg.timing);
         self.cfg.retry = cfg.retry;
         self.retry = RetryModel::new(cfg.retry);
     }
@@ -926,7 +967,7 @@ impl Simulator {
         match host.kind {
             HostOpKind::Read => {
                 report.bytes_read += host.pages as u64 * page_bytes;
-                let mut ops = Vec::new();
+                let mut ops = std::mem::take(&mut self.read_ops);
                 for lpn in host.lpns() {
                     if let Some(read) = self.ftl.read_at(Lpn(lpn), now) {
                         report.breakdown.record(read.scenario);
@@ -993,7 +1034,8 @@ impl Simulator {
                         }
                     }
                 }
-                requests[slot].outstanding = self.enqueue_faulted(now, ops, Some(slot));
+                requests[slot].outstanding = self.enqueue_faulted(now, ops.drain(..), Some(slot));
+                self.read_ops = ops;
             }
             HostOpKind::Write => {
                 report.bytes_written += host.pages as u64 * page_bytes;
@@ -1189,6 +1231,7 @@ impl Simulator {
     ) {
         let Simulator {
             cfg,
+            sense,
             dies,
             channels,
             trace,
@@ -1199,7 +1242,7 @@ impl Simulator {
             channel_busy,
             ..
         } = self;
-        let t = cfg.timing;
+        let t = &cfg.timing;
         let d = &mut dies[die as usize];
         if d.wake_at.is_some_and(|w| w <= now) {
             d.wake_at = None;
@@ -1262,8 +1305,8 @@ impl Simulator {
                     // holds the bus for the whole read), then ECC decode
                     // and any fault backoff off the critical resource.
                     let attempts = (1 + sim_op.retries + sim_op.fault_attempts) as SimTime;
-                    read_attempt_ns = t.read_latency(senses);
-                    let array = t.read_latency(senses) * attempts;
+                    read_attempt_ns = sense.get(t, senses);
+                    let array = read_attempt_ns * attempts;
                     let start = now.max(channels[ch]);
                     let tx_end = start + array + t.transfer;
                     channel_busy[ch] += (tx_end - start) as u128;
@@ -1283,8 +1326,8 @@ impl Simulator {
                     let end = tx_end + t.ecc_decode + sim_op.fault_backoff;
                     if want_span {
                         ph.set(Phase::Channel, start - now);
-                        ph.set(Phase::Sense, t.read_latency(senses));
-                        ph.set(Phase::Retry, array - t.read_latency(senses));
+                        ph.set(Phase::Sense, read_attempt_ns);
+                        ph.set(Phase::Retry, array - read_attempt_ns);
                         ph.set(Phase::Transfer, t.transfer);
                         ph.set(Phase::Ecc, t.ecc_decode);
                         ph.set(Phase::Backoff, sim_op.fault_backoff);
@@ -1997,5 +2040,30 @@ mod tests {
             "read should bypass the in-flight program, got {} ns",
             report.reads.mean()
         );
+    }
+
+    #[test]
+    fn sense_table_reproduces_read_latency() {
+        // Inside the table (1..=15) and past it (the computed fallback).
+        for t in [
+            FlashTiming::paper_tlc(),
+            FlashTiming::paper_mlc(),
+            FlashTiming::paper_tlc().with_delta_tr_us(30),
+            FlashTiming::paper_tlc().with_delta_tr_us(70),
+        ] {
+            let table = SenseTable::new(&t);
+            for senses in 1..=20 {
+                assert_eq!(table.get(&t, senses), t.read_latency(senses));
+            }
+        }
+        let t = FlashTiming::paper_tlc();
+        assert_eq!(SenseTable::new(&t).get(&t, 3), 129_248);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one sense")]
+    fn sense_table_keeps_the_zero_sense_panic() {
+        let t = FlashTiming::paper_tlc();
+        let _ = SenseTable::new(&t).get(&t, 0);
     }
 }
