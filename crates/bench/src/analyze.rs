@@ -14,43 +14,13 @@
 
 use ida_obs::json::JsonObj;
 use ida_obs::span::{Phase, PhaseNs, PhaseStats, ALL_PHASES};
+use ida_obs::trace::TraceEvent;
 use ida_sweep::jsonv::{self, JsonValue};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{self, BufRead, BufReader};
 use std::path::Path;
-
-/// Every event kind the trace schema knows; anything else fails
-/// validation.
-const KNOWN_KINDS: [&str; 28] = [
-    "run_start",
-    "host_arrival",
-    "host_complete",
-    "read_issued",
-    "sense",
-    "program",
-    "erase",
-    "voltage_adjust",
-    "read_retry",
-    "gc_run",
-    "refresh_block",
-    "ida_conversion",
-    "fault_program_fail",
-    "write_redirect",
-    "fault_erase_fail",
-    "block_retired",
-    "fault_read_transient",
-    "read_recovered",
-    "fault_power_loss",
-    "recovery_scan",
-    "read_only_mode",
-    "write_rejected",
-    "span",
-    "host_shed",
-    "slo_status",
-    "ecc_uncorrectable",
-    "scrub_pass",
-    "wear_level",
-];
 
 /// One read's attribution waterfall, kept for the slowest-reads table.
 #[derive(Debug, Clone, Copy)]
@@ -167,8 +137,8 @@ fn mark_busy(busy: &mut Vec<u128>, marks: &mut Vec<u64>, idx: usize, start: u64,
 /// unknown event kinds, missing/mistyped fields, or timestamps that go
 /// backwards inside the measured window.
 pub fn load(path: &Path, keep: usize) -> Result<TraceStats, String> {
-    let body = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read trace {}: {e}", path.display()))?;
+    let unreadable = |e: io::Error| format!("cannot read trace {}: {e}", path.display());
+    let reader = BufReader::new(File::open(path).map_err(unreadable)?);
     let mut stats = TraceStats {
         lines: 0,
         label: None,
@@ -201,12 +171,13 @@ pub fn load(path: &Path, keep: usize) -> Result<TraceStats, String> {
     let mut mono_prev = 0u64;
     let keep = keep.max(1);
 
-    for (i, line) in body.lines().enumerate() {
+    for (i, line) in reader.lines().enumerate() {
         let line_no = i + 1;
+        let line = line.map_err(unreadable)?;
         stats.lines += 1;
-        let v = jsonv::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
+        let v = jsonv::parse(&line).map_err(|e| format!("line {line_no}: {e}"))?;
         let kind = str_field(&v, "ev", line_no)?;
-        if !KNOWN_KINDS.contains(&kind) {
+        if !TraceEvent::KINDS.contains(&kind) {
             return Err(format!("line {line_no}: unknown event kind `{kind}`"));
         }
         let t = u64_field(&v, "t", line_no)?;

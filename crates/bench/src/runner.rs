@@ -656,7 +656,7 @@ mod tests {
     fn warm_cache_keys_do_not_move_with_the_snapshot_codec() {
         // Warm keys and cell seeds hash the encoded config with FNV-1a;
         // a change to the frame hash or the FTL's table layout must not
-        // move them (spill file names and seeds stay valid).
+        // move them (printed snapshot keys and cell seeds stay valid).
         let scale = ExperimentScale::smoke();
         let cfg = system_config(
             SystemUnderTest::Baseline,

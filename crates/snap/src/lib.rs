@@ -1,6 +1,6 @@
 //! Deterministic binary snapshot encoding.
 //!
-//! The warm-state cache (ISSUE 9) needs every piece of mutable simulator
+//! The warm-state cache needs every piece of mutable simulator
 //! state serialized so a restored simulator is *bit-for-bit* equivalent to
 //! one that ran warm-up live. JSON would work but is slow and bulky for
 //! multi-megabyte L2P maps, so this crate provides a minimal fixed-width
@@ -8,12 +8,12 @@
 //!
 //! - [`Snap`]: encode/decode for primitives, tuples, arrays and the
 //!   standard containers used by the simulator (`Vec`, `VecDeque`,
-//!   `Option`, `BTreeSet`, `String`).
+//!   `Option`, `String`).
 //! - [`snap_struct!`] / [`snap_enum!`]: field-by-field impl macros invoked
 //!   *inside* the defining crate (they need access to private fields).
 //! - [`frame`]: a self-describing outer frame (`magic ‖ version ‖ len ‖
-//!   xxh64 ‖ payload`) so corrupt or stale spill files are detected and
-//!   rebuilt instead of silently restored.
+//!   xxh64 ‖ payload`) so a corrupt, truncated or stale snapshot file or
+//!   fabric message is rejected instead of silently restored.
 //! - [`fnv1a`]: the repo-wide content hash behind warm-up cache keys and
 //!   cell seeds. Frames use the word-at-a-time [`frame::hash`] instead.
 //!
@@ -23,7 +23,7 @@
 //! byte stream is a pure function of the value, which is what makes
 //! snapshot bytes usable as cache-key material.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Decode failure: the byte stream does not describe a value of the
 /// requested type (truncated, bad tag, bad frame, ...).
@@ -349,23 +349,6 @@ impl<T: Snap> Snap for VecDeque<T> {
     }
 }
 
-impl<T: Snap + Ord> Snap for BTreeSet<T> {
-    fn encode(&self, w: &mut Writer) {
-        self.len().encode(w);
-        for v in self {
-            v.encode(w);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let len = usize::decode(r)?;
-        let mut out = BTreeSet::new();
-        for _ in 0..len {
-            out.insert(T::decode(r)?);
-        }
-        Ok(out)
-    }
-}
-
 impl<T: Snap, const N: usize> Snap for [T; N] {
     fn encode(&self, w: &mut Writer) {
         T::encode_slice(self, w);
@@ -450,18 +433,19 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Self-describing outer frame: `IDASNAP1 ‖ version:u32 ‖ len:u64 ‖
 /// hash:u64 ‖ payload`, where `hash` is [`frame::hash`] (XXH64) of the
-/// payload. Spill files, CLI snapshot files and fabric messages always
-/// travel framed so truncation and corruption are detected before decode.
+/// payload. Warm-cache images, CLI snapshot files and fabric messages
+/// always travel framed so truncation and corruption are detected before
+/// decode.
 pub mod frame {
     use super::{SnapError, Writer};
     use std::io::Read;
 
-    /// Frame magic, also the file signature of `.snap` spill files.
+    /// Frame magic, also the file signature of `.snap` snapshot files.
     pub const MAGIC: &[u8; 8] = b"IDASNAP1";
     /// Current payload-layout version. Bump whenever any `Snap` impl's
-    /// field order or the frame hash changes; stale spill files are then
-    /// rebuilt, not misdecoded. Version 2: dense FTL page tables and the
-    /// XXH64 frame hash.
+    /// field order or the frame hash changes; a snapshot file of another
+    /// version is then rejected, not misdecoded. Version 2: dense FTL page
+    /// tables and the XXH64 frame hash.
     pub const VERSION: u32 = 2;
     /// Frame header length in bytes.
     pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -722,7 +706,6 @@ mod tests {
         round_trip(Some(vec![0u8, 9]));
         round_trip(Option::<u32>::None);
         round_trip(VecDeque::from([7u64, 8, 9]));
-        round_trip(BTreeSet::from([(3u32, 1u32), (1, 2)]));
         round_trip([1u64, 2, 3]);
         round_trip((1u32, 2u64, true));
         round_trip(vec![Some((1u32, false)), None]);

@@ -447,7 +447,7 @@ impl Simulator {
 
     /// Rebuild a simulator from [`Simulator::snapshot`] bytes. The frame
     /// is verified (magic, version, length, content hash) before decode,
-    /// so corrupt or stale spill files fail loudly instead of restoring
+    /// so a corrupt or stale snapshot fails loudly instead of restoring
     /// silently wrong state. Observability (trace sink, gauges, progress)
     /// is reset to off — re-attach after restore as after `new`.
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, ida_snap::SnapError> {

@@ -32,6 +32,9 @@ fn random_cfg(rng: &mut Rng64) -> SsdConfig {
     if rng.gen_bool(0.3) {
         cfg.retry = ida_ssd::retry::RetryConfig::late_lifetime(0.2, rng.next_u64());
     }
+    // Draw ΔtR too, so state that a restore derives from the timing is
+    // checked under timings other than the paper's.
+    cfg.timing = cfg.timing.with_delta_tr_us(rng.gen_range_u64(30, 71));
     cfg
 }
 
