@@ -323,14 +323,10 @@ fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
 }
 
-/// Validate a trace and summarize the result.
-///
-/// # Errors
-///
-/// Returns the first schema / monotonicity problem, or a summary of any
-/// conservation or latency-consistency violations.
-pub fn validate(path: &Path) -> Result<String, String> {
-    let stats = load(path, 1)?;
+/// [`load`] with up to `keep` slowest reads, then the conservation,
+/// latency and retry checks, and the validation summary as text.
+fn load_checked(path: &Path, keep: usize) -> Result<(TraceStats, String), String> {
+    let stats = load(path, keep)?;
     let spans = stats.reads.count() + stats.writes.count();
     if stats.conservation_violations > 0 {
         return Err(format!(
@@ -384,7 +380,17 @@ pub fn validate(path: &Path) -> Result<String, String> {
             stats.retry_events
         );
     }
-    Ok(out)
+    Ok((stats, out))
+}
+
+/// Validate a trace and summarize the result.
+///
+/// # Errors
+///
+/// Returns the first schema / monotonicity problem, or a summary of any
+/// conservation or latency-consistency violations.
+pub fn validate(path: &Path) -> Result<String, String> {
+    load_checked(path, 1).map(|(_, summary)| summary)
 }
 
 fn render_attribution(out: &mut String, title: &str, stats: &PhaseStats) {
@@ -421,8 +427,7 @@ fn render_attribution(out: &mut String, title: &str, stats: &PhaseStats) {
 ///
 /// Same failure modes as [`validate`].
 pub fn report(path: &Path, top: usize) -> Result<String, String> {
-    let mut out = validate(path)?;
-    let stats = load(path, top)?;
+    let (stats, mut out) = load_checked(path, top)?;
     render_attribution(&mut out, "read attribution", &stats.reads);
     render_attribution(&mut out, "write attribution", &stats.writes);
     if !stats.slowest_reads.is_empty() {

@@ -9,7 +9,7 @@
 //! Both warm up with their own protocol under the system's plain TLC
 //! configuration and the FTL's default seed, outside the warm cache.
 
-use crate::runner::{footprint, system_config, to_host_ops, ExperimentScale, SystemUnderTest};
+use crate::runner::{footprint, system_config, ExperimentScale, SystemUnderTest};
 use ida_flash::addr::BlockAddr;
 use ida_flash::timing::FlashTiming;
 use ida_ftl::block::BlockState;
@@ -63,7 +63,7 @@ pub fn run_blocks(
     // Prefill, age by a quarter of the footprint, refresh every block once.
     let mut sim = Simulator::new(cfg);
     sim.prefill(0..pages);
-    sim.age(&to_host_ops(&preset.spec.scaled_writes(pages, 0.25, 0xA61)));
+    sim.age(&preset.spec.scaled_writes(pages, 0.25, 0xA61).records);
     sim.set_refresh_period(u64::MAX / 4);
     sim.force_refresh_all(1);
     let json = JsonObj::new()
@@ -85,7 +85,7 @@ pub fn run_blocks(
     let mut erases_during = |fraction, seed| {
         let writes = writer.scaled_writes(pages, fraction, seed);
         let before = sim.ftl().stats().erases;
-        sim.age(&to_host_ops(&writes));
+        sim.age(&writes.records);
         sim.ftl().stats().erases - before
     };
     let early = erases_during(0.3, 0xBEEF);

@@ -14,8 +14,7 @@
 //! scale) pair reproduces its payload byte for byte on any worker.
 
 use crate::runner::{
-    system_config, to_host_ops, warm_up, warmed_simulator_cached, ExperimentScale, ObsOptions,
-    SystemUnderTest,
+    system_config, warm_up, warmed_simulator_cached, ExperimentScale, ObsOptions, SystemUnderTest,
 };
 use ida_flash::timing::FlashTiming;
 use ida_host::{
@@ -195,14 +194,24 @@ fn tenant_configs(
 ) -> Vec<TenantConfig> {
     let n = spec.tenants.max(1) as usize;
     let mean_gap_ns = ((1e9 * n as f64 / spec.offered_iops.max(1) as f64).round() as u64).max(1);
-    (0..n)
-        .map(|i| TenantConfig {
+    // A lone tenant takes the trace itself, so the run holds one copy.
+    let shares: Vec<Vec<ida_ssd::HostOp>> = if n == 1 {
+        vec![ops]
+    } else {
+        (0..n)
+            .map(|i| ops.iter().skip(i).step_by(n).copied().collect())
+            .collect()
+    };
+    shares
+        .into_iter()
+        .enumerate()
+        .map(|(i, ops)| TenantConfig {
             name: if n == 1 {
                 preset.spec.name.clone()
             } else {
                 format!("{}-t{}", preset.spec.name, i)
             },
-            ops: ops.iter().skip(i).step_by(n).copied().collect(),
+            ops,
             arrival: spec.arrival,
             mean_gap_ns,
             weight: 1,
@@ -240,7 +249,7 @@ pub fn run_load_obs(
         ),
     )?;
     let trace = warm_up(&mut sim, preset, scale);
-    let run = drive_load(&mut sim, preset, spec, &trace)?;
+    let run = drive_load(&mut sim, preset, spec, trace)?;
     obs.finish(&sim, &run.report)?;
     Ok(run)
 }
@@ -279,14 +288,14 @@ pub(crate) fn drive_load(
     sim: &mut Simulator,
     preset: &WorkloadPreset,
     spec: &LoadSpec,
-    trace: &Trace,
+    trace: Trace,
 ) -> Result<LoadRun, LoadError> {
     let frontend_cfg = FrontendConfig {
         window: LOAD_WINDOW,
         admission: spec.admission,
         ..FrontendConfig::default()
     };
-    let tenant_cfgs = tenant_configs(preset, to_host_ops(trace), spec);
+    let tenant_cfgs = tenant_configs(preset, trace.records, spec);
     let mut src = MultiTenantSource::new(tenant_cfgs, frontend_cfg);
     src.bind_trace(sim.trace_handle(), sim.now());
     sim.set_spans(true);
@@ -372,7 +381,7 @@ pub fn run_capacity(
         spec.slo_p99_ns = slo_p99_ns;
         let cfg = load_config(&spec, scale);
         let (mut sim, trace) = warmed_simulator_cached(preset, cfg, scale, Some(&warm));
-        match drive_load(&mut sim, preset, &spec, &trace) {
+        match drive_load(&mut sim, preset, &spec, trace) {
             Ok(run) => run.probe_outcome(),
             Err(e) => {
                 if failure.is_none() {

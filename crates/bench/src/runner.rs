@@ -18,12 +18,11 @@ use ida_obs::gauge::GaugeSet;
 use ida_obs::trace::{FilterSink, JsonlSink, SinkHandle, TraceEvent};
 use ida_ssd::retry::RetryConfig;
 use ida_ssd::{
-    ClosedLoopSource, HostOp, HostOpKind, ListSource, Report, SimError, Simulator, SsdConfig,
-    WarmStage,
+    ClosedLoopSource, HostOp, ListSource, Report, SimError, Simulator, SsdConfig, WarmStage,
 };
 use ida_sweep::{WarmCache, WarmTier};
 use ida_workloads::suite::WorkloadPreset;
-use ida_workloads::trace::{OpKind, Trace, TraceRecord};
+use ida_workloads::trace::Trace;
 use std::path::{Path, PathBuf};
 
 /// Base seed of the warm-phase RNG stream. Cells that differ only in
@@ -298,22 +297,10 @@ pub(crate) fn try_system_config(
         .map_err(|e| format!("invalid system config: {e}"))
 }
 
-/// Convert a workload trace to simulator host ops.
+/// A copy of a trace's host ops. Its records already are the simulator's
+/// input, so a run that owns the trace hands over `trace.records` instead.
 pub fn to_host_ops(trace: &Trace) -> Vec<HostOp> {
-    trace.records.iter().copied().map(host_op).collect()
-}
-
-/// One trace record as a simulator host op.
-fn host_op(r: TraceRecord) -> HostOp {
-    HostOp {
-        at: r.at,
-        kind: match r.kind {
-            OpKind::Read => HostOpKind::Read,
-            OpKind::Write => HostOpKind::Write,
-        },
-        lpn: r.page,
-        pages: r.pages,
-    }
+    trace.records.clone()
 }
 
 /// Run one workload on one pre-built config, following the warm-up →
@@ -321,7 +308,7 @@ fn host_op(r: TraceRecord) -> HostOp {
 /// report.
 pub fn run_config(preset: &WorkloadPreset, cfg: SsdConfig, scale: &ExperimentScale) -> Report {
     let (sim, trace) = warmed_simulator(preset, cfg, scale);
-    run_warmed(sim, &trace, ReplayMode::OpenLoop, None)
+    run_warmed(sim, trace, ReplayMode::OpenLoop, None)
 }
 
 /// The measured half of a replay run, on a warmed simulator: arm the
@@ -332,7 +319,7 @@ pub fn run_config(preset: &WorkloadPreset, cfg: SsdConfig, scale: &ExperimentSca
 /// waterfall.
 pub fn run_warmed(
     mut sim: Simulator,
-    trace: &Trace,
+    trace: Trace,
     mode: ReplayMode,
     faults: Option<FaultConfig>,
 ) -> Report {
@@ -340,10 +327,9 @@ pub fn run_warmed(
         sim.arm_faults(faults);
     }
     sim.set_spans(true);
-    let ops = to_host_ops(trace);
     match mode {
-        ReplayMode::OpenLoop => sim.run(ops),
-        ReplayMode::ClosedLoop(depth) => ClosedLoopSource::new(ops, depth)
+        ReplayMode::OpenLoop => sim.run(trace.records),
+        ReplayMode::ClosedLoop(depth) => ClosedLoopSource::new(trace.records, depth)
             .and_then(|mut source| sim.run_source(&mut source))
             .unwrap_or_else(|e| panic!("closed-loop replay failed: {e}")),
     }
@@ -398,7 +384,7 @@ impl From<SimError> for ReplayError {
 /// [`ReplayError::Sim`] when the simulator rejects the trace,
 /// [`ReplayError::Io`] when observability output fails.
 pub fn replay_trace(
-    trace: &Trace,
+    mut trace: Trace,
     system: SystemUnderTest,
     scale: &ExperimentScale,
     mode: ReplayMode,
@@ -415,21 +401,19 @@ pub fn replay_trace(
     // Fold onto at most half the exported space so GC and refresh have
     // room to breathe, like the presets' footprint fractions.
     let exported = sim.ftl().exported_pages();
-    let folded = ida_workloads::msr::fold_to_footprint(trace, (exported / 2).max(1_000));
-    let footprint = folded.footprint_pages().max(1_000);
+    ida_workloads::msr::fold_to_footprint(&mut trace, (exported / 2).max(1_000));
+    let footprint = trace.footprint_pages().max(1_000);
     sim.prefill(0..footprint);
-    let span = folded.span().max(1);
+    let span = trace.span().max(1);
     let period = (span as f64 * scale.refresh_period_frac) as SimTime;
     sim.set_refresh_period(period.max(1));
     sim.force_refresh_all(span / 2);
     sim.set_spans(true);
-    // The folded records become the ops: a record and an op have one
-    // layout, so the collect reuses the records' buffer, and the run
-    // holds two copies of the trace (the caller's and the ops), not three.
-    let ops: Vec<HostOp> = folded.records.into_iter().map(host_op).collect();
     let report = match mode {
-        ReplayMode::OpenLoop => sim.run_source(&mut ListSource::new(ops)?)?,
-        ReplayMode::ClosedLoop(depth) => sim.run_source(&mut ClosedLoopSource::new(ops, depth)?)?,
+        ReplayMode::OpenLoop => sim.run_source(&mut ListSource::new(trace.records)?)?,
+        ReplayMode::ClosedLoop(depth) => {
+            sim.run_source(&mut ClosedLoopSource::new(trace.records, depth)?)?
+        }
     };
     obs.finish(&sim, &report)?;
     Ok(report)
@@ -574,8 +558,7 @@ pub fn warm_up(sim: &mut Simulator, preset: &WorkloadPreset, scale: &ExperimentS
 pub fn warm_prefix(sim: &mut Simulator, preset: &WorkloadPreset) {
     let footprint = footprint(preset, sim.ftl().exported_pages());
     sim.prefill(0..footprint);
-    let aging = to_host_ops(&preset.aging_trace(footprint));
-    sim.age(&aging);
+    sim.age(&preset.aging_trace(footprint).records);
 }
 
 /// Warm-up stages 3–4, the **steady tail** after [`warm_prefix`]: put
@@ -592,13 +575,11 @@ pub fn warm_tail(sim: &mut Simulator, preset: &WorkloadPreset, scale: &Experimen
     let period = (span as f64 * scale.refresh_period_frac) as SimTime;
     sim.set_refresh_period(period.max(1));
     sim.force_refresh_all(span / 2);
-    let reage1 = to_host_ops(&preset.reage_trace(footprint));
-    sim.age(&reage1);
+    sim.age(&preset.reage_trace(footprint).records);
     sim.force_refresh_all(span / 2);
     // 4. Re-age: updates accumulate between refresh cycles, so the window
     //    opens with partially invalidated blocks (paper Table IV).
-    let reage2 = to_host_ops(&preset.reage_trace2(footprint));
-    sim.age(&reage2);
+    sim.age(&preset.reage_trace2(footprint).records);
     trace
 }
 
@@ -628,7 +609,7 @@ pub fn run_system_obs(
     )?;
     sim.set_spans(true);
     let trace = warm_up(&mut sim, preset, scale);
-    let report = sim.run(to_host_ops(&trace));
+    let report = sim.run(trace.records);
     obs.finish(&sim, &report)?;
     Ok(WorkloadRun {
         workload: preset.spec.name.clone(),

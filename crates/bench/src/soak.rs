@@ -35,9 +35,7 @@
 //! is a *legal* terminal state — it ends the soak early and is reported
 //! separately from violations.
 
-use crate::runner::{
-    footprint, system_config, to_host_ops, warmed_simulator, ExperimentScale, SystemUnderTest,
-};
+use crate::runner::{footprint, system_config, warmed_simulator, ExperimentScale, SystemUnderTest};
 use crate::table::{f, TextTable};
 use ida_faults::AgingConfig;
 use ida_flash::addr::PlaneAddr;
@@ -302,7 +300,7 @@ pub fn run_soak(
     cfg.ftl.seed = seed;
     cfg.ftl.spare_blocks_per_plane = SOAK_SPARES_PER_PLANE;
     let (sim, trace) = warmed_simulator(preset, cfg, scale);
-    soak_warmed(sim, &trace, preset, system, level, epochs, seed)
+    soak_warmed(sim, trace, preset, system, level, epochs, seed)
 }
 
 /// The soak epochs on a warmed simulator: arm the aging model of `level`
@@ -319,7 +317,7 @@ pub fn run_soak(
 /// On an unknown aging `level`.
 pub(crate) fn soak_warmed(
     mut sim: Simulator,
-    trace: &Trace,
+    trace: Trace,
     preset: &WorkloadPreset,
     system: SystemUnderTest,
     level: &str,
@@ -331,7 +329,6 @@ pub(crate) fn soak_warmed(
     let footprint = footprint(preset, sim.ftl().exported_pages());
     sim.arm_aging(aging.clone());
     sim.set_spans(true);
-    let ops = to_host_ops(trace);
 
     // Walk wear 0 → rated across the epochs (all before the last one).
     let epochs = epochs.max(1);
@@ -356,7 +353,7 @@ pub(crate) fn soak_warmed(
             sim.advance_time(aging.scrub_period);
             sim.advance_wear(wear_step);
         }
-        let report = sim.run(ops.clone());
+        let report = sim.run(trace.records.clone());
         check_epoch(&sim, &report, &prev, footprint, epoch, &mut run.violations);
         run.epochs
             .push(epoch_stats(epoch, wear_step * epoch as u32, &report, &prev));

@@ -323,13 +323,13 @@ pub fn run_cell_cached(cell: &Cell, scale: &ExperimentScale, warm: Option<&WarmC
             .unwrap_or_else(|_| panic!("bad load parameter {pct:?} (expected a percentage)"));
         let offered = (nominal_iops(&preset.spec) * pct / 100).max(1);
         let spec = LoadSpec::new(system, ArrivalSpec::Poisson, offered, cell.stream_seed);
-        let run = drive_load(&mut sim, &preset, &spec, &trace).unwrap_or_else(|e| panic!("{e}"));
+        let run = drive_load(&mut sim, &preset, &spec, trace).unwrap_or_else(|e| panic!("{e}"));
         return load_metrics_json(&run);
     }
     if let Some(level) = cell.param("aging") {
         let run = soak_warmed(
             sim,
-            &trace,
+            trace,
             &preset,
             system,
             level,
@@ -349,7 +349,7 @@ pub fn run_cell_cached(cell: &Cell, scale: &ExperimentScale, warm: Option<&WarmC
         FaultConfig::preset(level, derive_stream_seed(cell.stream_seed, "faults"))
             .unwrap_or_else(|| panic!("unknown fault level {level:?}"))
     });
-    let report = run_warmed(sim, &trace, mode, faults);
+    let report = run_warmed(sim, trace, mode, faults);
     match cell.param("variant") {
         Some(_) => variant_metrics_json(&report),
         None => metrics_json(&report),

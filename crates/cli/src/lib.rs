@@ -10,7 +10,7 @@ use ida_bench::load::{
     load_metrics_json, nominal_iops, run_capacity, run_load_obs, LoadSpec, CAPACITY_MAX_ITERS,
 };
 use ida_bench::runner::{
-    footprint, normalized_read_response, replay_trace, run_system_obs, to_host_ops, warm_cache_key,
+    footprint, normalized_read_response, replay_trace, run_system_obs, warm_cache_key,
     warmed_simulator, ExperimentScale, ObsOptions, ReplayMode, SystemUnderTest,
 };
 use ida_bench::soak::{run_soak, soak_metrics_json, soak_run_from_json};
@@ -400,7 +400,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     let footprint = footprint(&preset, sim.config().ftl.exported_pages());
                     let trace = preset.generate(footprint, requests);
                     sim.set_spans(true);
-                    let report = sim.run(to_host_ops(&trace));
+                    let report = sim.run(trace.records);
                     let _ = writeln!(
                         out,
                         "restored {saved_workload}/{saved_system}, replayed {requests} \
@@ -611,9 +611,11 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 }
             );
             let mut reports = Vec::new();
-            for system in systems(opts.error_rate) {
+            // The last system replays the parsed trace itself, not a copy.
+            let [baseline, ida] = systems(opts.error_rate);
+            for (system, trace) in [(baseline, trace.clone()), (ida, trace)] {
                 let run_obs = obs.suffixed(&system.label());
-                let report = replay_trace(&trace, system, &scale, mode, &run_obs)
+                let report = replay_trace(trace, system, &scale, mode, &run_obs)
                     .map_err(|e| format!("replay failed: {e}"))?;
                 let _ = writeln!(
                     out,

@@ -17,7 +17,9 @@
 //! The crate also hosts the workspace's deterministic RNG ([`rng`]):
 //! reproducible seeded randomness is what makes byte-identical traces
 //! possible, and keeping it here (instead of the external `rand` crate)
-//! lets every other crate build offline.
+//! lets every other crate build offline. Likewise [`trace::HostOp`], the
+//! host request that traces carry and the simulator replays, lives here
+//! because `ida-workloads` and `ida-ssd` both depend on this crate.
 
 pub mod fabric;
 pub mod gauge;
@@ -35,5 +37,5 @@ pub use progress::Progress;
 pub use rng::Rng64;
 pub use span::{Phase, PhaseNs, PhaseStats, ALL_PHASES, PHASE_COUNT, QUEUE_CLASSES};
 pub use trace::{
-    FilterSink, HostClass, JsonlSink, NullSink, SinkHandle, TraceEvent, TraceSink, VecSink,
+    FilterSink, HostOp, HostOpKind, JsonlSink, NullSink, SinkHandle, TraceEvent, TraceSink, VecSink,
 };

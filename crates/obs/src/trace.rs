@@ -23,22 +23,47 @@ use std::rc::Rc;
 /// without a dependency edge).
 pub type SimNs = u64;
 
-/// Host operation class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostClass {
+/// Read or write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum HostOpKind {
     /// Host read.
     Read,
     /// Host write.
     Write,
 }
 
-impl HostClass {
+impl HostOpKind {
     /// Stable lowercase label used in the JSONL encoding.
     pub fn as_str(self) -> &'static str {
         match self {
-            HostClass::Read => "read",
-            HostClass::Write => "write",
+            HostOpKind::Read => "read",
+            HostOpKind::Write => "write",
         }
+    }
+}
+
+/// One host I/O request, already aligned to logical pages: a record of a
+/// generated or imported trace and the simulator's input, one type from
+/// `ida-workloads` to `ida-ssd` (both re-export it). It lives here, beside
+/// the `host_arrival` event that reports it, because this is the one crate
+/// both of them depend on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HostOp {
+    /// Arrival time (ns).
+    pub at: SimNs,
+    /// Read or write.
+    pub kind: HostOpKind,
+    /// First logical page touched.
+    pub lpn: u64,
+    /// Number of consecutive logical pages.
+    pub pages: u32,
+}
+
+impl HostOp {
+    /// The logical pages this request touches.
+    #[inline]
+    pub fn lpns(&self) -> impl Iterator<Item = u64> + '_ {
+        self.lpn..self.lpn + self.pages as u64
     }
 }
 
@@ -77,7 +102,7 @@ impl TraceField for String {
     }
 }
 
-impl TraceField for HostClass {
+impl TraceField for HostOpKind {
     fn put(&self, key: &'static str, o: JsonObj) -> JsonObj {
         o.str(key, self.as_str())
     }
@@ -182,7 +207,7 @@ trace_events! {
             /// Request index within the run.
             req: u64,
             /// Read or write.
-            class: HostClass,
+            class: HostOpKind,
             /// First logical page.
             lpn: u64,
             /// Extent length in pages.
@@ -195,7 +220,7 @@ trace_events! {
             /// Request index within the run.
             req: u64,
             /// Read or write.
-            class: HostClass,
+            class: HostOpKind,
             /// Response time (completion − arrival), ns.
             latency_ns: u64,
         },
@@ -472,7 +497,7 @@ trace_events! {
             /// Request index within the run.
             req: u64,
             /// Read or write.
-            class: HostClass,
+            class: HostOpKind,
             /// Response time (completion − arrival), ns.
             total_ns: u64,
             /// Per-phase attribution; zero phases are omitted from the JSONL
@@ -789,7 +814,7 @@ mod tests {
         let e = TraceEvent::HostArrival {
             t: 5,
             req: 2,
-            class: HostClass::Read,
+            class: HostOpKind::Read,
             lpn: 77,
             pages: 4,
         };
@@ -811,7 +836,7 @@ mod tests {
         let e = TraceEvent::Span {
             t: 216_000,
             req: 3,
-            class: HostClass::Read,
+            class: HostOpKind::Read,
             total_ns: 216_000,
             phases,
         };
@@ -953,7 +978,7 @@ mod tests {
         f.record(&TraceEvent::HostArrival {
             t: 3,
             req: 0,
-            class: HostClass::Read,
+            class: HostOpKind::Read,
             lpn: 0,
             pages: 1,
         }); // host: dropped

@@ -1,12 +1,12 @@
 //! Run metrics: response-time statistics, the Figure 4 read breakdown,
-//! throughput, and machine/human-readable run reports.
+//! throughput, and the JSON run report.
 
 use ida_flash::timing::SimTime;
 use ida_ftl::ReadScenario;
 use ida_obs::gauge::GaugeSeries;
 use ida_obs::hist::LogHistogram;
 use ida_obs::json::{array, JsonObj};
-use ida_obs::span::{PhaseStats, ALL_PHASES};
+use ida_obs::span::PhaseStats;
 
 /// Response-time statistics for one operation class.
 ///
@@ -14,45 +14,20 @@ use ida_obs::span::{PhaseStats, ALL_PHASES};
 /// no matter how many requests a run completes, and percentile queries
 /// walk the buckets (O(buckets)) instead of cloning and sorting a sample
 /// vector. Count, sum, mean, min and max are exact; percentiles are
-/// accurate to one bucket width (≈ 3 %). Tests that need exact
-/// percentiles can opt into [`LatencyStats::exact`], which additionally
-/// keeps every sample.
-#[derive(Debug, Clone, PartialEq)]
+/// accurate to one bucket width (≈ 3 %).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyStats {
     /// Number of completed requests.
     pub count: u64,
     /// Sum of response times (ns).
     pub total_ns: u128,
     hist: LogHistogram,
-    /// Exact samples, kept only in [`LatencyStats::exact`] mode.
-    samples: Option<Vec<u64>>,
-}
-
-impl Default for LatencyStats {
-    fn default() -> Self {
-        LatencyStats {
-            count: 0,
-            total_ns: 0,
-            hist: LogHistogram::new(),
-            samples: None,
-        }
-    }
 }
 
 impl LatencyStats {
-    /// Histogram-backed stats (the default).
+    /// Empty stats.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Stats that additionally retain every sample, making `percentile`
-    /// exact. Memory grows with the request count — for tests and small
-    /// diagnostic runs only.
-    pub fn exact() -> Self {
-        LatencyStats {
-            samples: Some(Vec::new()),
-            ..Self::default()
-        }
     }
 
     /// Record one response time.
@@ -60,9 +35,6 @@ impl LatencyStats {
         self.count += 1;
         self.total_ns += ns as u128;
         self.hist.record(ns);
-        if let Some(samples) = &mut self.samples {
-            samples.push(ns);
-        }
     }
 
     /// Mean response time in ns (0 when empty). Exact.
@@ -85,8 +57,8 @@ impl LatencyStats {
     }
 
     /// The `p`-th percentile response time in ns (`0 <= p <= 100`).
-    /// Accurate to one histogram bucket width (`p = 0`, `p = 100` and
-    /// exact mode are fully exact).
+    /// Accurate to one histogram bucket width (`p = 0` and `p = 100` are
+    /// exact).
     ///
     /// # Panics
     ///
@@ -96,15 +68,6 @@ impl LatencyStats {
             (0.0..=100.0).contains(&p),
             "percentile {p} outside [0, 100]"
         );
-        if let Some(samples) = &self.samples {
-            if samples.is_empty() {
-                return 0;
-            }
-            let mut sorted = samples.clone();
-            sorted.sort_unstable();
-            let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-            return sorted[rank.saturating_sub(1).min(sorted.len() - 1)];
-        }
         self.hist.percentile(p)
     }
 
@@ -311,21 +274,9 @@ impl Report {
         bytes / (span as f64 / 1e9) / (1u64 << 20) as f64
     }
 
-    /// The run's makespan in ns (last completion minus first arrival) —
-    /// the denominator for utilization percentages.
+    /// The run's makespan in ns (last completion minus first arrival).
     pub fn duration_ns(&self) -> u64 {
         self.last_completion.saturating_sub(self.first_arrival)
-    }
-
-    /// `busy_ns`'s share of the run makespan, in percent (0 for an empty
-    /// run). Can exceed 100 for work carried across run boundaries.
-    pub fn utilization_pct(&self, busy_ns: u128) -> f64 {
-        let span = self.duration_ns();
-        if span == 0 {
-            0.0
-        } else {
-            busy_ns as f64 * 100.0 / span as f64
-        }
     }
 
     /// The attribution waterfalls as one deterministic JSON object
@@ -402,162 +353,11 @@ impl Report {
             .raw("gauges", &array(self.gauges.iter().map(|g| g.to_json())))
             .finish()
     }
-
-    /// A human-readable summary table of the run.
-    pub fn render_table(&self) -> String {
-        fn row(out: &mut String, k: &str, v: String) {
-            out.push_str(&format!("  {k:<24} {v:>16}\n"));
-        }
-        let mut out = String::from("run report\n");
-        for (name, s) in [("reads", &self.reads), ("writes", &self.writes)] {
-            out.push_str(&format!("{name}:\n"));
-            row(&mut out, "count", s.count.to_string());
-            row(&mut out, "mean", format!("{:.1} us", s.mean_us()));
-            if s.count > 0 {
-                row(
-                    &mut out,
-                    "p50 / p99",
-                    format!(
-                        "{:.1} / {:.1} us",
-                        s.percentile(50.0) as f64 / 1e3,
-                        s.percentile(99.0) as f64 / 1e3
-                    ),
-                );
-                row(&mut out, "max", format!("{:.1} us", s.max() as f64 / 1e3));
-            }
-        }
-        out.push_str("device:\n");
-        row(
-            &mut out,
-            "throughput",
-            format!(
-                "{:.1} MB/s ({:.1} MiB/s)",
-                self.throughput_mbps(),
-                self.throughput_mibps()
-            ),
-        );
-        row(&mut out, "in-use blocks", self.in_use_blocks.to_string());
-        row(
-            &mut out,
-            "write amplification",
-            format!("{:.3}", self.ftl.write_amplification()),
-        );
-        if !self.die_busy_ns.is_empty() || !self.channel_busy_ns.is_empty() {
-            out.push_str("utilization:\n");
-            for (label, busy) in [
-                ("die", &self.die_busy_ns),
-                ("channel", &self.channel_busy_ns),
-            ] {
-                for (i, &b) in busy.iter().enumerate() {
-                    row(
-                        &mut out,
-                        &format!("{label} {i}"),
-                        format!("{:.1} %", self.utilization_pct(b)),
-                    );
-                }
-            }
-        }
-        if !self.read_attribution.is_empty() || !self.write_attribution.is_empty() {
-            for (name, a) in [
-                ("read attribution", &self.read_attribution),
-                ("write attribution", &self.write_attribution),
-            ] {
-                if a.is_empty() {
-                    continue;
-                }
-                out.push_str(&format!("{name}:\n"));
-                for p in ALL_PHASES {
-                    if a.total(p) == 0 {
-                        continue;
-                    }
-                    row(
-                        &mut out,
-                        p.label(),
-                        format!("{:.1} us avg ({:.1} %)", a.mean(p) / 1e3, a.share_pct(p)),
-                    );
-                }
-            }
-        }
-        out.push_str("ftl counters:\n");
-        for (k, v) in [
-            ("gc runs", self.ftl.gc_runs),
-            ("gc copies", self.ftl.gc_copies),
-            ("erases", self.ftl.erases),
-            ("refreshes", self.ftl.refreshes),
-            ("refresh moves", self.ftl.refresh_moves),
-            ("ida conversions", self.ftl.ida_conversions),
-            ("voltage adjusts", self.ftl.voltage_adjusts),
-            ("ida reads", self.ftl.ida_reads),
-        ] {
-            row(&mut out, k, v.to_string());
-        }
-        let f = &self.ftl;
-        let any_fault = f.injected_program_fails
-            + f.injected_erase_fails
-            + f.transient_read_faults
-            + f.power_losses
-            + f.rejected_writes
-            > 0;
-        if any_fault {
-            out.push_str("fault recovery:\n");
-            for (k, v) in [
-                ("program fails", f.injected_program_fails),
-                ("erase fails", f.injected_erase_fails),
-                ("transient reads", f.transient_read_faults),
-                ("write redirects", f.write_redirects),
-                ("retired blocks", f.retired_blocks),
-                ("power losses", f.power_losses),
-                ("recoveries", f.recoveries),
-                ("rejected writes", f.rejected_writes),
-            ] {
-                row(&mut out, k, v.to_string());
-            }
-        }
-        let any_aging = f.scrub_passes
-            + f.scrub_relocations
-            + f.wear_level_moves
-            + f.ecc_uncorrectables
-            + f.ladder_retries
-            + f.rber_e9_sum
-            > 0;
-        if any_aging {
-            out.push_str("aging:\n");
-            for (k, v) in [
-                ("scrub passes", f.scrub_passes),
-                ("scrub relocations", f.scrub_relocations),
-                ("wear-level moves", f.wear_level_moves),
-                ("ecc uncorrectables", f.ecc_uncorrectables),
-                ("ladder retries", f.ladder_retries),
-            ] {
-                row(&mut out, k, v.to_string());
-            }
-            if f.host_reads > 0 {
-                row(
-                    &mut out,
-                    "mean rber",
-                    format!("{:.2e}", f.rber_e9_sum as f64 / 1e9 / f.host_reads as f64),
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_mean_and_percentiles_exact_mode() {
-        let mut s = LatencyStats::exact();
-        for v in [100, 200, 300, 400] {
-            s.record(v);
-        }
-        assert_eq!(s.mean(), 250.0);
-        assert_eq!(s.percentile(50.0), 200);
-        assert_eq!(s.percentile(100.0), 400);
-        assert_eq!(s.percentile(1.0), 100);
-    }
 
     #[test]
     fn histogram_mode_percentiles_are_bucket_accurate() {
@@ -574,23 +374,21 @@ mod tests {
 
     #[test]
     fn empty_latency_stats_are_zero() {
-        for s in [LatencyStats::default(), LatencyStats::exact()] {
-            assert_eq!(s.mean(), 0.0);
-            assert_eq!(s.percentile(0.0), 0);
-            assert_eq!(s.percentile(50.0), 0);
-            assert_eq!(s.percentile(100.0), 0);
-            assert_eq!(s.max(), 0);
-        }
+        let s = LatencyStats::default();
+        assert_eq!(s.mean(), 0.0);
+        assert_eq!(s.percentile(0.0), 0);
+        assert_eq!(s.percentile(50.0), 0);
+        assert_eq!(s.percentile(100.0), 0);
+        assert_eq!(s.max(), 0);
     }
 
     #[test]
     fn single_sample_percentile_edges() {
-        for mut s in [LatencyStats::default(), LatencyStats::exact()] {
-            s.record(77_000);
-            assert_eq!(s.percentile(0.0), 77_000);
-            assert_eq!(s.percentile(50.0), 77_000);
-            assert_eq!(s.percentile(100.0), 77_000);
-        }
+        let mut s = LatencyStats::default();
+        s.record(77_000);
+        assert_eq!(s.percentile(0.0), 77_000);
+        assert_eq!(s.percentile(50.0), 77_000);
+        assert_eq!(s.percentile(100.0), 77_000);
     }
 
     #[test]
@@ -602,7 +400,6 @@ mod tests {
             s.record(i % 1_000_000);
         }
         assert_eq!(s.count, 1_000_000);
-        assert!(s.samples.is_none());
         let p99 = s.percentile(99.0);
         assert!(p99.abs_diff(990_000) <= LogHistogram::width_of(990_000));
     }
@@ -668,15 +465,5 @@ mod tests {
         ] {
             assert!(a.contains(key), "missing {key} in {a}");
         }
-    }
-
-    #[test]
-    fn report_table_renders_key_lines() {
-        let mut report = Report::default();
-        report.reads.record(118_000);
-        let table = report.render_table();
-        assert!(table.contains("reads:"));
-        assert!(table.contains("throughput"));
-        assert!(table.contains("ida conversions"));
     }
 }

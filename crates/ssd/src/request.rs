@@ -1,39 +1,12 @@
 //! Host request model, and the slot table that holds requests in flight.
+//!
+//! [`HostOp`] and [`HostOpKind`] are `ida-obs`'s, re-exported: the traces
+//! `ida-workloads` generates or imports are already the simulator's input.
 
 use ida_flash::timing::SimTime;
 use ida_obs::span::PhaseNs;
 
-/// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HostOpKind {
-    /// Host read.
-    Read,
-    /// Host write.
-    Write,
-}
-
-/// One host I/O request, already aligned to logical pages.
-///
-/// Traces produced by `ida-workloads` are sequences of `HostOp`s sorted by
-/// arrival time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostOp {
-    /// Arrival time (ns).
-    pub at: SimTime,
-    /// Read or write.
-    pub kind: HostOpKind,
-    /// First logical page touched.
-    pub lpn: u64,
-    /// Number of consecutive logical pages.
-    pub pages: u32,
-}
-
-impl HostOp {
-    /// The logical pages this request touches.
-    pub fn lpns(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lpn..self.lpn + self.pages as u64
-    }
-}
+pub use ida_obs::trace::{HostOp, HostOpKind};
 
 /// In-flight bookkeeping for one host request: its entry in the
 /// simulator's [`SlotTable`] from arrival to completion.

@@ -14,16 +14,9 @@ use ida_ftl::{FlashOp, FlashOpKind, Ftl, FtlError, Lpn, OpOrigin, Priority};
 use ida_obs::gauge::GaugeSet;
 use ida_obs::progress::Progress;
 use ida_obs::span::{Phase, PhaseNs, ALL_PHASES, QUEUE_CLASSES};
-use ida_obs::trace::{HostClass, SinkHandle, TraceEvent};
+use ida_obs::trace::{SinkHandle, TraceEvent};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-
-fn host_class(kind: HostOpKind) -> HostClass {
-    match kind {
-        HostOpKind::Read => HostClass::Read,
-        HostOpKind::Write => HostClass::Write,
-    }
-}
 
 /// Queue-interference class of an op's origin: the index into
 /// [`SimOp::charges`] and the leading [`QUEUE_CLASSES`] phases
@@ -842,7 +835,7 @@ impl Simulator {
                         self.trace.emit_with(|| TraceEvent::HostComplete {
                             t: now,
                             req: r.id,
-                            class: host_class(r.kind),
+                            class: r.kind,
                             latency_ns: resp,
                         });
                         if self.spans {
@@ -858,7 +851,7 @@ impl Simulator {
                             self.trace.emit_with(|| TraceEvent::Span {
                                 t: now,
                                 req: r.id,
-                                class: host_class(r.kind),
+                                class: r.kind,
                                 total_ns: resp,
                                 phases: r.span,
                             });
@@ -960,7 +953,7 @@ impl Simulator {
         self.trace.emit_with(|| TraceEvent::HostArrival {
             t: now,
             req: id,
-            class: host_class(host.kind),
+            class: host.kind,
             lpn: host.lpn,
             pages: host.pages,
         });
@@ -1074,7 +1067,7 @@ impl Simulator {
         self.trace.emit_with(|| TraceEvent::HostComplete {
             t: now,
             req: id,
-            class: host_class(host.kind),
+            class: host.kind,
             latency_ns: 0,
         });
         if self.spans {
@@ -1088,7 +1081,7 @@ impl Simulator {
             self.trace.emit_with(|| TraceEvent::Span {
                 t: now,
                 req: id,
-                class: host_class(host.kind),
+                class: host.kind,
                 total_ns: 0,
                 phases,
             });

@@ -482,7 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn a_planned_image_is_evicted_after_its_last_fork_and_its_spill_survives() {
+    fn a_planned_image_is_evicted_after_its_last_fork() {
         let cache = WarmCache::new();
         cache.plan(WarmTier::Prefix, 7, 3);
         let built = cache.get_or_build_live(WarmTier::Prefix, 7, |capture| {

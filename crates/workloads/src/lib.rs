@@ -36,4 +36,4 @@ pub mod trace;
 
 pub use stats::WorkloadStats;
 pub use synth::WorkloadSpec;
-pub use trace::{OpKind, Trace, TraceRecord};
+pub use trace::{HostOp, HostOpKind, Trace};

@@ -17,7 +17,7 @@
 //! are aligned to pages, and offsets are compacted modulo the device's
 //! exported space by the caller if needed.
 
-use crate::trace::{OpKind, Trace, TraceRecord};
+use crate::trace::{HostOp, HostOpKind, Trace};
 use std::io::{self, BufRead};
 
 /// Windows-filetime ticks per nanosecond step (1 tick = 100 ns).
@@ -55,8 +55,8 @@ pub fn parse_msr<R: BufRead>(r: R, page_size: u32) -> io::Result<Trace> {
         let _hostname = next("hostname")?;
         let _disk = next("disk number")?;
         let kind = match next("type")?.trim().to_ascii_lowercase().as_str() {
-            "read" => OpKind::Read,
-            "write" => OpKind::Write,
+            "read" => HostOpKind::Read,
+            "write" => HostOpKind::Write,
             other => return Err(bad(format!("bad op type: {other}"))),
         };
         let offset: u64 = next("offset")?
@@ -71,14 +71,14 @@ pub fn parse_msr<R: BufRead>(r: R, page_size: u32) -> io::Result<Trace> {
 
         let first = *first_ts.get_or_insert(ts);
         let at = ts.saturating_sub(first) * NS_PER_TICK;
-        let page = offset / page_size as u64;
+        let lpn = offset / page_size as u64;
         let end = offset + size.max(1);
         let last_page = (end - 1) / page_size as u64;
-        let pages = (last_page - page + 1) as u32;
-        records.push(TraceRecord {
+        let pages = (last_page - lpn + 1) as u32;
+        records.push(HostOp {
             at,
             kind,
-            page,
+            lpn,
             pages,
         });
     }
@@ -86,28 +86,14 @@ pub fn parse_msr<R: BufRead>(r: R, page_size: u32) -> io::Result<Trace> {
     Ok(Trace { page_size, records })
 }
 
-/// Remap a parsed trace onto a smaller device: every page is taken modulo
-/// `footprint_pages` (a common technique for replaying volume traces on
-/// scaled-down simulated devices).
-pub fn fold_to_footprint(trace: &Trace, footprint_pages: u64) -> Trace {
+/// Remap a parsed trace onto a smaller device, in place: every page is
+/// taken modulo `footprint_pages` (a common technique for replaying
+/// volume traces on scaled-down simulated devices).
+pub fn fold_to_footprint(trace: &mut Trace, footprint_pages: u64) {
     assert!(footprint_pages > 0, "footprint must be non-empty");
-    let records = trace
-        .records
-        .iter()
-        .map(|r| {
-            let page = r.page % footprint_pages;
-            let pages = (r.pages as u64).min(footprint_pages - page) as u32;
-            TraceRecord {
-                at: r.at,
-                kind: r.kind,
-                page,
-                pages: pages.max(1),
-            }
-        })
-        .collect();
-    Trace {
-        page_size: trace.page_size,
-        records,
+    for r in &mut trace.records {
+        r.lpn %= footprint_pages;
+        r.pages = ((r.pages as u64).min(footprint_pages - r.lpn) as u32).max(1);
     }
 }
 
@@ -136,9 +122,13 @@ mod tests {
         let t = parse_msr(SAMPLE.as_bytes(), 8192).unwrap();
         // 4096 bytes at a 2 KiB-misaligned offset still fit one 8K page.
         assert_eq!(t.records[0].pages, 1);
-        assert_eq!(t.records[0].page, 2216306688 / 8192);
+        assert_eq!(t.records[0].lpn, 2216306688 / 8192);
         // The misaligned 16K write straddles three pages.
-        let w = t.records.iter().find(|r| r.kind == OpKind::Write).unwrap();
+        let w = t
+            .records
+            .iter()
+            .find(|r| r.kind == HostOpKind::Write)
+            .unwrap();
         assert_eq!(w.pages, 3);
         // A 512-byte read still costs one page.
         assert_eq!(t.records[1].pages, 1);
@@ -164,7 +154,7 @@ mod tests {
         // one-page touch, never a zero-page op the simulator would choke on.
         let t = parse_msr(&b"100,hm,1,Read,8192,0,5"[..], 4096).unwrap();
         assert_eq!(t.records[0].pages, 1);
-        assert_eq!(t.records[0].page, 2);
+        assert_eq!(t.records[0].lpn, 2);
     }
 
     #[test]
@@ -210,17 +200,18 @@ mod tests {
         }
         // Case-insensitive op types are fine.
         let t = parse_msr(&b"1,hm,1,WRITE,0,512,9"[..], 4096).unwrap();
-        assert_eq!(t.records[0].kind, OpKind::Write);
+        assert_eq!(t.records[0].kind, HostOpKind::Write);
     }
 
     #[test]
     fn folding_keeps_pages_in_bounds() {
         let t = parse_msr(SAMPLE.as_bytes(), 8192).unwrap();
-        let folded = fold_to_footprint(&t, 1000);
+        let mut folded = t.clone();
+        fold_to_footprint(&mut folded, 1000);
         assert!(folded
             .records
             .iter()
-            .all(|r| r.page + r.pages as u64 <= 1000));
+            .all(|r| r.lpn + r.pages as u64 <= 1000));
         assert_eq!(folded.records.len(), t.records.len());
     }
 }

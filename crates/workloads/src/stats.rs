@@ -2,7 +2,7 @@
 //! trace (except the MSB-invalid fraction, which is a *device-side*
 //! property measured by the simulator's read breakdown).
 
-use crate::trace::{OpKind, Trace};
+use crate::trace::{HostOpKind, Trace};
 
 /// Aggregate characteristics of a trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -32,11 +32,11 @@ pub fn characterize(trace: &Trace) -> WorkloadStats {
     let mut write_pages = 0u64;
     for r in &trace.records {
         match r.kind {
-            OpKind::Read => {
+            HostOpKind::Read => {
                 reads += 1;
                 read_pages += r.pages as u64;
             }
-            OpKind::Write => {
+            HostOpKind::Write => {
                 writes += 1;
                 write_pages += r.pages as u64;
             }
@@ -74,35 +74,35 @@ pub fn characterize(trace: &Trace) -> WorkloadStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceRecord;
+    use crate::trace::HostOp;
 
     #[test]
     fn characterize_counts_mix_and_sizes() {
         let t = Trace {
             page_size: 8192,
             records: vec![
-                TraceRecord {
+                HostOp {
                     at: 0,
-                    kind: OpKind::Read,
-                    page: 0,
+                    kind: HostOpKind::Read,
+                    lpn: 0,
                     pages: 4,
                 },
-                TraceRecord {
+                HostOp {
                     at: 10,
-                    kind: OpKind::Read,
-                    page: 8,
+                    kind: HostOpKind::Read,
+                    lpn: 8,
                     pages: 2,
                 },
-                TraceRecord {
+                HostOp {
                     at: 20,
-                    kind: OpKind::Write,
-                    page: 0,
+                    kind: HostOpKind::Write,
+                    lpn: 0,
                     pages: 3,
                 },
-                TraceRecord {
+                HostOp {
                     at: 1_000_000_000,
-                    kind: OpKind::Read,
-                    page: 16,
+                    kind: HostOpKind::Read,
+                    lpn: 16,
                     pages: 6,
                 },
             ],

@@ -164,33 +164,23 @@ impl WorkloadPreset {
     /// `aging_volume × footprint` pages, hitting the same update set as
     /// the measured trace (same seed-derived scatter).
     pub fn aging_trace(&self, footprint_pages: u64) -> crate::trace::Trace {
-        self.writes_only(footprint_pages, self.aging_volume, 0xA61)
+        self.spec
+            .scaled_writes(footprint_pages, self.aging_volume, 0xA61)
     }
 
     /// Generate the re-aging trace applied between steady-state refresh
     /// cycles: `reage_volume × footprint` pages of update traffic that
     /// restores the mid-refresh-cycle invalidation pattern.
     pub fn reage_trace(&self, footprint_pages: u64) -> crate::trace::Trace {
-        self.writes_only(footprint_pages, self.reage_volume, 0xA62)
+        self.spec
+            .scaled_writes(footprint_pages, self.reage_volume, 0xA62)
     }
 
     /// A second, independent re-aging trace (different seed) for the final
     /// inter-refresh interval before measurement.
     pub fn reage_trace2(&self, footprint_pages: u64) -> crate::trace::Trace {
-        self.writes_only(footprint_pages, self.reage_volume, 0xA63)
-    }
-
-    fn writes_only(&self, footprint_pages: u64, volume: f64, salt: u64) -> crate::trace::Trace {
-        let target_pages = (footprint_pages as f64 * volume) as u64;
-        let mean_write = self.spec.write_size_pages.max(1.0);
-        let requests = ((target_pages as f64 / mean_write).ceil() as usize).max(1);
-        let spec = WorkloadSpec {
-            read_ratio: 0.0,
-            seed: self.spec.seed.wrapping_add(salt),
-            name: format!("{}-aging", self.spec.name),
-            ..self.spec.clone()
-        };
-        spec.generate(footprint_pages, requests)
+        self.spec
+            .scaled_writes(footprint_pages, self.reage_volume, 0xA63)
     }
 }
 
@@ -250,7 +240,7 @@ mod tests {
         assert!(t
             .records
             .iter()
-            .all(|r| r.kind == crate::trace::OpKind::Write));
+            .all(|r| r.kind == crate::trace::HostOpKind::Write));
         let written: u64 = t.records.iter().map(|r| r.pages as u64).sum();
         let target = (10_000.0 * p.aging_volume) as u64;
         assert!(

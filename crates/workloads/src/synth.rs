@@ -17,7 +17,7 @@
 //!   differences exactly as in the paper's open trace replay.
 
 use crate::dist::{exponential_gap, Scatter, SizeMix, Zipf};
-use crate::trace::{OpKind, Trace, TraceRecord};
+use crate::trace::{HostOp, HostOpKind, Trace};
 use ida_obs::rng::Rng64;
 
 /// Parameters of one synthetic workload.
@@ -147,7 +147,7 @@ impl WorkloadSpec {
                 };
                 let page = page.min(footprint_pages.saturating_sub(pages as u64));
                 last_read_end = Some((page + pages as u64) % footprint_pages);
-                (OpKind::Read, pages, page)
+                (HostOpKind::Read, pages, page)
             } else {
                 let pages = write_sizes.sample(&mut rng);
                 let rank = write_zipf.sample(&mut rng) as u64;
@@ -157,12 +157,12 @@ impl WorkloadSpec {
                     write_scatter.apply(rank)
                 };
                 let page = page.min(footprint_pages.saturating_sub(pages as u64));
-                (OpKind::Write, pages, page)
+                (HostOpKind::Write, pages, page)
             };
-            records.push(TraceRecord {
+            records.push(HostOp {
                 at: now,
                 kind,
-                page,
+                lpn: page,
                 pages,
             });
         }
@@ -190,7 +190,7 @@ mod tests {
         let spec = WorkloadSpec::default();
         let t = spec.generate(5_000, 2_000);
         assert!(t.records.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(t.records.iter().all(|r| r.page + r.pages as u64 <= 5_000));
+        assert!(t.records.iter().all(|r| r.lpn + r.pages as u64 <= 5_000));
         assert_eq!(t.records.len(), 2_000);
     }
 
@@ -201,7 +201,11 @@ mod tests {
             ..WorkloadSpec::default()
         };
         let t = spec.generate(10_000, 20_000);
-        let reads = t.records.iter().filter(|r| r.kind == OpKind::Read).count() as f64;
+        let reads = t
+            .records
+            .iter()
+            .filter(|r| r.kind == HostOpKind::Read)
+            .count() as f64;
         let ratio = reads / t.records.len() as f64;
         assert!((ratio - 0.8).abs() < 0.01, "ratio {ratio}");
     }
@@ -216,7 +220,7 @@ mod tests {
         let (sum, n) = t
             .records
             .iter()
-            .filter(|r| r.kind == OpKind::Read)
+            .filter(|r| r.kind == HostOpKind::Read)
             .fold((0u64, 0u64), |(s, n), r| (s + r.pages as u64, n + 1));
         let mean = sum as f64 / n as f64;
         assert!((mean - 5.0).abs() < 0.2, "mean read pages {mean}");
@@ -235,7 +239,7 @@ mod tests {
         let t = spec.generate(10_000, 20_000);
         let mut counts = std::collections::HashMap::new();
         for r in &t.records {
-            *counts.entry(r.page).or_insert(0u32) += 1;
+            *counts.entry(r.lpn).or_insert(0u32) += 1;
         }
         let mut by_count: Vec<u32> = counts.values().copied().collect();
         by_count.sort_unstable_by(|a, b| b.cmp(a));

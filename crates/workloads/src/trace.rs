@@ -1,42 +1,14 @@
 //! Page-aligned block traces.
 //!
-//! Records are already aligned to logical pages (the simulator's unit), so
-//! converting to simulator host ops is a field-for-field mapping. A small
-//! CSV codec allows traces to be saved and replayed.
+//! A trace is a sorted list of [`HostOp`]s, the simulator's own request
+//! type (defined in `ida-obs`, which `ida-ssd` and this crate share), so
+//! the generator's or importer's records are what a run replays, with no
+//! conversion or copy in between. A small CSV codec allows traces to be
+//! saved and replayed.
 
-use std::fmt;
 use std::io::{self, BufRead, Write};
 
-/// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// Host read.
-    Read,
-    /// Host write.
-    Write,
-}
-
-impl fmt::Display for OpKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            OpKind::Read => "R",
-            OpKind::Write => "W",
-        })
-    }
-}
-
-/// One trace record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Arrival time in nanoseconds from trace start.
-    pub at: u64,
-    /// Read or write.
-    pub kind: OpKind,
-    /// First logical page.
-    pub page: u64,
-    /// Number of consecutive pages.
-    pub pages: u32,
-}
+pub use ida_obs::trace::{HostOp, HostOpKind};
 
 /// A complete trace plus the page size its records assume.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +16,7 @@ pub struct Trace {
     /// Logical page size in bytes.
     pub page_size: u32,
     /// Records sorted by arrival time.
-    pub records: Vec<TraceRecord>,
+    pub records: Vec<HostOp>,
 }
 
 impl Trace {
@@ -60,12 +32,12 @@ impl Trace {
     pub fn footprint_pages(&self) -> u64 {
         self.records
             .iter()
-            .map(|r| r.page + r.pages as u64)
+            .map(|r| r.lpn + r.pages as u64)
             .max()
             .unwrap_or(0)
     }
 
-    /// Write as CSV (`at_ns,kind,page,pages` after a `# page_size=` header).
+    /// Write as CSV (`at_ns,R|W,page,pages` after a `# page_size=` header).
     ///
     /// # Errors
     ///
@@ -73,7 +45,11 @@ impl Trace {
     pub fn write_csv<W: Write>(&self, mut w: W) -> io::Result<()> {
         writeln!(w, "# page_size={}", self.page_size)?;
         for r in &self.records {
-            writeln!(w, "{},{},{},{}", r.at, r.kind, r.page, r.pages)?;
+            let kind = match r.kind {
+                HostOpKind::Read => "R",
+                HostOpKind::Write => "W",
+            };
+            writeln!(w, "{},{kind},{},{}", r.at, r.lpn, r.pages)?;
         }
         Ok(())
     }
@@ -107,18 +83,18 @@ impl Trace {
             };
             let at = next()?.parse().map_err(|e| bad(format!("bad time: {e}")))?;
             let kind = match next()? {
-                "R" => OpKind::Read,
-                "W" => OpKind::Write,
+                "R" => HostOpKind::Read,
+                "W" => HostOpKind::Write,
                 other => return Err(bad(format!("bad op kind: {other}"))),
             };
-            let page = next()?.parse().map_err(|e| bad(format!("bad page: {e}")))?;
+            let lpn = next()?.parse().map_err(|e| bad(format!("bad page: {e}")))?;
             let pages = next()?
                 .parse()
                 .map_err(|e| bad(format!("bad count: {e}")))?;
-            records.push(TraceRecord {
+            records.push(HostOp {
                 at,
                 kind,
-                page,
+                lpn,
                 pages,
             });
         }
@@ -134,22 +110,22 @@ mod tests {
         Trace {
             page_size: 8192,
             records: vec![
-                TraceRecord {
+                HostOp {
                     at: 0,
-                    kind: OpKind::Write,
-                    page: 0,
+                    kind: HostOpKind::Write,
+                    lpn: 0,
                     pages: 4,
                 },
-                TraceRecord {
+                HostOp {
                     at: 100,
-                    kind: OpKind::Read,
-                    page: 2,
+                    kind: HostOpKind::Read,
+                    lpn: 2,
                     pages: 1,
                 },
-                TraceRecord {
+                HostOp {
                     at: 250,
-                    kind: OpKind::Read,
-                    page: 10,
+                    kind: HostOpKind::Read,
+                    lpn: 10,
                     pages: 8,
                 },
             ],

@@ -33,13 +33,14 @@ fn main() {
 
 fn load_msr(path: &str) -> Trace {
     let file = File::open(path).unwrap_or_else(|e| panic!("cannot open {path}: {e}"));
-    let trace = msr::parse_msr(BufReader::new(file), 8 * 1024)
+    let mut trace = msr::parse_msr(BufReader::new(file), 8 * 1024)
         .unwrap_or_else(|e| panic!("cannot parse {path}: {e}"));
     // Fold the volume onto the scaled device's exported space.
     let exported = Simulator::new(SsdConfig::paper_baseline())
         .ftl()
         .exported_pages();
-    msr::fold_to_footprint(&trace, exported / 2)
+    msr::fold_to_footprint(&mut trace, exported / 2);
+    trace
 }
 
 fn load_csv(path: &str) -> Trace {
@@ -60,7 +61,7 @@ fn replay(trace: &Trace, path: &str) {
     ] {
         let mut sim = Simulator::new(cfg);
         sim.prefill(0..trace.footprint_pages());
-        let report = sim.run(runner::to_host_ops(trace));
+        let report = sim.run(trace.records.clone());
         println!(
             "{label}: mean read response {:8.1} us over {} reads",
             report.reads.mean_us(),

@@ -107,7 +107,7 @@ fn conservation_holds_under_mid_level_faults() {
     );
     let faults = FaultConfig::preset("mid", 41).expect("mid preset");
     let (sim, trace) = warmed_simulator(&preset, cfg, &scale);
-    let report = run_warmed(sim, &trace, ReplayMode::OpenLoop, Some(faults));
+    let report = run_warmed(sim, trace, ReplayMode::OpenLoop, Some(faults));
 
     assert!(report.reads.count > 0 && report.writes.count > 0);
     assert!(

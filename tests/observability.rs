@@ -11,7 +11,7 @@ use ida_core::refresh::RefreshMode;
 use ida_flash::timing::FlashTiming;
 use ida_host::ArrivalSpec;
 use ida_obs::span::{Phase, PhaseNs};
-use ida_obs::trace::{HostClass, SinkHandle, TraceEvent, VecSink, TRACE_CLASSES};
+use ida_obs::trace::{SinkHandle, TraceEvent, VecSink, TRACE_CLASSES};
 use ida_ssd::retry::RetryConfig;
 use ida_ssd::{HostOp, HostOpKind, Simulator, SsdConfig};
 use ida_workloads::suite::paper_workload;
@@ -161,7 +161,7 @@ fn trace_counts_replay_to_report_aggregates() {
     let mut read_max = 0u64;
     for e in &events {
         if let TraceEvent::HostComplete {
-            class: ida_obs::trace::HostClass::Read,
+            class: HostOpKind::Read,
             latency_ns,
             ..
         } = e
@@ -213,7 +213,7 @@ fn replay_stream(system: SystemUnderTest) -> (String, usize, usize) {
         .events
         .iter()
         .filter(|e| {
-            matches!(e, TraceEvent::HostArrival { class: HostClass::Read, pages, .. } if *pages > 1)
+            matches!(e, TraceEvent::HostArrival { class: HostOpKind::Read, pages, .. } if *pages > 1)
         })
         .count();
     (sink.to_jsonl(), retried, multi_page)
@@ -295,7 +295,7 @@ fn every_event() -> Vec<(TraceEvent, &'static str, &'static str)> {
             TraceEvent::HostArrival {
                 t: 20,
                 req: 21,
-                class: HostClass::Read,
+                class: HostOpKind::Read,
                 lpn: 22,
                 pages: 23,
             },
@@ -306,7 +306,7 @@ fn every_event() -> Vec<(TraceEvent, &'static str, &'static str)> {
             TraceEvent::HostComplete {
                 t: 30,
                 req: 31,
-                class: HostClass::Write,
+                class: HostOpKind::Write,
                 latency_ns: 32,
             },
             "host",
@@ -536,7 +536,7 @@ fn every_event() -> Vec<(TraceEvent, &'static str, &'static str)> {
             TraceEvent::Span {
                 t: 260,
                 req: 261,
-                class: HostClass::Read,
+                class: HostOpKind::Read,
                 total_ns: 34,
                 phases,
             },
