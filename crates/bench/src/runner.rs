@@ -24,12 +24,13 @@ use ida_sweep::{WarmCache, WarmTier};
 use ida_workloads::suite::WorkloadPreset;
 use ida_workloads::trace::Trace;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Base seed of the warm-phase RNG stream. Cells that differ only in
 /// post-warm-up axes (fault level, aging level, offered load, replay
 /// mode) derive their simulator seed from this base and their *warm*
-/// identity, so their warm-ups are bit-identical and one captured
-/// snapshot can fork into all of them. Post-warm-up randomness (fault
+/// identity, so their warm-ups are bit-identical and one frozen warm
+/// state can fork into all of them. Post-warm-up randomness (fault
 /// plans, aging ladders, arrival processes, retry samplers) still
 /// derives from the full per-cell stream seed.
 pub const WARM_SEED_BASE: u64 = 0x1DA5_EEDA_B1E0_0001;
@@ -461,26 +462,20 @@ pub fn prefix_cache_key(workload: &str, cfg: &SsdConfig, scale: &ExperimentScale
 }
 
 /// [`warmed_simulator`] through an optional warm-state cache, built in
-/// two cached stages. The full warm state is looked up under
-/// [`warm_cache_key`]; only its first requester builds it, by taking the
-/// workload's shared prefix from the prefix tier (under
-/// [`prefix_cache_key`], building it under the prefix view on a miss),
-/// arming `cfg` on it with [`Simulator::arm`], and running
-/// [`warm_tail`]. Every other requester forks the captured bytes and arms
-/// `cfg` too, which sets the timing and retry model the image's builder
-/// may have had otherwise. The measured trace is regenerated directly
-/// from the preset (a pure function of workload, footprint and request
-/// count), so a hit touches no simulator at all until the fork.
+/// two cached stages. Only the first requester of a full warm state
+/// (under [`warm_cache_key`]) builds it: on the workload's prefix and
+/// [`tail_traces`] from the prefix tier (under [`prefix_cache_key`],
+/// built under the prefix view on a miss), it arms `cfg` with
+/// [`Simulator::arm`] and runs [`warm_tail`]. Every other requester gets
+/// a [`Simulator::fork`] of the frozen state with its measured trace, so
+/// a hit generates no trace, and arms `cfg` too, which sets the timing
+/// and retry model the state's builder may have had otherwise.
 ///
-/// Each stage captures an image only when the cache says another
-/// request will fork it (see [`WarmCache::plan`]), and a builder keeps
-/// the simulator it just warmed instead of restoring from its own
-/// snapshot: the snapshot canonical-form invariant (restore → run is
-/// byte-identical to keep running, proven by the differential tests in
-/// `ida-ssd`) makes the live simulator and the fork interchangeable, and
-/// the view differential tests (`ida-ssd`'s `tests/snapshot.rs`, this
-/// crate's `tests/warm_prefix.rs`) prove a forked, armed image byte-equal
-/// to one built under the cell's own config. The result is
+/// A fork continues byte for byte like the simulator it copies (the fork
+/// ≡ restore ≡ keep running differential in `ida-ssd`'s
+/// `tests/snapshot.rs`), and the view differential tests there and in
+/// this crate's `tests/warm_prefix.rs` prove a forked, armed state
+/// byte-equal to one built under the cell's own config. The result is
 /// byte-identical to [`warmed_simulator`].
 pub fn warmed_simulator_cached(
     preset: &WorkloadPreset,
@@ -493,49 +488,50 @@ pub fn warmed_simulator_cached(
     };
     let name = &preset.spec.name;
     let key = warm_cache_key(name, &cfg, scale);
-    let (mut sim, trace) = fork_or_build(cache, WarmTier::Full, key, || {
+    let bytes = |t: &Trace| size_of_val(&*t.records) as u64;
+    let (mut sim, trace) = fork_or_build(cache, WarmTier::Full, key, bytes, || {
         let key = prefix_cache_key(name, &cfg, scale);
-        let (mut sim, _) = fork_or_build(cache, WarmTier::Prefix, key, || {
+        let tail_bytes = |t: &Arc<[Trace; 3]>| t.iter().map(bytes).sum();
+        let (mut sim, traces) = fork_or_build(cache, WarmTier::Prefix, key, tail_bytes, || {
             let mut sim = Simulator::new(cfg.warm_view(WarmStage::Prefix));
             warm_prefix(&mut sim, preset);
-            (sim, ())
+            let traces = tail_traces(preset, sim.ftl().exported_pages(), scale);
+            (sim, Arc::new(traces))
         });
         sim.arm(&cfg);
-        let trace = warm_tail(&mut sim, preset, scale);
-        (sim, trace)
+        warm_tail(&mut sim, &traces, scale);
+        (sim, traces[0].clone())
     });
     sim.arm(&cfg);
-    let trace = trace.unwrap_or_else(|| {
-        let footprint = footprint(preset, cfg.ftl.exported_pages());
-        preset.generate(footprint, scale.requests)
-    });
     (sim, trace)
 }
 
-/// The simulator of one cached warm stage: built live by `build` when
-/// this caller is the first to need `key` in `tier` (with whatever else
-/// `build` returns), or forked from the image the builder captured —
-/// `build` is only asked to capture when another request will fork it.
-fn fork_or_build<T>(
+/// One cached warm stage's simulator and the traces it determines: built
+/// live by `build` for the first requester of `key` in `tier`, which
+/// freezes a [`Simulator::fork`], sized by its tables' heap bytes plus
+/// `trace_bytes`, only when another request will fork it; otherwise a fork
+/// of the frozen state, or the state itself for the last planned request.
+fn fork_or_build<T: Clone + Send + Sync + 'static>(
     cache: &WarmCache,
     tier: WarmTier,
     key: u64,
+    trace_bytes: impl FnOnce(&T) -> u64,
     build: impl FnOnce() -> (Simulator, T),
-) -> (Simulator, Option<T>) {
+) -> (Simulator, T) {
     let mut live = None;
-    let image = cache.get_or_build_live(tier, key, |capture| {
+    let frozen = cache.get_or_build_live(tier, key, |capture| {
         let (sim, extra) = build();
-        let bytes = capture.then(|| sim.snapshot());
+        let frozen = capture.then(|| {
+            let bytes = sim.ftl().heap_bytes() + trace_bytes(&extra);
+            (bytes, (sim.fork(), extra.clone()))
+        });
         live = Some((sim, extra));
-        bytes
+        frozen
     });
-    if let Some((sim, extra)) = live {
-        return (sim, Some(extra));
-    }
-    let image = image.unwrap_or_else(|| panic!("no warm image for key {key:016x}"));
-    let sim = Simulator::from_snapshot(&image)
-        .unwrap_or_else(|e| panic!("warm snapshot for key {key:016x} failed to restore: {e}"));
-    (sim, None)
+    live.unwrap_or_else(|| {
+        let frozen = frozen.unwrap_or_else(|| panic!("no warm state for key {key:016x}"));
+        Arc::try_unwrap(frozen).unwrap_or_else(|shared| (shared.0.fork(), shared.1.clone()))
+    })
 }
 
 /// The LPN footprint a workload's warm-up writes on a device exporting
@@ -546,10 +542,14 @@ pub fn footprint(preset: &WorkloadPreset, exported: u64) -> u64 {
 
 /// Run the warm-up protocol on an existing simulator (so observability
 /// sinks attached at creation see the warm-up events too) and return the
-/// measured trace: [`warm_prefix`], then [`warm_tail`].
+/// measured trace: [`warm_prefix`], then [`warm_tail`], generating each
+/// trace once.
 pub fn warm_up(sim: &mut Simulator, preset: &WorkloadPreset, scale: &ExperimentScale) -> Trace {
     warm_prefix(sim, preset);
-    warm_tail(sim, preset, scale)
+    let traces = tail_traces(preset, sim.ftl().exported_pages(), scale);
+    warm_tail(sim, &traces, scale);
+    let [measured, ..] = traces;
+    measured
 }
 
 /// Warm-up stages 1–2, the **prefix**: prefill the footprint, then age
@@ -561,26 +561,38 @@ pub fn warm_prefix(sim: &mut Simulator, preset: &WorkloadPreset) {
     sim.age(&preset.aging_trace(footprint).records);
 }
 
-/// Warm-up stages 3–4, the **steady tail** after [`warm_prefix`]: put
-/// refresh on the measured trace's span and run the refresh protocol to
-/// its steady state. Returns the measured trace.
-pub fn warm_tail(sim: &mut Simulator, preset: &WorkloadPreset, scale: &ExperimentScale) -> Trace {
-    let footprint = footprint(preset, sim.ftl().exported_pages());
+/// The traces the steady tail reads — the measured trace, whose span sets
+/// the refresh period, and the two re-age traces — pure functions of the
+/// workload, its footprint and the request count, so a prefix's key
+/// fixes them and every system column of a workload shares one set.
+pub fn tail_traces(preset: &WorkloadPreset, exported: u64, scale: &ExperimentScale) -> [Trace; 3] {
+    let footprint = footprint(preset, exported);
+    let measured = preset.generate(footprint, scale.requests);
+    [
+        measured,
+        preset.reage_trace(footprint),
+        preset.reage_trace2(footprint),
+    ]
+}
+
+/// Warm-up stages 3–4, the **steady tail** after [`warm_prefix`], on its
+/// [`tail_traces`]: put refresh on the measured trace's span and run the
+/// refresh protocol to its steady state.
+pub fn warm_tail(sim: &mut Simulator, traces: &[Trace; 3], scale: &ExperimentScale) {
+    let [measured, reage, reage2] = traces;
     // 3. Steady-state refresh to the fixed point: two refresh cycles with
     //    update traffic in between, so blocks that absorbed the first
     //    cycle's migrated pages have been through their own refresh too —
     //    the state a long-lived device reaches after many periods.
-    let trace = preset.generate(footprint, scale.requests);
-    let span = trace.span().max(1);
+    let span = measured.span().max(1);
     let period = (span as f64 * scale.refresh_period_frac) as SimTime;
     sim.set_refresh_period(period.max(1));
     sim.force_refresh_all(span / 2);
-    sim.age(&preset.reage_trace(footprint).records);
+    sim.age(&reage.records);
     sim.force_refresh_all(span / 2);
     // 4. Re-age: updates accumulate between refresh cycles, so the window
     //    opens with partially invalidated blocks (paper Table IV).
-    sim.age(&preset.reage_trace2(footprint).records);
-    trace
+    sim.age(&reage2.records);
 }
 
 /// Run one workload on one system at the paper's TLC timing, with the

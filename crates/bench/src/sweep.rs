@@ -260,7 +260,7 @@ pub fn variant_metrics_json(report: &Report) -> String {
 /// The axes excluded from a cell's warm identity, and so from its warm
 /// seed ([`warm_seed_for`]): everything on this list is armed or applied
 /// *after* warm-up, so cells differing only here share a bit-identical
-/// warm-up (and one snapshot). `dtr_us` and `phase` stay in the
+/// warm-up (and one warm state). `dtr_us` and `phase` stay in the
 /// identity, so their columns warm under seeds of their own; the warm-up
 /// reads neither the timing nor the retry model they set (see
 /// [`ida_ssd::SsdConfig::warm_view`]), so those columns share only their
@@ -300,7 +300,7 @@ pub fn warm_seed_for(cell: &Cell) -> u64 {
 ///
 /// The warm-state cache only changes *when* warm-ups execute, never what
 /// any cell computes: the warm-phase seed is applied unconditionally, and
-/// a hit restores byte-identical simulator state. Without one (`None`)
+/// a hit forks byte-identical simulator state. Without one (`None`)
 /// the cell warms up on its own — the unshared reference grid runs are
 /// tested against.
 ///
@@ -420,7 +420,7 @@ pub fn cell_config(
     Ok((preset, cfg))
 }
 
-/// Tell `cache` how often each warm image will be asked for when `cells`
+/// Tell `cache` how often each warm state will be asked for when `cells`
 /// run: one request per cell for its full warm state, and one prefix
 /// request per distinct full warm state (only the build of a full state
 /// reads its prefix). Cells without a warm configuration are skipped:

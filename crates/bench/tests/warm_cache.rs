@@ -171,15 +171,17 @@ fn warm_identity_strips_exactly_the_post_warmup_axes() {
     assert_eq!(ids.len(), 2, "dtr_us must stay in the warm identity");
 }
 
-/// The full `faults` and `fig8` smoke grids at 800 requests, run unshared
-/// and through `run_grid` on two workers, aggregate to the same bytes.
-/// Slow in a debug build: run it with
-/// `cargo test --release -p ida-bench --test warm_cache -- --ignored`.
+/// The full `faults`, `fig8`, `fig9` and `fig11` smoke grids at 800
+/// requests, run unshared and through `run_grid` on two workers,
+/// aggregate to the same bytes. fig9's ΔtR and fig11's phase columns
+/// re-arm the timing and retry model on a forked prefix, so a fork that
+/// kept stale derived state fails here. Slow in a debug build: run it
+/// with `cargo test --release -p ida-bench --test warm_cache -- --ignored`.
 #[test]
 #[ignore = "full smoke grids; run in release with --ignored"]
 fn full_smoke_grids_match_their_unshared_runs() {
     let scale = ExperimentScale::smoke().with_requests(800);
-    for name in ["faults", "fig8"] {
+    for name in ["faults", "fig8", "fig9", "fig11"] {
         let spec = builtin_grid(name).expect("built-in grid");
         let off = unshared(&spec, &scale);
         assert_eq!(off.failed_count(), 0, "{name}: unshared cells failed");

@@ -7,7 +7,7 @@
 //! per workload.
 
 use ida_bench::runner::{
-    prefix_cache_key, system_config, to_host_ops, warm_prefix, warm_tail, ExperimentScale,
+    prefix_cache_key, system_config, tail_traces, warm_prefix, warm_tail, ExperimentScale,
     SystemUnderTest,
 };
 use ida_bench::soak::SOAK_SPARES_PER_PLANE;
@@ -173,31 +173,40 @@ fn replay(mut sim: Simulator, trace: &[HostOp]) -> String {
 }
 
 /// The simulator's timing-derived state (its sense-latency table) is set
-/// wherever the timing is: `Simulator::new`, snapshot decode and
-/// `Simulator::arm`. `cfg` built under its own config, `cfg` forked from
-/// the prefix of `shared` and armed, and each of those restored from its
-/// own snapshot must replay a short trace to one payload. Returns it.
+/// wherever the timing is: `Simulator::new`, snapshot decode,
+/// `Simulator::fork` and `Simulator::arm`. `cfg` built under its own
+/// config, `cfg` taken from the prefix of `shared` by a restore and by a
+/// fork and armed, and each of those copied the other way, must replay a
+/// short trace to one payload. Returns it.
 fn assert_derived_state_replays_alike(what: &str, shared: &SsdConfig, cfg: &SsdConfig) -> String {
     let preset = paper_workload("proj_3").unwrap();
     let scale = ExperimentScale::smoke().with_requests(1_500);
     let mut prefix = Simulator::new(shared.warm_view(WarmStage::Prefix));
     warm_prefix(&mut prefix, &preset);
-    let mut fork = Simulator::from_snapshot(&prefix.snapshot()).unwrap();
-    fork.arm(cfg);
-    let trace = to_host_ops(&warm_tail(&mut fork, &preset, &scale));
+    let traces = tail_traces(&preset, prefix.ftl().exported_pages(), &scale);
+    let restored = |sim: &Simulator| Simulator::from_snapshot(&sim.snapshot()).unwrap();
+    let armed = |mut sim: Simulator| {
+        sim.arm(cfg);
+        warm_tail(&mut sim, &traces, &scale);
+        sim
+    };
+    let (restored_armed, forked_armed) = (armed(restored(&prefix)), armed(prefix.fork()));
     let mut own = Simulator::new(cfg.clone());
     warm_prefix(&mut own, &preset);
-    warm_tail(&mut own, &preset, &scale);
-    let restored = |sim: &Simulator| Simulator::from_snapshot(&sim.snapshot()).unwrap();
-    let (own_copy, fork_copy) = (restored(&own), restored(&fork));
-    let expected = replay(own, &trace);
-    for (path, sim) in [
-        ("forked and armed", fork),
-        ("restored", own_copy),
-        ("forked, armed and restored", fork_copy),
-    ] {
+    warm_tail(&mut own, &traces, &scale);
+    let paths = [
+        ("restored", restored(&own)),
+        ("forked", own.fork()),
+        ("restored, armed and forked", restored_armed.fork()),
+        ("forked, armed and restored", restored(&forked_armed)),
+        ("restored and armed", restored_armed),
+        ("forked and armed", forked_armed),
+    ];
+    let trace = &traces[0].records;
+    let expected = replay(own, trace);
+    for (path, sim) in paths {
         assert_eq!(
-            replay(sim, &trace),
+            replay(sim, trace),
             expected,
             "{what}: {path} replays differently from a simulator built under its config"
         );
@@ -233,4 +242,24 @@ fn timing_derived_state_follows_arm_restore_and_device() {
         let columns = cell_columns(&cells);
         assert_derived_state_replays_alike(variant, &columns[0].1, &columns[1].1);
     }
+}
+
+#[test]
+fn a_held_state_measures_about_its_image() {
+    // The warm cache sizes a frozen state by its tables' heap bytes, the
+    // `peak … MiB held` of the stats line; that must stay within 5 % of
+    // the image the state would encode to.
+    let preset = paper_workload("proj_3").unwrap();
+    let scale = ExperimentScale::smoke();
+    let mut sim = Simulator::new(column(E20, None, 0));
+    let traces = {
+        warm_prefix(&mut sim, &preset);
+        tail_traces(&preset, sim.ftl().exported_pages(), &scale)
+    };
+    warm_tail(&mut sim, &traces, &scale);
+    let (held, image) = (sim.ftl().heap_bytes() as f64, sim.snapshot().len() as f64);
+    assert!(
+        (held / image - 1.0).abs() < 0.05,
+        "held {held} B, image {image} B"
+    );
 }

@@ -11,7 +11,7 @@ use crate::map::check_len;
 use ida_flash::addr::{BlockAddr, PlaneAddr};
 use ida_flash::geometry::Geometry;
 use ida_flash::timing::SimTime;
-use std::cell::OnceCell;
+use std::sync::OnceLock;
 
 /// Lifecycle state of a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +155,7 @@ pub struct BlockTable {
     /// victim query, then maintained on every state/valid/wear transition
     /// below so GC never rescans the device. Until then nothing queries
     /// it, so nothing maintains it.
-    index: OnceCell<Vec<PlaneIndex>>,
+    index: OnceLock<Vec<PlaneIndex>>,
     /// Blocks currently in the `Ida` state (kept incrementally so gauges
     /// can sample it without an O(blocks) scan).
     ida_blocks: u32,
@@ -208,7 +208,7 @@ impl ida_snap::Snap for BlockTable {
             blocks,
             wl_masks,
             wl_reads,
-            index: OnceCell::new(),
+            index: OnceLock::new(),
             ida_blocks: u32::decode(r)?,
             adjusted_wordlines: u64::decode(r)?,
             bad_blocks: u32::decode(r)?,
@@ -259,7 +259,7 @@ impl BlockTable {
             ],
             wl_masks: vec![0; wordlines],
             wl_reads: vec![0; wordlines],
-            index: OnceCell::new(),
+            index: OnceLock::new(),
             geometry,
             ida_blocks: 0,
             adjusted_wordlines: 0,
@@ -268,6 +268,11 @@ impl BlockTable {
             total_erases: 0,
             wear_offset: 0,
         }
+    }
+
+    /// Heap bytes of the block records and wordline tables.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        size_of_val(&*self.blocks) + size_of_val(&*self.wl_masks) + size_of_val(&*self.wl_reads)
     }
 
     fn plane_index(&self, b: BlockAddr) -> usize {

@@ -44,7 +44,7 @@ fn emit(ops: &mut OpSink<'_>, op: impl FnOnce() -> FlashOp) {
 
 /// Buffers a block refresh plans into, reused from one refresh to the
 /// next. Scratch space, not device state: never encoded.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct RefreshScratch {
     /// Per-wordline validity masks of the target block.
     valid_masks: Vec<u8>,
@@ -89,8 +89,8 @@ pub struct RecoveryReport {
 ///
 /// Owns all logical SSD state and translates host operations into
 /// [`FlashOp`] sequences for the simulator. See the crate docs for an
-/// example.
-#[derive(Debug)]
+/// example. A clone shares the trace sink (`Simulator::fork` detaches it).
+#[derive(Debug, Clone)]
 pub struct Ftl {
     cfg: FtlConfig,
     geometry: Geometry,
@@ -298,6 +298,12 @@ impl Ftl {
     /// events in one stream.
     pub fn set_trace(&mut self, trace: SinkHandle) {
         self.trace = trace;
+    }
+
+    /// Heap bytes of the page map, block table and OOB store: nearly all
+    /// a copy of the device allocates, within a few percent of its image.
+    pub fn heap_bytes(&self) -> u64 {
+        (self.map.heap_bytes() + self.blocks.heap_bytes() + self.oob.heap_bytes()) as u64
     }
 
     /// The configuration in force.

@@ -96,6 +96,11 @@ impl PageMap {
         self.p2l.fill(UNMAPPED);
     }
 
+    /// Heap bytes of both directions.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        size_of_val(&*self.l2p) + size_of_val(&*self.p2l)
+    }
+
     /// Number of logical pages exposed.
     pub fn logical_pages(&self) -> u64 {
         self.l2p.len() as u64

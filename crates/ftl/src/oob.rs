@@ -107,6 +107,12 @@ impl OobStore {
         }
     }
 
+    /// Heap bytes of the dense tables (an open intent's few pairs aside).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let wordlines = size_of_val(&*self.merged) + size_of_val(&*self.committed);
+        size_of_val(&*self.lpn) + size_of_val(&*self.seq) + size_of_val(&*self.blocks) + wordlines
+    }
+
     fn block(&self, b: BlockAddr) -> &BlockOob {
         &self.blocks[b.index() as usize]
     }

@@ -13,11 +13,10 @@
 
 use crate::json::JsonObj;
 use crate::span::PhaseNs;
-use std::cell::RefCell;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
 use std::path::Path;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Simulated time in nanoseconds (mirrors `ida_flash::timing::SimTime`
 /// without a dependency edge).
@@ -731,11 +730,13 @@ impl Drop for JsonlSink {
 /// A cloneable handle to a shared sink, so the simulator and the FTL it
 /// owns can write interleaved events to one stream. The enabled flag is
 /// cached at construction: `on()` is a branch on a local bool, and
-/// emission sites construct events only behind it.
+/// emission sites construct events (and take the lock) only behind it.
+/// The sink sits behind an `Arc<Mutex>` so a simulator can be `Send +
+/// Sync`, as a warm state shared by a sweep's pool threads must be.
 #[derive(Debug, Clone)]
 pub struct SinkHandle {
     on: bool,
-    inner: Rc<RefCell<dyn TraceSink>>,
+    inner: Arc<Mutex<dyn TraceSink + Send>>,
 }
 
 impl Default for SinkHandle {
@@ -747,25 +748,18 @@ impl Default for SinkHandle {
 impl SinkHandle {
     /// The disabled handle (wraps [`NullSink`]).
     pub fn null() -> Self {
-        SinkHandle {
-            on: false,
-            inner: Rc::new(RefCell::new(NullSink)),
-        }
+        Self::new(NullSink)
     }
 
     /// Wrap an owned sink.
-    pub fn new<S: TraceSink + 'static>(sink: S) -> Self {
-        let on = sink.enabled();
-        SinkHandle {
-            on,
-            inner: Rc::new(RefCell::new(sink)),
-        }
+    pub fn new<S: TraceSink + Send + 'static>(sink: S) -> Self {
+        Self::from_shared(Arc::new(Mutex::new(sink)))
     }
 
-    /// Wrap an externally shared sink (the caller keeps its typed `Rc` to
+    /// Wrap an externally shared sink (the caller keeps its typed `Arc` to
     /// inspect the sink afterwards — how tests read back a `VecSink`).
-    pub fn from_shared(sink: Rc<RefCell<dyn TraceSink>>) -> Self {
-        let on = sink.borrow().enabled();
+    pub fn from_shared(sink: Arc<Mutex<dyn TraceSink + Send>>) -> Self {
+        let on = lock(&sink).enabled();
         SinkHandle { on, inner: sink }
     }
 
@@ -776,12 +770,18 @@ impl SinkHandle {
     }
 
     /// Deliver an event built by `f` if the sink is enabled. The closure
-    /// is never called on the disabled path.
+    /// is never called, and the lock never taken, on the disabled path.
     #[inline]
     pub fn emit_with<F: FnOnce() -> TraceEvent>(&self, f: F) {
         if self.on {
-            self.inner.borrow_mut().record(&f());
+            self.record(&f());
         }
+    }
+
+    /// Out of line: an emission site in a hot loop stays a branch and a call.
+    #[inline(never)]
+    fn record(&self, ev: &TraceEvent) {
+        lock(&self.inner).record(ev);
     }
 
     /// Flush the underlying sink.
@@ -790,8 +790,14 @@ impl SinkHandle {
     ///
     /// Propagates I/O errors from file-backed sinks.
     pub fn flush(&self) -> io::Result<()> {
-        self.inner.borrow_mut().flush()
+        lock(&self.inner).flush()
     }
+}
+
+/// The sink behind `sink`. A panic while recording leaves no state a
+/// later event could trip over, so a poisoned lock is taken as is.
+fn lock<S: ?Sized>(sink: &Mutex<S>) -> MutexGuard<'_, S> {
+    sink.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -1006,14 +1012,14 @@ mod tests {
 
     #[test]
     fn vec_sink_records_everything_in_order() {
-        let sink = Rc::new(RefCell::new(VecSink::new()));
+        let sink = Arc::new(Mutex::new(VecSink::new()));
         let h = SinkHandle::from_shared(sink.clone());
         assert!(h.on());
         for t in [1, 2, 3] {
             h.emit_with(|| ev(t));
         }
-        assert_eq!(sink.borrow().events.len(), 3);
-        let jsonl = sink.borrow().to_jsonl();
+        assert_eq!(sink.lock().unwrap().events.len(), 3);
+        let jsonl = sink.lock().unwrap().to_jsonl();
         assert_eq!(jsonl.lines().count(), 3);
         assert!(jsonl.starts_with(r#"{"ev":"erase","t":1"#));
     }

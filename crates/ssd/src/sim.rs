@@ -448,6 +448,33 @@ impl Simulator {
         ida_snap::Snap::from_snap_bytes(payload)
     }
 
+    /// The in-memory twin of `Simulator::from_snapshot(&self.snapshot())`:
+    /// a copy that continues bit-for-bit like this one, its observers reset
+    /// as a restore resets them (null sink here and in the FTL, gauges and
+    /// progress off).
+    pub fn fork(&self) -> Self {
+        let mut ftl = self.ftl.clone();
+        ftl.set_trace(SinkHandle::null());
+        Simulator {
+            cfg: self.cfg.clone(),
+            ftl,
+            retry: self.retry.clone(),
+            ladder: self.ladder.clone(),
+            dies: self.dies.clone(),
+            channels: self.channels.clone(),
+            trace: SinkHandle::null(),
+            gauges: GaugeSet::disabled(),
+            progress: false,
+            dirty_dies: self.dirty_dies.clone(),
+            wake_heap: self.wake_heap.clone(),
+            die_busy: self.die_busy.clone(),
+            channel_busy: self.channel_busy.clone(),
+            read_ops: Vec::new(),
+            // The sense table, clock, op counters and span flag.
+            ..*self
+        }
+    }
+
     /// Attach a trace sink. The handle is shared with the FTL, so FTL
     /// events (GC, refresh, IDA conversion) and simulator events (host
     /// traffic, flash ops) interleave into one stream. Attach before any
@@ -1645,7 +1672,7 @@ mod tests {
         };
         let mut sim = Simulator::new(cfg);
         sim.prefill(0..64);
-        let sink = std::rc::Rc::new(std::cell::RefCell::new(ida_obs::trace::VecSink::new()));
+        let sink = std::sync::Arc::new(std::sync::Mutex::new(ida_obs::trace::VecSink::new()));
         sim.set_trace(SinkHandle::from_shared(sink.clone()));
         sim.set_spans(true);
         let n = 200u64;
@@ -1662,7 +1689,7 @@ mod tests {
         assert_eq!(report.reads.count, n);
         let (mut arrivals, mut completions, mut retries) = (Vec::new(), Vec::new(), 0);
         let mut live = std::collections::BTreeSet::new();
-        for e in &sink.borrow().events {
+        for e in &sink.lock().unwrap().events {
             match *e {
                 TraceEvent::HostArrival { req, .. } => {
                     assert!(live.insert(req), "req {req} issued twice");

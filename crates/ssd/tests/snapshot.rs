@@ -13,8 +13,7 @@ use ida_ssd::config::{SsdConfig, WarmStage};
 use ida_ssd::request::{HostOp, HostOpKind};
 use ida_ssd::retry::RetryConfig;
 use ida_ssd::sim::Simulator;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 /// A randomized tiny-geometry configuration.
 fn random_cfg(rng: &mut Rng64) -> SsdConfig {
@@ -62,15 +61,16 @@ fn random_trace(rng: &mut Rng64, cfg: &FtlConfig, requests: usize, write_frac: f
         .collect()
 }
 
-fn attach_vec_sink(sim: &mut Simulator) -> Rc<RefCell<VecSink>> {
-    let sink = Rc::new(RefCell::new(VecSink::default()));
-    let dynamic: Rc<RefCell<dyn TraceSink>> = sink.clone();
+fn attach_vec_sink(sim: &mut Simulator) -> Arc<Mutex<VecSink>> {
+    let sink = Arc::new(Mutex::new(VecSink::default()));
+    let dynamic: Arc<Mutex<dyn TraceSink + Send>> = sink.clone();
     sim.set_trace(SinkHandle::from_shared(dynamic));
     sink
 }
 
-fn trace_lines(sink: &Rc<RefCell<VecSink>>) -> Vec<String> {
-    sink.borrow()
+fn trace_lines(sink: &Arc<Mutex<VecSink>>) -> Vec<String> {
+    sink.lock()
+        .unwrap()
         .events
         .iter()
         .map(|e| e.to_json_line())
@@ -186,6 +186,48 @@ fn snapshot_mid_crash_schedule_resumes_pending_losses() {
 
     let measured = random_trace(&mut rng, &cfg.ftl, 600, 0.6);
     assert_identical_continuation(cold, restored, measured, true);
+}
+
+#[test]
+fn fork_runs_like_a_restore_and_like_the_original() {
+    // `Simulator::fork`, the warm cache's in-memory copy, under armed
+    // faults and aging, taken between two scheduled power losses: it
+    // encodes to the original's image, continues like a restore and like
+    // the original kept running, and leaves the original's sink alone.
+    let mut rng = Rng64::seed_from_u64(0x5AAF_0006);
+    for (iter, level) in ["low", "mid", "high"].iter().enumerate() {
+        let mut cfg = random_cfg(&mut rng);
+        // A live retry stream, which a fork must carry, not reseed.
+        cfg.retry = RetryConfig::late_lifetime(0.3, rng.next_u64());
+        let mut cold = Simulator::new(cfg.clone());
+        let sink = attach_vec_sink(&mut cold);
+        warm(&mut cold, &mut rng);
+        let mut faults = FaultConfig::preset(level, rng.next_u64()).unwrap();
+        faults.power_loss_ops = vec![200, 900];
+        cold.arm_faults(faults);
+        cold.arm_aging(AgingConfig::preset(level, rng.next_u64()).unwrap());
+        cold.run(random_trace(&mut rng, &cfg.ftl, 150, 0.8));
+
+        let seen = trace_lines(&sink);
+        let snap = cold.snapshot();
+        assert!(
+            cold.fork().snapshot() == snap,
+            "level {level}: fork differs"
+        );
+        let mut quiet = cold.fork();
+        quiet.run(random_trace(&mut rng, &cfg.ftl, 100, 0.5));
+        assert_eq!(
+            trace_lines(&sink),
+            seen,
+            "level {level}: a fork wrote to the sink"
+        );
+
+        let restored = Simulator::from_snapshot(&snap).unwrap();
+        let measured = random_trace(&mut rng, &cfg.ftl, 500, 0.5);
+        let fork = cold.fork();
+        assert_identical_continuation(cold.fork(), restored, measured.clone(), iter % 2 == 0);
+        assert_identical_continuation(cold, fork, measured, iter % 2 == 0);
+    }
 }
 
 #[test]

@@ -31,14 +31,14 @@
 //!   fresh run.
 //! - [`jsonv`]: the minimal JSON reader the journal loader uses, kept
 //!   dependency-free like the rest of the workspace.
-//! - [`warm`]: a keyed, single-flight cache of serialized warm simulator
+//! - [`warm`]: a keyed, single-flight cache of frozen warm simulator
 //!   states, so cells that share a warm-up phase (or just its prefix) run
 //!   it once and fork.
 //! - [`net`]: the distributed fabric — a TCP coordinator ([`net::serve`])
 //!   and worker loop ([`net::run_worker`]) speaking frame-sealed
 //!   messages over the same lease queue. A claim leases every queued
 //!   cell of one workload, so each worker plans and forks its own warm
-//!   cache and no image crosses the wire; a lost connection costs the
+//!   cache and no warm state crosses the wire; a lost connection costs the
 //!   cell it was running one attempt. The aggregate stays byte-identical
 //!   to a local serial run for any worker population, and the two
 //!   backends' journals are interchangeable.

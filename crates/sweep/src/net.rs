@@ -10,8 +10,8 @@
 //! worker plans its warm cache over the group, runs the cells in order
 //! through the same panic-to-record helper a local thread uses, and
 //! reports each as it finishes. The cells of a workload share their
-//! warm-up prefix and no two workloads share an image, so warm images
-//! never leave the worker that built them.
+//! warm-up prefix and no two workloads share a warm state, so warm
+//! states never leave the worker that built them.
 //!
 //! Wire format: every message is one [`frame`]-sealed [`Snap`] payload,
 //! so torn, bit-flipped, or version-skewed frames are rejected by the

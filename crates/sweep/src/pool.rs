@@ -41,10 +41,10 @@ pub struct SweepConfig {
     /// opaque to the engine): the fabric hands it to each worker, and a
     /// journaled cell is reused only under the same setup.
     pub setup: String,
-    /// The warm-state snapshot cache a grid runner plans and forks
-    /// through, when the caller wants to read its counters afterwards
-    /// (`None` = the runner brings a fresh one). Job closures consult it
-    /// via [`SweepConfig::warm_cache`]; because a cache hit restores
+    /// The warm-state cache a grid runner plans and forks through, when
+    /// the caller wants to read its counters afterwards (`None` = the
+    /// runner brings a fresh one). Job closures consult it via
+    /// [`SweepConfig::warm_cache`]; because a cache hit forks
     /// byte-identical simulator state, it never changes sweep output —
     /// only how often the warm-up work is repeated.
     pub warm: Option<Arc<WarmCache>>,
@@ -84,7 +84,7 @@ impl SweepConfig {
         self
     }
 
-    /// Attach a fresh warm-state snapshot cache.
+    /// Attach a fresh warm-state cache.
     pub fn with_warm_cache(mut self) -> Self {
         self.warm = Some(Arc::new(WarmCache::new()));
         self

@@ -1,14 +1,15 @@
-//! The warm-state snapshot cache: run each distinct warm-up once, fork
-//! every dependent cell from the captured snapshot.
+//! The warm-state cache: run each distinct warm-up once, fork every
+//! dependent cell from the frozen state.
 //!
 //! Sweep grids repeat the same expensive warm-up (prefill + aging +
 //! refresh churn) for every cell that differs only in a *post*-warm-up
 //! axis — fault level, aging level, offered load. The cache keys warm
 //! states by a caller-computed fingerprint of everything that *does*
-//! influence the warm-up and hands back the serialized simulator bytes,
-//! so N sibling cells cost one warm-up instead of N.
+//! influence the warm-up and holds each as a live value — for a sweep, a
+//! frozen simulator and its traces — so N sibling cells cost one warm-up
+//! and N − 1 copies.
 //!
-//! Images live in two [`WarmTier`]s: complete warm states
+//! States live in two [`WarmTier`]s: complete warm states
 //! ([`WarmTier::Full`]) and the shared prefixes they are built from
 //! ([`WarmTier::Prefix`]) — the part of a warm-up that cells differing
 //! only in their system column have in common.
@@ -17,26 +18,28 @@
 //!
 //! - **Single-flight**: when two workers need the same key concurrently,
 //!   exactly one runs the build closure; the other blocks on a condvar
-//!   until the snapshot is ready. A build that panics wakes the waiters
+//!   until the state is ready. A build that panics wakes the waiters
 //!   and lets the next claimant rebuild — no deadlock, no poisoned key.
-//! - **Determinism-neutral**: the cache stores exactly the bytes the
-//!   build closure produced, and [`ida_snap`]'s differential invariant
-//!   (restore → run ≡ keep running) means a cache hit is byte-for-byte
-//!   indistinguishable from re-running the warm-up. The sweep's
-//!   any-worker-count byte-identical aggregate guarantee is preserved.
+//! - **Determinism-neutral**: every request for a key gets the value the
+//!   build produced, and a fork of a frozen simulator continues byte for
+//!   byte like the warm-up it replaces (fork → run ≡ restore → run ≡ keep
+//!   running, `ida_ssd`'s differential tests), so the sweep's
+//!   any-worker-count byte-identical aggregate is preserved.
 //! - **Capture on demand**: a caller that knows its grid can
 //!   [`WarmCache::plan`] how often each key will be asked for. The build
-//!   of a key nobody else will fork is told not to capture an image, and
-//!   a planned image leaves memory after its last planned fork. Unplanned
-//!   keys are always captured and never evicted.
-//! - **In memory only**: images never leave the process. A resumed sweep
+//!   of a key nobody else will fork is told not to capture, and a planned
+//!   state leaves the cache with its last planned request, which can take
+//!   it instead of copying it. Unplanned keys are always captured and
+//!   never evicted.
+//! - **In memory only**: no state leaves the process. A resumed sweep
 //!   reads finished cells from its journal, so only the warm-ups of cells
 //!   that were in flight when it was killed run again.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// Which stage of a staged warm-up an image holds. The tiers have
+/// Which stage of a staged warm-up a state holds. The tiers have
 /// separate key spaces and counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WarmTier {
@@ -46,19 +49,13 @@ pub enum WarmTier {
     Prefix,
 }
 
-impl WarmTier {
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
 /// One key's state in the in-memory table.
 #[derive(Debug)]
 enum Slot {
     /// Some worker is running the build closure right now.
     Building,
-    /// The snapshot bytes, shared by every forker.
-    Ready(Arc<Vec<u8>>),
+    /// The frozen state, shared by every forker, and its size in bytes.
+    Ready(Arc<dyn Any + Send + Sync>, u64),
 }
 
 /// Hit/miss counters of one tier, snapshotted by [`WarmCache::stats`]
@@ -67,9 +64,9 @@ enum Slot {
 pub struct WarmStats {
     /// Served from memory (includes waits on an in-flight build).
     pub hits: u64,
-    /// Always 0, like `remote_hits`: no image is ever read from disk.
+    /// Always 0, like `remote_hits`: no state is ever read from disk.
     pub disk_hits: u64,
-    /// Always 0: no image is ever served by another process. Both fields
+    /// Always 0: no state is ever served by another process. Both fields
     /// are kept so existing `WarmStats` literals still build.
     pub remote_hits: u64,
     /// The build closure ran.
@@ -77,22 +74,22 @@ pub struct WarmStats {
 }
 
 impl WarmStats {
-    /// Total snapshots served without running a warm-up.
+    /// Total states served without running a warm-up.
     pub fn total_hits(&self) -> u64 {
         self.hits
     }
 }
 
-/// Image memory accounting, snapshotted by [`WarmCache::memory`].
+/// Memory accounting of held states, snapshotted by [`WarmCache::memory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WarmMemory {
-    /// Full warm-state images built and captured.
+    /// Full warm states built and captured.
     pub full_captures: u64,
-    /// Prefix images built and captured.
+    /// Prefixes built and captured.
     pub prefix_captures: u64,
-    /// Image bytes held in memory now.
+    /// Bytes of the states held now, as their builds measured them.
     pub held_bytes: u64,
-    /// The most image bytes held at once.
+    /// The most bytes held at once.
     pub peak_bytes: u64,
 }
 
@@ -102,7 +99,7 @@ struct Table {
     slots: HashMap<(WarmTier, u64), Slot>,
     /// Planned requests not yet served per key; absent means unplanned.
     /// Counted down when a request is served, not when it arrives, so a
-    /// request still waiting on a build keeps the image alive.
+    /// request still waiting on a build keeps the state alive.
     plan: HashMap<(WarmTier, u64), u64>,
     stats: [WarmStats; 2],
     memory: WarmMemory,
@@ -110,12 +107,12 @@ struct Table {
 
 impl Table {
     fn stats(&mut self, tier: WarmTier) -> &mut WarmStats {
-        &mut self.stats[tier.index()]
+        &mut self.stats[tier as usize]
     }
 
     /// Count one request for `id` as served. Returns whether it used up
     /// a planned request, and whether it was the last one — no planned
-    /// request is left to fork the image (always false when unplanned).
+    /// request is left to fork the state (always false when unplanned).
     fn spend(&mut self, id: (WarmTier, u64)) -> (bool, bool) {
         match self.plan.get_mut(&id) {
             Some(left) => {
@@ -127,33 +124,24 @@ impl Table {
         }
     }
 
-    fn hold(&mut self, id: (WarmTier, u64), bytes: Arc<Vec<u8>>) {
-        self.memory.held_bytes += bytes.len() as u64;
+    fn hold(&mut self, id: (WarmTier, u64), state: Arc<dyn Any + Send + Sync>, bytes: u64) {
+        self.memory.held_bytes += bytes;
         self.memory.peak_bytes = self.memory.peak_bytes.max(self.memory.held_bytes);
-        self.slots.insert(id, Slot::Ready(bytes));
+        self.slots.insert(id, Slot::Ready(state, bytes));
     }
 
     fn evict(&mut self, id: (WarmTier, u64)) {
-        if let Some(Slot::Ready(bytes)) = self.slots.remove(&id) {
-            self.memory.held_bytes -= bytes.len() as u64;
+        if let Some(Slot::Ready(_, bytes)) = self.slots.remove(&id) {
+            self.memory.held_bytes -= bytes;
         }
     }
 }
 
-/// A keyed, single-flight cache of serialized warm simulator states.
+/// A keyed, single-flight cache of frozen warm states.
+#[derive(Debug)]
 pub struct WarmCache {
     table: Mutex<Table>,
     ready: Condvar,
-}
-
-impl std::fmt::Debug for WarmCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WarmCache")
-            .field("stats", &self.stats())
-            .field("prefix_stats", &self.prefix_stats())
-            .field("memory", &self.memory())
-            .finish_non_exhaustive()
-    }
 }
 
 /// Clears a `Building` claim if the build closure unwinds, waking every
@@ -188,7 +176,7 @@ impl Drop for BuildGuard<'_> {
 /// Keep freed multi-megabyte blocks inside the process instead of
 /// returning them to the kernel.
 ///
-/// A warm-cached sweep allocates and frees a decoded simulator image
+/// A warm-cached sweep allocates and frees a clone of a frozen simulator
 /// (tens of MB of page map, OOB store and block table) once per cell.
 /// glibc serves blocks that big from dedicated `mmap` regions and
 /// `munmap`s them on free, so every cell re-faults its whole working
@@ -238,43 +226,48 @@ impl WarmCache {
 
     /// Announce `uses` more requests for `key` in `tier`. A planned key's
     /// build is told to capture only while planned requests remain after
-    /// it, and its image is dropped from memory when the last planned
-    /// request has been served. Requests beyond the plan are served
-    /// without capture, like a last one.
+    /// it, and its state leaves the cache when the last planned request
+    /// has been served. Requests beyond the plan are served without
+    /// capture, like a last one.
     pub fn plan(&self, tier: WarmTier, key: u64, uses: u64) {
         *self.lock().plan.entry((tier, key)).or_default() += uses;
     }
 
-    /// The full warm-state snapshot for `key`, building it with `build`
+    /// The full warm-state image for `key`, building it with `build`
     /// exactly once per key no matter how many workers ask concurrently.
     /// `build` always captures, so this always yields the image.
     pub fn get_or_build(&self, key: u64, build: impl FnOnce() -> Vec<u8>) -> Arc<Vec<u8>> {
-        self.get_or_build_live(WarmTier::Full, key, |_| Some(build()))
-            .expect("a build that returns an image yields one")
+        self.get_or_build_live(WarmTier::Full, key, |_| {
+            let image = build();
+            Some((image.len() as u64, image))
+        })
+        .expect("a build that returns an image yields one")
     }
 
-    /// The snapshot for `key` in `tier`, or `None` when this caller ran
-    /// the build and it captured nothing — the caller's live state is
-    /// then the only copy. `build` receives whether a capture is wanted:
-    /// `false` when the key is planned and no planned request follows
-    /// this one. Single-flight like [`WarmCache::get_or_build`].
-    pub fn get_or_build_live(
+    /// The state for `key` in `tier`, or `None` when this caller ran the
+    /// build and it captured nothing — the caller's live state is then the
+    /// only copy. `build` receives whether a capture is wanted (`false`
+    /// when the key is planned and no planned request follows this one)
+    /// and returns the size in bytes and the state to hold. Single-flight
+    /// like [`WarmCache::get_or_build`]. The last planned request gets the
+    /// state as the cache lets go of it. Panics if `key` holds another `T`.
+    pub fn get_or_build_live<T: Send + Sync + 'static>(
         &self,
         tier: WarmTier,
         key: u64,
-        build: impl FnOnce(bool) -> Option<Vec<u8>>,
-    ) -> Option<Arc<Vec<u8>>> {
+        build: impl FnOnce(bool) -> Option<(u64, T)>,
+    ) -> Option<Arc<T>> {
         let id = (tier, key);
         let mut table = self.lock();
         loop {
             match table.slots.get(&id) {
-                Some(Slot::Ready(bytes)) => {
-                    let bytes = bytes.clone();
+                Some(Slot::Ready(state, _)) => {
+                    let state = state.clone();
                     table.stats(tier).hits += 1;
                     if table.spend(id).1 {
                         table.evict(id);
                     }
-                    return Some(bytes);
+                    return Some(state.downcast().expect("a warm key holds one type"));
                 }
                 Some(Slot::Building) => {
                     table = self
@@ -296,38 +289,38 @@ impl WarmCache {
             refund: spent,
             armed: true,
         };
-        let bytes = build(!last).map(Arc::new);
+        let built = build(!last).map(|(bytes, state)| (Arc::new(state), bytes));
         let mut table = self.lock();
         table.stats(tier).misses += 1;
-        if bytes.is_some() {
+        if built.is_some() {
             match tier {
                 WarmTier::Full => table.memory.full_captures += 1,
                 WarmTier::Prefix => table.memory.prefix_captures += 1,
             }
         }
-        match &bytes {
-            Some(bytes) if !last => table.hold(id, bytes.clone()),
+        match &built {
+            Some((state, bytes)) if !last => table.hold(id, state.clone(), *bytes),
             _ => {
                 table.slots.remove(&id);
             }
         }
         guard.armed = false;
         self.ready.notify_all();
-        bytes
+        built.map(|(state, _)| state)
     }
 
     /// Counters of the full warm-state tier.
     pub fn stats(&self) -> WarmStats {
-        self.lock().stats[WarmTier::Full.index()]
+        self.lock().stats[WarmTier::Full as usize]
     }
 
     /// Counters of the prefix tier: misses are prefix builds, hits are
     /// forks of a captured prefix.
     pub fn prefix_stats(&self) -> WarmStats {
-        self.lock().stats[WarmTier::Prefix.index()]
+        self.lock().stats[WarmTier::Prefix as usize]
     }
 
-    /// Captures and image bytes held, across both tiers.
+    /// Captures and bytes held, across both tiers.
     pub fn memory(&self) -> WarmMemory {
         self.lock().memory
     }
@@ -364,6 +357,11 @@ mod tests {
 
     fn payload(tag: u8) -> Vec<u8> {
         ida_snap::frame::seal(&[tag; 64])
+    }
+
+    /// A build's result: `payload(tag)`, sized by its length.
+    fn held(tag: u8) -> Option<(u64, Vec<u8>)> {
+        Some((payload(tag).len() as u64, payload(tag)))
     }
 
     #[test]
@@ -438,8 +436,8 @@ mod tests {
         cache.get_or_build(1, || payload(1));
         cache.get_or_build(1, || unreachable!());
         cache.get_or_build(2, || payload(2));
-        cache.get_or_build_live(WarmTier::Prefix, 1, |_| Some(payload(3)));
-        cache.get_or_build_live(WarmTier::Prefix, 1, |_| unreachable!());
+        cache.get_or_build_live(WarmTier::Prefix, 1, |_| held(3));
+        cache.get_or_build_live::<Vec<u8>>(WarmTier::Prefix, 1, |_| unreachable!());
         let held = 3 * payload(0).len();
         assert_eq!(
             cache.stats_line(3),
@@ -456,7 +454,7 @@ mod tests {
         let cache = WarmCache::new();
         let first = cache.get_or_build_live(WarmTier::Full, 3, |capture| {
             assert!(capture, "an unplanned build always captures");
-            Some(payload(3))
+            held(3)
         });
         assert_eq!(first.as_deref(), Some(&payload(3)));
         for _ in 0..5 {
@@ -472,11 +470,11 @@ mod tests {
     fn a_key_planned_once_is_never_captured() {
         let cache = WarmCache::new();
         cache.plan(WarmTier::Full, 4, 1);
-        let image = cache.get_or_build_live(WarmTier::Full, 4, |capture| {
+        let state = cache.get_or_build_live::<Vec<u8>>(WarmTier::Full, 4, |capture| {
             assert!(!capture, "nobody else will fork this key");
             None
         });
-        assert!(image.is_none());
+        assert!(state.is_none());
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.memory(), WarmMemory::default());
     }
@@ -487,7 +485,7 @@ mod tests {
         cache.plan(WarmTier::Prefix, 7, 3);
         let built = cache.get_or_build_live(WarmTier::Prefix, 7, |capture| {
             assert!(capture, "two planned forks follow");
-            Some(payload(7))
+            held(7)
         });
         let size = payload(7).len() as u64;
         assert_eq!(cache.memory().held_bytes, size);
@@ -501,6 +499,27 @@ mod tests {
     }
 
     #[test]
+    fn the_last_planned_request_takes_the_state_and_sizes_are_the_builds() {
+        let cache = WarmCache::new();
+        cache.plan(WarmTier::Full, 8, 3);
+        let built = cache.get_or_build_live(WarmTier::Full, 8, |_| Some((4_000, vec![8u8; 10])));
+        assert_eq!(built.as_deref(), Some(&vec![8u8; 10]));
+        assert_eq!(
+            cache.memory().held_bytes,
+            4_000,
+            "the build's size, not the value's"
+        );
+        drop(built);
+        let fork = cache.get_or_build_live::<Vec<u8>>(WarmTier::Full, 8, |_| unreachable!());
+        assert_eq!(Arc::strong_count(fork.as_ref().unwrap()), 2, "still held");
+        drop(fork);
+        let last = cache.get_or_build_live::<Vec<u8>>(WarmTier::Full, 8, |_| unreachable!());
+        let last = Arc::try_unwrap(last.unwrap()).expect("the cache let go of it");
+        assert_eq!(last, vec![8u8; 10]);
+        assert_eq!(cache.memory().held_bytes, 0);
+    }
+
+    #[test]
     fn a_panicking_planned_build_keeps_claim_and_count_consistent() {
         let cache = Arc::new(WarmCache::new());
         cache.plan(WarmTier::Full, 5, 2);
@@ -508,7 +527,9 @@ mod tests {
             let cache = cache.clone();
             std::thread::spawn(move || {
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    cache.get_or_build_live(WarmTier::Full, 5, |_| panic!("builder died"));
+                    cache.get_or_build_live::<Vec<u8>>(WarmTier::Full, 5, |_| {
+                        panic!("builder died")
+                    });
                 }));
             })
         };
@@ -517,7 +538,7 @@ mod tests {
         // retry still captures for the one fork that follows it.
         let built = cache.get_or_build_live(WarmTier::Full, 5, |capture| {
             assert!(capture, "the failed request must not count as served");
-            Some(payload(5))
+            held(5)
         });
         let fork = cache.get_or_build_live(WarmTier::Full, 5, |_| unreachable!("must fork"));
         assert_eq!(built, fork);
@@ -539,7 +560,7 @@ mod tests {
                     cache.get_or_build_live(WarmTier::Full, 9, |capture| {
                         built.fetch_add(1, Ordering::SeqCst);
                         std::thread::sleep(std::time::Duration::from_millis(20));
-                        capture.then(|| payload(9))
+                        held(9).filter(|_| capture)
                     })
                 })
             })

@@ -25,15 +25,14 @@ use ida_obs::trace::{SinkHandle, TraceEvent, VecSink};
 use ida_ssd::retry::RetryConfig;
 use ida_ssd::{HostOp, HostOpKind, Simulator, SsdConfig};
 use ida_workloads::suite::paper_workload;
-use std::cell::RefCell;
 use std::path::PathBuf;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 #[test]
 fn two_reads_on_one_die_decompose_to_table2_constants() {
     let mut sim = Simulator::new(SsdConfig::tiny_test());
     sim.set_spans(true);
-    let sink = Rc::new(RefCell::new(VecSink::new()));
+    let sink = Arc::new(Mutex::new(VecSink::new()));
     sim.set_trace(SinkHandle::from_shared(sink.clone()));
     sim.prefill(0..64);
     let report = sim.run(vec![
@@ -53,7 +52,8 @@ fn two_reads_on_one_die_decompose_to_table2_constants() {
     assert_eq!(report.reads.count, 2);
 
     let spans: Vec<(u64, u64, _)> = sink
-        .borrow()
+        .lock()
+        .unwrap()
         .events
         .iter()
         .filter_map(|e| match e {

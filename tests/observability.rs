@@ -15,15 +15,14 @@ use ida_obs::trace::{SinkHandle, TraceEvent, VecSink, TRACE_CLASSES};
 use ida_ssd::retry::RetryConfig;
 use ida_ssd::{HostOp, HostOpKind, Simulator, SsdConfig};
 use ida_workloads::suite::paper_workload;
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 /// A simulator with a shared in-memory sink attached at creation, so the
 /// trace covers every FTL event the run's cumulative stats count.
-fn traced_sim(cfg: SsdConfig) -> (Simulator, Rc<RefCell<VecSink>>) {
-    let sink = Rc::new(RefCell::new(VecSink::new()));
+fn traced_sim(cfg: SsdConfig) -> (Simulator, Arc<Mutex<VecSink>>) {
+    let sink = Arc::new(Mutex::new(VecSink::new()));
     let mut sim = Simulator::new(cfg);
     sim.set_trace(SinkHandle::from_shared(sink.clone()));
     (sim, sink)
@@ -93,7 +92,7 @@ fn measured_run_timestamps_are_monotone() {
     sim.prefill(0..64);
     let report = sim.run(mixed_trace(256));
     assert!(report.reads.count > 0 && report.writes.count > 0);
-    let events = &sink.borrow().events;
+    let events = &sink.lock().unwrap().events;
     assert!(!events.is_empty());
     let stamps: Vec<u64> = events.iter().map(TraceEvent::timestamp).collect();
     assert!(
@@ -123,7 +122,7 @@ fn trace_counts_replay_to_report_aggregates() {
     });
     let report = sim.run(trace);
 
-    let events = sink.borrow().events.clone();
+    let events = sink.lock().unwrap().events.clone();
     let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count() as u64;
     assert_eq!(count("host_arrival"), 201);
     assert_eq!(
@@ -186,7 +185,7 @@ fn null_sink_records_nothing_and_vec_sink_everything() {
 
     // Tracing must not change simulation results.
     assert_eq!(r_plain, r_traced);
-    assert!(sink.borrow().events.len() as u64 >= 2 * 128);
+    assert!(sink.lock().unwrap().events.len() as u64 >= 2 * 128);
 }
 
 /// The JSONL event stream of an open-loop hm_1 replay with spans on and a
@@ -199,11 +198,11 @@ fn replay_stream(system: SystemUnderTest) -> (String, usize, usize) {
     let retry = RetryConfig::late_lifetime(0.3, 0x5EED);
     let cfg = system_config(system, scale.geometry, FlashTiming::paper_tlc(), retry);
     let (mut sim, trace) = warmed_simulator(&preset, cfg, &scale);
-    let sink = Rc::new(RefCell::new(VecSink::new()));
+    let sink = Arc::new(Mutex::new(VecSink::new()));
     sim.set_trace(SinkHandle::from_shared(sink.clone()));
     sim.set_spans(true);
     sim.run(to_host_ops(&trace));
-    let sink = sink.borrow();
+    let sink = sink.lock().unwrap();
     let retried = sink
         .events
         .iter()
