@@ -9,12 +9,10 @@
 //! Both warm up with their own protocol under the system's plain TLC
 //! configuration and the FTL's default seed, outside the warm cache.
 
-use crate::runner::{footprint, system_config, ExperimentScale, SystemUnderTest};
+use crate::runner::{footprint, tlc_config, ExperimentScale, SystemUnderTest};
 use ida_flash::addr::BlockAddr;
-use ida_flash::timing::FlashTiming;
 use ida_ftl::block::BlockState;
 use ida_obs::json::JsonObj;
-use ida_ssd::retry::RetryConfig;
 use ida_ssd::Simulator;
 use ida_workloads::suite::WorkloadPreset;
 use ida_workloads::synth::WorkloadSpec;
@@ -46,12 +44,7 @@ pub fn run_blocks(
     part: &str,
     scale: &ExperimentScale,
 ) -> Result<String, String> {
-    let cfg = system_config(
-        system,
-        scale.geometry,
-        FlashTiming::paper_tlc(),
-        RetryConfig::disabled(),
-    );
+    let cfg = tlc_config(system, scale);
     let exported = cfg.ftl.exported_pages();
     let pages = match part {
         "growth" => footprint(preset, exported),

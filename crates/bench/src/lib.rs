@@ -33,4 +33,4 @@ pub mod soak;
 pub mod sweep;
 pub mod table;
 
-pub use runner::{ExperimentScale, ReplayMode, SystemUnderTest, WorkloadRun};
+pub use runner::{ExperimentScale, ReplayMode, SystemUnderTest};

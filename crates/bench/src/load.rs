@@ -14,16 +14,14 @@
 //! scale) pair reproduces its payload byte for byte on any worker.
 
 use crate::runner::{
-    system_config, warm_up, warmed_simulator_cached, ExperimentScale, ObsOptions, SystemUnderTest,
+    tlc_config, warm_up, warmed_simulator, ExperimentScale, ObsOptions, SystemUnderTest,
 };
-use ida_flash::timing::FlashTiming;
 use ida_host::{
     capacity_search, AdmissionPolicy, ArrivalSpec, CapacityResult, FrontendConfig,
     MultiTenantSource, ProbeOutcome, TenantConfig, TenantReport,
 };
 use ida_obs::json::{array, JsonObj};
 use ida_obs::trace::TraceEvent;
-use ida_ssd::retry::RetryConfig;
 use ida_ssd::{Report, SimError, Simulator, SsdConfig};
 use ida_sweep::{derive_stream_seed, WarmCache};
 use ida_workloads::suite::WorkloadPreset;
@@ -222,9 +220,10 @@ fn tenant_configs(
 }
 
 /// Run one load point: warm up a fresh simulator for (preset, system,
-/// scale) with `obs` attached, so the trace sees the warm-up too, then
-/// drive the measured ops through the host frontend at the offered rate
-/// (see `drive_load`).
+/// scale), seeded with `spec.seed`, with `obs` attached
+/// (`ObsOptions::default()` for none), so a trace sees the warm-up too,
+/// then drive the measured ops through the host frontend at the offered
+/// rate (see `drive_load`).
 ///
 /// # Errors
 ///
@@ -232,7 +231,7 @@ fn tenant_configs(
 /// [`LoadError::Sim`] if the simulator rejects the run (the frontend
 /// cannot stall by construction — it only blocks with requests in
 /// flight — but a broken invariant surfaces as an error, not a panic).
-pub fn run_load_obs(
+pub fn run_load(
     preset: &WorkloadPreset,
     spec: &LoadSpec,
     scale: &ExperimentScale,
@@ -257,25 +256,9 @@ pub fn run_load_obs(
 /// The configuration a load run warms up under: the paper's TLC device
 /// for `spec.system`, seeded with `spec.seed`.
 fn load_config(spec: &LoadSpec, scale: &ExperimentScale) -> SsdConfig {
-    let timing = FlashTiming::paper_tlc();
-    let mut cfg = system_config(spec.system, scale.geometry, timing, RetryConfig::disabled());
+    let mut cfg = tlc_config(spec.system, scale);
     cfg.ftl.seed = spec.seed;
     cfg
-}
-
-/// [`run_load_obs`] with observability off: a fresh warm-up seeded with
-/// `spec.seed`, no cache.
-///
-/// # Errors
-///
-/// Only [`LoadError::Sim`]: with observability off no I/O is configured,
-/// so none can fail.
-pub fn run_load(
-    preset: &WorkloadPreset,
-    spec: &LoadSpec,
-    scale: &ExperimentScale,
-) -> Result<LoadRun, LoadError> {
-    run_load_obs(preset, spec, scale, &ObsOptions::default())
 }
 
 /// The measured half of every load run, on a warmed simulator: deal the
@@ -351,36 +334,38 @@ pub fn load_metrics_json(run: &LoadRun) -> String {
         .finish()
 }
 
-/// Bisect the offered rate for (preset, system) at the grid SLO. Every
-/// probe runs [`run_load`] at its rate with a seed derived off `seed`;
-/// the warm-up depends on neither, so the search warms one device and
-/// forks it for each probe through a cache of its own. The whole search
-/// is a pure function of its arguments.
+/// Bisect the offered rate of `spec` on `preset` over `[lo_iops,
+/// hi_iops]` for the highest rate that meets `spec.slo_p99_ns`. Every
+/// probe runs [`run_load`] on `spec` at its own offered rate (the spec's
+/// is ignored) with a seed derived from `spec.seed`; the warm-up depends
+/// on neither, so the search warms one device and forks it for each probe
+/// through a cache of its own. The whole search is a pure function of its
+/// arguments.
 ///
 /// # Errors
 ///
 /// The first probe failure aborts the search: a probe that cannot run is
 /// not a missed SLO, so treating it as one would silently bias the
 /// bracket downward.
-#[allow(clippy::too_many_arguments)]
 pub fn run_capacity(
     preset: &WorkloadPreset,
-    system: SystemUnderTest,
-    arrival: ArrivalSpec,
+    spec: &LoadSpec,
     scale: &ExperimentScale,
-    slo_p99_ns: u64,
     lo_iops: u64,
     hi_iops: u64,
     max_iters: u32,
-    seed: u64,
 ) -> Result<CapacityResult, LoadError> {
     let mut failure: Option<LoadError> = None;
     let warm = WarmCache::new();
+    let seed = derive_stream_seed(spec.seed, "probe");
     let result = capacity_search(lo_iops, hi_iops, max_iters, |iops| {
-        let mut spec = LoadSpec::new(system, arrival, iops, derive_stream_seed(seed, "probe"));
-        spec.slo_p99_ns = slo_p99_ns;
+        let spec = LoadSpec {
+            offered_iops: iops,
+            seed,
+            ..spec.clone()
+        };
         let cfg = load_config(&spec, scale);
-        let (mut sim, trace) = warmed_simulator_cached(preset, cfg, scale, Some(&warm));
+        let (mut sim, trace) = warmed_simulator(preset, cfg, scale, Some(&warm));
         match drive_load(&mut sim, preset, &spec, trace) {
             Ok(run) => run.probe_outcome(),
             Err(e) => {
@@ -458,7 +443,7 @@ mod tests {
             2_000,
             derive_stream_seed(7, "load-test"),
         );
-        let run = run_load(&preset, &spec, &scale).expect("load run");
+        let run = run_load(&preset, &spec, &scale, &ObsOptions::default()).expect("load run");
         let completed: u64 = run.tenants.iter().map(|t| t.counters.completed).sum();
         assert_eq!(completed, 120, "every op must complete");
         assert!(run.achieved_iops > 0.0);
@@ -485,8 +470,12 @@ mod tests {
             3_000,
             11,
         );
-        let a = load_metrics_json(&run_load(&preset, &spec, &scale).expect("load run"));
-        let b = load_metrics_json(&run_load(&preset, &spec, &scale).expect("load run"));
+        let a = load_metrics_json(
+            &run_load(&preset, &spec, &scale, &ObsOptions::default()).expect("load run"),
+        );
+        let b = load_metrics_json(
+            &run_load(&preset, &spec, &scale, &ObsOptions::default()).expect("load run"),
+        );
         assert_eq!(a, b);
     }
 }

@@ -244,17 +244,6 @@ impl SystemUnderTest {
     }
 }
 
-/// One workload × system measurement.
-#[derive(Debug, Clone)]
-pub struct WorkloadRun {
-    /// Workload name.
-    pub workload: String,
-    /// System label.
-    pub system: String,
-    /// The measured report.
-    pub report: Report,
-}
-
 /// Build the `SsdConfig` for a system under test.
 ///
 /// # Panics
@@ -298,6 +287,17 @@ pub(crate) fn try_system_config(
         .map_err(|e| format!("invalid system config: {e}"))
 }
 
+/// The paper's TLC device for `system` at `scale`: Table II timing, no
+/// read retry.
+pub fn tlc_config(system: SystemUnderTest, scale: &ExperimentScale) -> SsdConfig {
+    system_config(
+        system,
+        scale.geometry,
+        FlashTiming::paper_tlc(),
+        RetryConfig::disabled(),
+    )
+}
+
 /// A copy of a trace's host ops. Its records already are the simulator's
 /// input, so a run that owns the trace hands over `trace.records` instead.
 pub fn to_host_ops(trace: &Trace) -> Vec<HostOp> {
@@ -308,7 +308,7 @@ pub fn to_host_ops(trace: &Trace) -> Vec<HostOp> {
 /// measure protocol, open loop and fault-free. Returns the measured
 /// report.
 pub fn run_config(preset: &WorkloadPreset, cfg: SsdConfig, scale: &ExperimentScale) -> Report {
-    let (sim, trace) = warmed_simulator(preset, cfg, scale);
+    let (sim, trace) = warmed_simulator(preset, cfg, scale, None);
     run_warmed(sim, trace, ReplayMode::OpenLoop, None)
 }
 
@@ -391,13 +391,7 @@ pub fn replay_trace(
     mode: ReplayMode,
     obs: &ObsOptions,
 ) -> Result<Report, ReplayError> {
-    let cfg = system_config(
-        system,
-        scale.geometry,
-        FlashTiming::paper_tlc(),
-        RetryConfig::disabled(),
-    );
-    let mut sim = Simulator::new(cfg);
+    let mut sim = Simulator::new(tlc_config(system, scale));
     obs.attach(&mut sim, &format!("replay {}", system.label()))?;
     // Fold onto at most half the exported space so GC and refresh have
     // room to breathe, like the presets' footprint fractions.
@@ -418,19 +412,6 @@ pub fn replay_trace(
     };
     obs.finish(&sim, &report)?;
     Ok(report)
-}
-
-/// Build a simulator warmed to the steady state for `preset` and return it
-/// together with the measured trace, for experiments that need to inspect
-/// or drive the device beyond a single measured run.
-pub fn warmed_simulator(
-    preset: &WorkloadPreset,
-    cfg: SsdConfig,
-    scale: &ExperimentScale,
-) -> (Simulator, Trace) {
-    let mut sim = Simulator::new(cfg);
-    let trace = warm_up(&mut sim, preset, scale);
-    (sim, trace)
 }
 
 /// The warm-up cache key: an FNV-1a fingerprint over everything the
@@ -461,9 +442,11 @@ pub fn prefix_cache_key(workload: &str, cfg: &SsdConfig, scale: &ExperimentScale
     warm_cache_key(workload, &cfg.warm_view(WarmStage::Prefix), scale)
 }
 
-/// [`warmed_simulator`] through an optional warm-state cache, built in
-/// two cached stages. Only the first requester of a full warm state
-/// (under [`warm_cache_key`]) builds it: on the workload's prefix and
+/// A simulator under `cfg` warmed to the steady state for `preset`
+/// ([`warm_up`]), with its measured trace. Without a cache (`None`) it
+/// warms up on its own; through a warm-state cache it is built in two
+/// cached stages. Only the first requester of a full warm state (under
+/// [`warm_cache_key`]) builds it: on the workload's prefix and
 /// [`tail_traces`] from the prefix tier (under [`prefix_cache_key`],
 /// built under the prefix view on a miss), it arms `cfg` with
 /// [`Simulator::arm`] and runs [`warm_tail`]. Every other requester gets
@@ -475,16 +458,18 @@ pub fn prefix_cache_key(workload: &str, cfg: &SsdConfig, scale: &ExperimentScale
 /// ≡ restore ≡ keep running differential in `ida-ssd`'s
 /// `tests/snapshot.rs`), and the view differential tests there and in
 /// this crate's `tests/warm_prefix.rs` prove a forked, armed state
-/// byte-equal to one built under the cell's own config. The result is
-/// byte-identical to [`warmed_simulator`].
-pub fn warmed_simulator_cached(
+/// byte-equal to one built under the cell's own config, so the result is
+/// byte-identical with or without a cache.
+pub fn warmed_simulator(
     preset: &WorkloadPreset,
     cfg: SsdConfig,
     scale: &ExperimentScale,
     warm: Option<&WarmCache>,
 ) -> (Simulator, Trace) {
     let Some(cache) = warm else {
-        return warmed_simulator(preset, cfg, scale);
+        let mut sim = Simulator::new(cfg);
+        let trace = warm_up(&mut sim, preset, scale);
+        return (sim, trace);
     };
     let name = &preset.spec.name;
     let key = warm_cache_key(name, &cfg, scale);
@@ -595,9 +580,10 @@ pub fn warm_tail(sim: &mut Simulator, traces: &[Trace; 3], scale: &ExperimentSca
     sim.age(&reage2.records);
 }
 
-/// Run one workload on one system at the paper's TLC timing, with the
-/// given observability options attached before warm-up (used by the
-/// CLI; paths are taken as given, without a per-run suffix).
+/// Run one workload on one system on the paper's TLC device
+/// ([`tlc_config`]), with the given observability options attached before
+/// warm-up (used by the CLI; paths are taken as given, without a per-run
+/// suffix), and return the measured report.
 ///
 /// # Errors
 ///
@@ -607,14 +593,8 @@ pub fn run_system_obs(
     system: SystemUnderTest,
     scale: &ExperimentScale,
     obs: &ObsOptions,
-) -> std::io::Result<WorkloadRun> {
-    let cfg = system_config(
-        system,
-        scale.geometry,
-        FlashTiming::paper_tlc(),
-        RetryConfig::disabled(),
-    );
-    let mut sim = Simulator::new(cfg);
+) -> std::io::Result<Report> {
+    let mut sim = Simulator::new(tlc_config(system, scale));
     obs.attach(
         &mut sim,
         &format!("{}/{}", preset.spec.name, system.label()),
@@ -623,11 +603,7 @@ pub fn run_system_obs(
     let trace = warm_up(&mut sim, preset, scale);
     let report = sim.run(trace.records);
     obs.finish(&sim, &report)?;
-    Ok(WorkloadRun {
-        workload: preset.spec.name.clone(),
-        system: system.label(),
-        report,
-    })
+    Ok(report)
 }
 
 /// Normalized mean read response time of `ida` versus `baseline`
@@ -651,30 +627,19 @@ mod tests {
         // a change to the frame hash or the FTL's table layout must not
         // move them (printed snapshot keys and cell seeds stay valid).
         let scale = ExperimentScale::smoke();
-        let cfg = system_config(
-            SystemUnderTest::Baseline,
-            scale.geometry,
-            FlashTiming::paper_tlc(),
-            RetryConfig::disabled(),
-        );
+        let cfg = tlc_config(SystemUnderTest::Baseline, &scale);
         assert_eq!(warm_cache_key("hm_1", &cfg, &scale), 0xe61f_f94c_2096_d652);
-    }
-
-    /// The paper's TLC configuration of `system` at `scale`.
-    fn tlc(system: SystemUnderTest, scale: &ExperimentScale) -> SsdConfig {
-        system_config(
-            system,
-            scale.geometry,
-            FlashTiming::paper_tlc(),
-            RetryConfig::disabled(),
-        )
     }
 
     #[test]
     fn smoke_run_produces_reads_and_writes() {
         let preset = paper_workload("hm_1").unwrap();
         let scale = ExperimentScale::smoke().with_requests(1_500);
-        let run = run_config(&preset, tlc(SystemUnderTest::Baseline, &scale), &scale);
+        let run = run_config(
+            &preset,
+            tlc_config(SystemUnderTest::Baseline, &scale),
+            &scale,
+        );
         assert!(run.reads.count > 500);
         assert!(run.writes.count > 0);
         assert!(run.reads.mean() > 0.0);
@@ -684,10 +649,14 @@ mod tests {
     fn ida_beats_baseline_on_a_read_heavy_workload() {
         let preset = paper_workload("proj_1").unwrap();
         let scale = ExperimentScale::smoke();
-        let base = run_config(&preset, tlc(SystemUnderTest::Baseline, &scale), &scale);
+        let base = run_config(
+            &preset,
+            tlc_config(SystemUnderTest::Baseline, &scale),
+            &scale,
+        );
         let ida = run_config(
             &preset,
-            tlc(SystemUnderTest::Ida { error_rate: 0.0 }, &scale),
+            tlc_config(SystemUnderTest::Ida { error_rate: 0.0 }, &scale),
             &scale,
         );
         let norm = normalized_read_response(&ida, &base);

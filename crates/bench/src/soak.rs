@@ -35,14 +35,12 @@
 //! is a *legal* terminal state — it ends the soak early and is reported
 //! separately from violations.
 
-use crate::runner::{footprint, system_config, warmed_simulator, ExperimentScale, SystemUnderTest};
+use crate::runner::{footprint, tlc_config, warmed_simulator, ExperimentScale, SystemUnderTest};
 use crate::table::{f, TextTable};
 use ida_faults::AgingConfig;
 use ida_flash::addr::PlaneAddr;
-use ida_flash::timing::FlashTiming;
 use ida_ftl::{gc, FtlStats, Lpn};
 use ida_obs::json::{array, JsonObj};
-use ida_ssd::retry::RetryConfig;
 use ida_ssd::{Report, Simulator};
 use ida_sweep::derive_stream_seed;
 use ida_workloads::suite::WorkloadPreset;
@@ -295,11 +293,10 @@ pub fn run_soak(
     seed: u64,
     scale: &ExperimentScale,
 ) -> SoakRun {
-    let timing = FlashTiming::paper_tlc();
-    let mut cfg = system_config(system, scale.geometry, timing, RetryConfig::disabled());
+    let mut cfg = tlc_config(system, scale);
     cfg.ftl.seed = seed;
     cfg.ftl.spare_blocks_per_plane = SOAK_SPARES_PER_PLANE;
-    let (sim, trace) = warmed_simulator(preset, cfg, scale);
+    let (sim, trace) = warmed_simulator(preset, cfg, scale, None);
     soak_warmed(sim, trace, preset, system, level, epochs, seed)
 }
 

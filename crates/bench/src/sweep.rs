@@ -18,7 +18,7 @@
 use crate::blocks::run_blocks;
 use crate::load::{drive_load, load_metrics_json, nominal_iops, LoadSpec, LOAD_PCTS};
 use crate::runner::{
-    prefix_cache_key, run_warmed, try_system_config, warm_cache_key, warmed_simulator_cached,
+    prefix_cache_key, run_warmed, try_system_config, warm_cache_key, warmed_simulator,
     ExperimentScale, ReplayMode, SystemUnderTest, WARM_SEED_BASE,
 };
 use crate::soak::{soak_metrics_json, soak_warmed, SOAK_EPOCHS, SOAK_SPARES_PER_PLANE};
@@ -210,6 +210,36 @@ pub fn parse_system(label: &str) -> Result<SystemUnderTest, String> {
 /// The per-cell result payload: the slice of the [`Report`] the sweep
 /// renderers (and downstream analysis) consume, as deterministic JSON.
 pub fn metrics_json(report: &Report) -> String {
+    metrics_obj(report)
+        .raw("attribution", &report.attribution_json())
+        .finish()
+}
+
+/// The payload of a cell on the `variant` axis: [`metrics_json`]'s
+/// fields plus exact counts — the [`ReadBreakdown`] under `breakdown` and
+/// the refresh-overhead sums under `refresh_overhead` — from which the
+/// renderers compute their fractions and means.
+pub fn variant_metrics_json(report: &Report) -> String {
+    let o = &report.ftl.refresh_overhead;
+    let overhead = JsonObj::new()
+        .u64("refreshes", o.refreshes)
+        .u64("valid_pages", o.valid_pages)
+        .u64("target_pages", o.target_pages)
+        .u64("error_pages", o.error_pages)
+        .finish();
+    metrics_obj(report)
+        .raw("attribution", &report.attribution_json())
+        .raw("breakdown", &report.breakdown.to_json())
+        .raw("refresh_overhead", &overhead)
+        .finish()
+}
+
+/// [`metrics_json`]'s fields before `attribution`. Each payload appends
+/// the attribution in its own expression, so that string is freed only
+/// after the payload is rendered: freeing it earlier moves where later
+/// transients land in the heap (`idabench` `faults_grid`, seed 1: peak
+/// RSS 107 → 114 MiB).
+fn metrics_obj(report: &Report) -> JsonObj {
     let ftl = &report.ftl;
     let injected_faults =
         ftl.injected_program_fails + ftl.injected_erase_fails + ftl.transient_read_faults;
@@ -233,28 +263,6 @@ pub fn metrics_json(report: &Report) -> String {
         .u64("power_losses", ftl.power_losses)
         .u64("recoveries", ftl.recoveries)
         .u64("rejected_writes", ftl.rejected_writes)
-        .raw("attribution", &report.attribution_json())
-        .finish()
-}
-
-/// The payload of a cell on the `variant` axis: [`metrics_json`]'s
-/// fields plus exact counts — the [`ReadBreakdown`] under `breakdown` and
-/// the refresh-overhead sums under `refresh_overhead` — from which the
-/// renderers compute their fractions and means.
-pub fn variant_metrics_json(report: &Report) -> String {
-    let o = &report.ftl.refresh_overhead;
-    let overhead = JsonObj::new()
-        .u64("refreshes", o.refreshes)
-        .u64("valid_pages", o.valid_pages)
-        .u64("target_pages", o.target_pages)
-        .u64("error_pages", o.error_pages)
-        .finish();
-    let metrics = metrics_json(report);
-    let fields = metrics
-        .strip_suffix('}')
-        .expect("metrics_json renders an object");
-    let breakdown = report.breakdown.to_json();
-    format!("{fields},\"breakdown\":{breakdown},\"refresh_overhead\":{overhead}}}")
 }
 
 /// The axes excluded from a cell's warm identity, and so from its warm
@@ -316,7 +324,7 @@ pub fn run_cell_cached(cell: &Cell, scale: &ExperimentScale, warm: Option<&WarmC
     }
     let (preset, cfg) = cell_config(cell, scale).unwrap_or_else(|e| panic!("{e}"));
     let system = parse_system(&cell.system).expect("cell_config parsed the system label");
-    let (mut sim, trace) = warmed_simulator_cached(&preset, cfg, scale, warm);
+    let (mut sim, trace) = warmed_simulator(&preset, cfg, scale, warm);
     if let Some(pct) = cell.param("load") {
         let pct: u64 = pct
             .parse()

@@ -392,7 +392,7 @@ pub const SUBCOMMANDS: &[Row] = &[
     Row {
         name: "replay",
         positionals: "",
-        flags: "--msr --closed --error-rate --smoke --trace-out --metrics-json --progress",
+        flags: "--msr --closed --error-rate --trace-out --metrics-json --progress",
     },
     Row {
         name: "trace",

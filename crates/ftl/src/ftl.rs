@@ -70,6 +70,9 @@ enum AllocSource {
     },
 }
 
+/// A relocation with no preferred destination page type.
+const RELOC: AllocSource = AllocSource::Reloc { prefer_bit: None };
+
 /// Summary of one post-power-loss recovery scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -815,7 +818,7 @@ impl Ftl {
                         continue;
                     }
                     emit(sink, || self.read_op(page, Priority::Background));
-                    if !self.relocate_page(page, now, None, sink) {
+                    if !self.relocate(page, RELOC, now, sink) {
                         break 'scan;
                     }
                     self.stats.scrub_relocations += 1;
@@ -857,7 +860,7 @@ impl Ftl {
                 continue;
             }
             emit(ops, || self.read_op(page, Priority::Background));
-            if !self.relocate_page(page, now, None, ops) {
+            if !self.relocate(page, RELOC, now, ops) {
                 return moves;
             }
             self.stats.wear_level_moves += 1;
@@ -901,7 +904,7 @@ impl Ftl {
         }
         let saved = self.op_origin;
         self.op_origin = OpOrigin::Refresh;
-        self.relocate_page(page, now, None, &mut Some(&mut ops));
+        self.relocate(page, RELOC, now, &mut Some(&mut ops));
         self.op_origin = saved;
         ops
     }
@@ -986,15 +989,15 @@ impl Ftl {
         // of new blocks, Section III-C).
         for &(wl, bit) in &plan.moves {
             let page = self.block_page(block, wl, bit);
-            if !self.relocate_page(page, now, None, ops) {
+            if !self.relocate(page, RELOC, now, ops) {
                 return;
             }
             self.stats.refresh_moves += 1;
         }
         for &(wl, bit) in &plan.evictions {
             let page = self.block_page(block, wl, bit);
-            let prefer = self.cfg.lsb_placement.then_some(bit);
-            if !self.relocate_page(page, now, prefer, ops) {
+            let prefer_bit = self.cfg.lsb_placement.then_some(bit);
+            if !self.relocate(page, AllocSource::Reloc { prefer_bit }, now, ops) {
                 return;
             }
             self.stats.refresh_moves += 1;
@@ -1052,7 +1055,7 @@ impl Ftl {
             // Step 8: corrupted pages move to the new block after all.
             for &(wl, bit) in &plan.error_writes {
                 let page = self.block_page(block, wl, bit);
-                if !self.relocate_page(page, now, None, ops) {
+                if !self.relocate(page, RELOC, now, ops) {
                     return;
                 }
             }
@@ -1132,7 +1135,7 @@ impl Ftl {
             let page = victim.page(&self.geometry, off);
             if self.map.is_valid(page) {
                 emit(ops, || self.read_op(page, Priority::Background));
-                if !self.relocate_for_gc(page, plane, now, ops) {
+                if !self.relocate(page, AllocSource::Gc { plane }, now, ops) {
                     return;
                 }
                 self.stats.gc_copies += 1;
@@ -1224,45 +1227,23 @@ impl Ftl {
         }
     }
 
-    /// Move a valid page into a freshly allocated location, emitting the
-    /// program op (the read is charged by the caller where appropriate).
-    /// `prefer_bit` requests a destination slot of the given page type.
-    /// Returns false on power loss or read-only degradation (the source
-    /// page keeps its data).
-    fn relocate_page(
+    /// Move a valid page into a location allocated from `src`, emitting
+    /// the program op (the read is charged by the caller where
+    /// appropriate): a `Reloc` may prefer a destination page type, and a
+    /// `Gc` copy-out stays inside the victim's plane, using the GC reserve
+    /// (the erase about to happen repays it) when device-wide allocation
+    /// fails. Returns false on power loss or read-only degradation (the
+    /// source page keeps its data).
+    fn relocate(
         &mut self,
         from: PageAddr,
+        src: AllocSource,
         now: SimTime,
-        prefer_bit: Option<u8>,
         ops: &mut OpSink<'_>,
     ) -> bool {
         let Some(lpn) = self.map.owner(from) else {
             return true; // Already superseded; nothing to move.
         };
-        let src = AllocSource::Reloc { prefer_bit };
-        let Some(dest) = self.program_data(lpn, src, now, Priority::Background, ops) else {
-            return false;
-        };
-        let moved = self.map.relocate(from, dest);
-        debug_assert_eq!(moved, Some(lpn), "relocation source {from} was invalid");
-        self.blocks.invalidate_page(from.block(&self.geometry));
-        true
-    }
-
-    /// GC relocation: stays inside the victim's plane using the GC reserve
-    /// (the erase about to happen repays it) when device-wide allocation
-    /// fails. Returns false on power loss or degradation.
-    fn relocate_for_gc(
-        &mut self,
-        from: PageAddr,
-        plane: PlaneAddr,
-        now: SimTime,
-        ops: &mut OpSink<'_>,
-    ) -> bool {
-        let Some(lpn) = self.map.owner(from) else {
-            return true;
-        };
-        let src = AllocSource::Gc { plane };
         let Some(dest) = self.program_data(lpn, src, now, Priority::Background, ops) else {
             return false;
         };
@@ -1431,7 +1412,7 @@ impl Ftl {
         // verification was interrupted. No flash ops are built — the
         // simulator charges recovery as a single stall.
         for page in scrub_pages {
-            if self.map.is_valid(page) && self.relocate_page(page, now, None, &mut None) {
+            if self.map.is_valid(page) && self.relocate(page, RELOC, now, &mut None) {
                 report.scrubbed += 1;
             }
         }

@@ -220,34 +220,6 @@ impl SsdConfig {
         }
     }
 
-    /// The paper baseline with the IDA-modified refresh at corruption rate
-    /// `error_rate` (e.g. `0.20` for IDA-Coding-E20).
-    pub fn paper_ida(error_rate: f64) -> Self {
-        let mut cfg = Self::paper_baseline();
-        cfg.ftl.refresh_mode = RefreshMode::Ida;
-        cfg.ftl.adjust_error_rate = error_rate;
-        cfg
-    }
-
-    /// An MLC variant of the paper configuration (Section V-G).
-    pub fn paper_mlc(mode: RefreshMode, error_rate: f64) -> Self {
-        let mut cfg = Self::paper_baseline();
-        cfg.ftl.geometry = cfg.ftl.geometry.with_bits_per_cell(2);
-        cfg.ftl.refresh_mode = mode;
-        cfg.ftl.adjust_error_rate = error_rate;
-        cfg.timing = FlashTiming::paper_mlc();
-        cfg
-    }
-
-    /// A QLC variant (the paper's future-work device, Figure 6).
-    pub fn paper_qlc(mode: RefreshMode, error_rate: f64) -> Self {
-        let mut cfg = Self::paper_baseline();
-        cfg.ftl.geometry = cfg.ftl.geometry.with_bits_per_cell(4);
-        cfg.ftl.refresh_mode = mode;
-        cfg.ftl.adjust_error_rate = error_rate;
-        cfg
-    }
-
     /// The fields the untimed warm-up up to `stage` reads: `self` with
     /// `timing` and `retry` at the paper baseline's values (no warm-up
     /// read is timed or retried) and, for a prefix, which refreshes no
@@ -292,26 +264,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ida_config_flips_refresh_mode() {
-        let cfg = SsdConfig::paper_ida(0.2);
-        assert_eq!(cfg.ftl.refresh_mode, RefreshMode::Ida);
-        assert_eq!(cfg.ftl.adjust_error_rate, 0.2);
-    }
-
-    #[test]
-    fn mlc_config_uses_two_bits_and_mlc_timing() {
-        let cfg = SsdConfig::paper_mlc(RefreshMode::Ida, 0.2);
-        assert_eq!(cfg.ftl.geometry.bits_per_cell, 2);
-        assert_eq!(cfg.timing, FlashTiming::paper_mlc());
-    }
-
-    #[test]
-    fn qlc_config_uses_four_bits() {
-        let cfg = SsdConfig::paper_qlc(RefreshMode::Baseline, 0.0);
-        assert_eq!(cfg.ftl.geometry.bits_per_cell, 4);
-    }
-
-    #[test]
     fn builder_accepts_every_paper_preset() {
         assert_eq!(
             SsdConfig::builder().build().unwrap(),
@@ -322,7 +274,8 @@ mod tests {
             .adjust_error_rate(0.2)
             .build()
             .unwrap();
-        assert_eq!(ida, SsdConfig::paper_ida(0.2));
+        assert_eq!(ida.ftl.refresh_mode, RefreshMode::Ida);
+        assert_eq!(ida.ftl.adjust_error_rate, 0.2);
         let tiny = SsdConfig::builder()
             .geometry(Geometry::tiny())
             .build()

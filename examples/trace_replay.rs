@@ -10,8 +10,6 @@
 //! `target/trace_replay_sample.csv` so you can inspect the format.
 
 use ida_bench::runner::{self, ExperimentScale, SystemUnderTest};
-use ida_flash::timing::FlashTiming;
-use ida_ssd::retry::RetryConfig;
 use ida_ssd::{Simulator, SsdConfig};
 use ida_workloads::msr;
 use ida_workloads::suite::paper_workload;
@@ -55,15 +53,17 @@ fn replay(trace: &Trace, path: &str) {
         trace.span() as f64 / 1e9
     );
 
-    for (label, cfg) in [
-        ("baseline", SsdConfig::paper_baseline()),
-        ("IDA-E20 ", SsdConfig::paper_ida(0.2)),
+    let scale = ExperimentScale::default_scale();
+    for system in [
+        SystemUnderTest::Baseline,
+        SystemUnderTest::Ida { error_rate: 0.2 },
     ] {
-        let mut sim = Simulator::new(cfg);
+        let mut sim = Simulator::new(runner::tlc_config(system, &scale));
         sim.prefill(0..trace.footprint_pages());
         let report = sim.run(trace.records.clone());
         println!(
-            "{label}: mean read response {:8.1} us over {} reads",
+            "{:8}: mean read response {:8.1} us over {} reads",
+            system.label(),
             report.reads.mean_us(),
             report.reads.count
         );
@@ -82,15 +82,7 @@ fn synthetic() {
         println!("wrote a sample trace to {path}\n");
     }
 
-    let run = |system| {
-        let cfg = runner::system_config(
-            system,
-            scale.geometry,
-            FlashTiming::paper_tlc(),
-            RetryConfig::disabled(),
-        );
-        runner::run_config(&preset, cfg, &scale)
-    };
+    let run = |system| runner::run_config(&preset, runner::tlc_config(system, &scale), &scale);
     let base = run(SystemUnderTest::Baseline);
     let ida = run(SystemUnderTest::Ida { error_rate: 0.2 });
     let norm = runner::normalized_read_response(&ida, &base);

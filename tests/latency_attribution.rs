@@ -106,7 +106,7 @@ fn conservation_holds_under_mid_level_faults() {
         RetryConfig::disabled(),
     );
     let faults = FaultConfig::preset("mid", 41).expect("mid preset");
-    let (sim, trace) = warmed_simulator(&preset, cfg, &scale);
+    let (sim, trace) = warmed_simulator(&preset, cfg, &scale, None);
     let report = run_warmed(sim, trace, ReplayMode::OpenLoop, Some(faults));
 
     assert!(report.reads.count > 0 && report.writes.count > 0);
@@ -143,7 +143,7 @@ fn trace_replays_to_byte_identical_attribution() {
         progress: false,
         trace_filter: None,
     };
-    let run = run_system_obs(
+    let report = run_system_obs(
         &preset,
         SystemUnderTest::Ida { error_rate: 0.2 },
         &scale,
@@ -155,10 +155,10 @@ fn trace_replays_to_byte_identical_attribution() {
     let stats = analyze::load(&path, 5).expect("trace loads");
     assert_eq!(stats.conservation_violations, 0);
     assert_eq!(stats.latency_mismatches, 0);
-    assert_eq!(stats.reads.count(), run.report.reads.count);
+    assert_eq!(stats.reads.count(), report.reads.count);
     assert_eq!(
         stats.attribution_json(),
-        run.report.attribution_json(),
+        report.attribution_json(),
         "offline replay must rebuild the in-sim aggregate byte-for-byte"
     );
     // The full toolchain runs clean on a real trace.
